@@ -9,15 +9,19 @@ reported at nominal speed:
 
     normalized = measured * NOMINAL_MS[kind] / reference_ms
 
-A reference reading above nominal means the machine ran slow.  The
-reference tasks call nothing in congprimes, so no change to the program
-can move them.
+A reference reading above nominal means the machine ran slow.  Over a
+pass of several seconds, readings just before and after it track the
+speed during it poorly, so single-process passes take their readings
+inside the pass instead (sampling()).  The reference tasks call nothing
+in congprimes, so no change to the program can move them.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import os
+import signal
 import statistics
 import time
 
@@ -77,6 +81,37 @@ def probe(kind: str, all_cpus: bool = False) -> float:
     finally:
         os.sched_setaffinity(0, cpus)
     return statistics.mean(per_cpu)
+
+
+@contextlib.contextmanager
+def sampling(kind: str, every_s: float = 0.25):
+    """Run the reference task once every every_s seconds while the block
+    runs, in this thread, from a SIGALRM handler.  Yields the list that
+    collects (perf_counter at start, wall time in ms) of each run; a run
+    lies wholly inside or wholly outside any span the block times, so the
+    caller subtracts the runs that start inside it."""
+    samples: list[tuple[float, float]] = []
+
+    def sample(signum, frame):
+        t0 = time.perf_counter()
+        REFERENCES[kind]()
+        samples.append((t0, (time.perf_counter() - t0) * 1e3))
+
+    previous = signal.signal(signal.SIGALRM, sample)
+    signal.setitimer(signal.ITIMER_REAL, every_s, every_s)
+    try:
+        yield samples
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def taken_between(samples: list[tuple[float, float]], start: float, end: float) -> list[float]:
+    """The ms of the samples that began in [start, end); samples are in
+    the order sampling() took them."""
+    lo = bisect.bisect_left(samples, start, key=lambda s: s[0])
+    hi = bisect.bisect_left(samples, end, key=lambda s: s[0])
+    return [ms for _, ms in samples[lo:hi]]
 
 
 @contextlib.contextmanager

@@ -2,6 +2,7 @@
 arithmetic and the percentile rule."""
 
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,8 +11,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from checks import check_rows, is_x2_32y2, parse_csv  # noqa: E402
 from stats import describe, tail  # noqa: E402
-from tracing import per_layer, self_times  # noqa: E402
+from tracing import Tracer, install, per_layer, self_times  # noqa: E402
 
+import congprimes  # noqa: E402
+import congprimes.quartic  # noqa: E402
 from congprimes.cli import CSV_HEADER, ScanRow  # noqa: E402
 from congprimes.criteria import classify  # noqa: E402
 from congprimes.modmath import OddPrime, primes_in_range  # noqa: E402
@@ -72,6 +75,41 @@ def test_cornacchia_matches_brute_force():
         assert is_x2_32y2(p) == rep_x2_32y2(OddPrime(p)), p
 
 
+def test_failed_classify_adds_time_but_no_classified_prime(tmp_path, monkeypatch):
+    from load import Load
+
+    load = Load({"src": str(Path(congprimes.__file__).parents[1]), "out_dir": str(tmp_path),
+                 "reference": "interp"})
+    real = load.pkg.classify
+
+    def classify_or_fail(p):
+        if p == 13:
+            time.sleep(0.05)
+            raise load.ComputeFailed(p)
+        return real(p)
+
+    monkeypatch.setattr(load.pkg, "classify", classify_or_fail)
+    d = load.classify_pass([[11, False], [13, False], [17, False]])
+    assert (d["classified"], d["attempted"], d["failed"]) == (2, 3, [13])
+    assert d["wall_s"] >= 0.05
+    assert len(d["latency_ms"]["nonsplit"]) == 2
+
+
+def test_sampling_runs_the_reference_inside_the_block_and_restores_the_handler():
+    import signal
+
+    from speed import sampling
+
+    before = signal.getsignal(signal.SIGALRM)
+    with sampling("interp", every_s=0.05) as samples:
+        t0 = time.perf_counter()
+        while time.perf_counter() - t0 < 0.3:
+            pass
+    assert len(samples) >= 2 and all(t0 <= start and ms > 0 for start, ms in samples)
+    assert signal.getsignal(signal.SIGALRM) is before
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+
 def test_self_time_on_hand_built_span_tree():
     spans = [
         ["root", 0, 100, -1, None],
@@ -80,6 +118,28 @@ def test_self_time_on_hand_built_span_tree():
         ["a.child", 12, 20, 1, None],
     ]
     assert self_times(spans) == [50, 12, 35, 8]
+
+
+def test_install_wraps_every_lookup_and_uninstall_restores_it():
+    import multiprocessing.pool
+
+    def names():
+        return (congprimes.criteria.solve_delta, congprimes.quartic.solve_delta,
+                ScanRow.__dict__["from_classification"], multiprocessing.pool.Pool.map)
+
+    before = names()
+    tracer = Tracer()
+    uninstall = install(tracer, congprimes)
+    try:
+        assert all(a is not b for a, b in zip(names(), before))
+        assert classify(41).v_level == congprimes.classify(41).v_level
+    finally:
+        uninstall()
+    assert all(a is b for a, b in zip(names(), before))
+    spans = tracer.reset()
+    assert {"criteria.classify", "quartic.solve_delta"} <= {s[0] for s in spans}
+    classify(41)
+    assert tracer.reset() == []
 
 
 def test_per_layer_counts_root_calls_of_split_primes_only():
@@ -92,12 +152,13 @@ def test_per_layer_counts_root_calls_of_split_primes_only():
         ["criteria.classify", 10 * ms, 12 * ms, -1, False],
         ["modmath.sqrt_mod", 10 * ms, 11 * ms, 4, None],
     ]
-    m = per_layer([{"spans": spans, "scale": 1.0, "norm_wall_ns": 12 * ms}], 12 * ms, 12 * ms,
+    m = per_layer([{"spans": spans, "scale": 1.0, "norm_wall_ns": 12 * ms}], [10 * ms, 14 * ms],
                   {"import_ms": 1.0, "import_modules": 1})
     assert m["modmath.root_calls_per_split"][0] == 2
     assert m["criteria.classify.self_ms"][0] == pytest.approx(6 + 1)
     assert m["criteria.classify.split.ms_p50"][0] == pytest.approx(10)
     assert m["trace.coverage"][0] == pytest.approx(1)
+    assert m["trace.overhead"][0] == pytest.approx(1)
 
 
 def test_no_tail_with_fewer_than_ten_samples_beyond():

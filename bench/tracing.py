@@ -3,8 +3,8 @@ derived from them.
 
 install() wraps public functions of congprimes at every module-level name
 that refers to them (a function imported into several modules is wrapped
-in each), plus three class attributes and multiprocessing's Pool.map.
-Each call becomes a span [name, start_ns, end_ns, parent, tag] held in
+in each), plus three class attributes and multiprocessing's Pool.map,
+and returns a function that puts the originals back.  Each call becomes a span [name, start_ns, end_ns, parent, tag] held in
 memory.  per_layer() turns the spans of one or more passes into the
 metrics that BENCHMARK.json lists under per_layer.
 """
@@ -90,12 +90,19 @@ def _split_tag(args, result):
     return result.w_level in (2, 3)
 
 
-def install(tracer: Tracer, package) -> None:
-    """Wrap every traced name of the imported package."""
+def install(tracer: Tracer, package):
+    """Wrap every traced name of the imported package; returns a function
+    that restores the unwrapped names."""
     tags = {"modmath.is_probable_prime": tracer._repeat_tag,
             "criteria.classify": _split_tag}
     modules = [m for n, m in sys.modules.items()
                if m is not None and (n == package.__name__ or n.startswith(package.__name__ + "."))]
+    saved: list[tuple[object, str, object]] = []  # (owner, attribute, original)
+
+    def replace(owner, attr: str, value) -> None:
+        saved.append((owner, attr, getattr(owner, "__dict__", {}).get(attr)))
+        setattr(owner, attr, value)
+
     for mod_name, attr in FUNCTIONS:
         home = sys.modules.get(f"{package.__name__}.{mod_name}")
         fn = getattr(home, attr, None)
@@ -106,19 +113,25 @@ def install(tracer: Tracer, package) -> None:
         for mod in modules:
             for key, value in list(vars(mod).items()):
                 if value is fn:
-                    setattr(mod, key, wrapper)
+                    replace(mod, key, wrapper)
     for mod_name, cls_name, attr, name in METHODS:
         cls = getattr(sys.modules.get(f"{package.__name__}.{mod_name}"), cls_name, None)
         raw = getattr(cls, "__dict__", {}).get(attr)
         if raw is None:
             continue
         if isinstance(raw, classmethod):
-            setattr(cls, attr, classmethod(tracer.wrap(name, raw.__func__)))
+            replace(cls, attr, classmethod(tracer.wrap(name, raw.__func__)))
         else:
-            setattr(cls, attr, tracer.wrap(name, raw))
+            replace(cls, attr, tracer.wrap(name, raw))
     # the parent blocks in Pool.map while pool workers classify
     pool = multiprocessing.pool.Pool
-    pool.map = tracer.wrap("cli.pool.map", pool.map)
+    replace(pool, "map", tracer.wrap("cli.pool.map", pool.map))
+
+    def uninstall() -> None:
+        for owner, attr, original in reversed(saved):
+            setattr(owner, attr, original)
+
+    return uninstall
 
 
 def self_times(spans: list[list]) -> list[int]:
@@ -153,34 +166,38 @@ def _ms(ns: float) -> float:
     return ns / 1e6
 
 
-def per_layer(passes: list[dict], untraced_wall_ns: float,
-              traced_wall_ns: float, imports: dict) -> dict[str, tuple[float, str]]:
+def per_layer(passes: list[dict], untraced_wall_ns: list[float],
+              imports: dict) -> dict[str, tuple[float, str]]:
     """Per-layer metrics averaged over traced passes, as name -> (value, unit).
 
     Each pass is {"spans": [...], "scale": f, "norm_wall_ns": w}; a span
     time t counts as t * f, the pass's factor to nominal machine speed,
-    and w is the pass's wall time at nominal speed.  trace.coverage is the
-    time in top-level spans over the wall time of the same passes.
-    untraced_wall_ns and traced_wall_ns are the median nominal-speed wall
-    times of one pass without and with tracing, whose ratio is
-    trace.overhead; imports holds the median import_ms and import_modules
+    and w is the pass's wall time at nominal speed.  untraced_wall_ns are
+    the nominal-speed wall times of the untraced passes run before,
+    between and after the traced ones.  Each traced pass is set against
+    the mean u of its two untraced neighbours, which cancels the
+    machine's drift to first order.  trace.overhead is the median of
+    w / u, and trace.coverage the median of the pass's time in top-level
+    spans over u.  imports holds the median import_ms and import_modules
     of fresh interpreters."""
     k = len(passes)
     total_ns: dict[str, int] = {}
     calls: dict[str, int] = {}
     split_ms, nonsplit_ms = [], []
-    classify_self = cli_self = top_ns = repeats = roots_in_split = 0
+    classify_self = cli_self = repeats = roots_in_split = 0
     n_split = 0
+    top_ns: list[float] = []  # per pass
     for traced_pass in passes:
         spans, scale = traced_pass["spans"], traced_pass["scale"]
         selfs = [t * scale for t in self_times(spans)]
         roots = set()
+        top_ns.append(0)
         for i, s in enumerate(spans):
             name, dur = s[NAME], (s[END] - s[START]) * scale
             total_ns[name] = total_ns.get(name, 0) + dur
             calls[name] = calls.get(name, 0) + 1
             if _is_top(spans, s):
-                top_ns += dur
+                top_ns[-1] += dur
             if name == "criteria.classify":
                 classify_self += selfs[i]
                 (split_ms if s[TAG] else nonsplit_ms).append(_ms(dur))
@@ -196,6 +213,9 @@ def per_layer(passes: list[dict], untraced_wall_ns: float,
             while j >= 0 and spans[j][NAME] != "criteria.classify":
                 j = spans[j][PARENT]
             roots_in_split += j >= 0 and bool(spans[j][TAG])
+
+    # the mean wall time of the untraced passes on each side of a traced one
+    untraced = [(a + b) / 2 for a, b in zip(untraced_wall_ns, untraced_wall_ns[1:])]
 
     def ms(name):
         return _ms(total_ns.get(name, 0)) / k
@@ -233,6 +253,7 @@ def per_layer(passes: list[dict], untraced_wall_ns: float,
         "cli.scan.other_ms": (_ms(cli_self) / k, "ms"),
         "congprimes.import_ms": (imports["import_ms"], "ms"),
         "congprimes.import_modules": (imports["import_modules"], "count"),
-        "trace.coverage": (ratio(top_ns, sum(p["norm_wall_ns"] for p in passes)), "ratio"),
-        "trace.overhead": (ratio(traced_wall_ns, untraced_wall_ns), "ratio"),
+        "trace.coverage": (p50([ratio(t, u) for t, u in zip(top_ns, untraced)]), "ratio"),
+        "trace.overhead": (p50([ratio(p["norm_wall_ns"], u) for p, u in zip(passes, untraced)]),
+                           "ratio"),
     }
