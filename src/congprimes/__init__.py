@@ -8,7 +8,6 @@ the deeper symbols, the oracles module recounts everything by brute
 force, and verify wires the two against each other.
 """
 
-from .cli import ScanRow
 from .criteria import (
     Classification,
     CongruentStatus,
@@ -24,13 +23,11 @@ from .errors import (
     ComputeFailed,
     GeneratorNotFound,
     NotSplitError,
-    PrecisionExhausted,
     PreconditionViolation,
 )
 from .gaussian import (
     GaussianInt,
     TwoSquares,
-    gi_gcd,
     gi_symbol,
     primary_associate,
     two_squares,
@@ -54,12 +51,9 @@ from .oracles import (
 )
 from .quartic import (
     DeltaSolution,
-    IdealLattice,
     PrimeAboveP,
     QuarticInt,
-    build_ideal,
     embed,
-    lll_reduce,
     primes_above,
     solve_delta,
 )
@@ -77,32 +71,26 @@ __all__ = [
     "FormCount",
     "GaussianInt",
     "GeneratorNotFound",
-    "IdealLattice",
     "NotSplitError",
     "OddPrime",
-    "PrecisionExhausted",
     "PreconditionViolation",
     "PrimeAboveP",
     "QuarticCover",
     "QuarticInt",
-    "ScanRow",
     "ShaReport",
     "SuiteResult",
     "SymbolSet",
     "TwoSquares",
-    "build_ideal",
     "class_number",
     "classify",
     "cover",
     "delta_box_search",
     "eighth_root_of_unity",
     "embed",
-    "gi_gcd",
     "gi_symbol",
     "is_probable_prime",
     "legendre",
     "lemma_symbol_prediction",
-    "lll_reduce",
     "locally_solvable_at_p",
     "primary_associate",
     "primes_above",

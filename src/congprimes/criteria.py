@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import ComputeFailed, GeneratorNotFound, NotSplitError, PrecisionExhausted
+from .errors import ComputeFailed, GeneratorNotFound, NotSplitError
 from .modmath import OddPrime, eighth_root_of_unity, legendre, sqrt_mod
 from .quartic import DeltaSolution, embed, primes_above, solve_delta
 
@@ -84,7 +84,7 @@ def _symbols(p: OddPrime) -> SymbolSet:
     try:
         sol: DeltaSolution = solve_delta(p)
         above = primes_above(p)
-    except (GeneratorNotFound, PrecisionExhausted, NotSplitError) as exc:
+    except (GeneratorNotFound, NotSplitError) as exc:
         raise ComputeFailed(f"could not certify delta for p = {pv}") from exc
     # delta vanishes at exactly two of the four primes; evaluate at the
     # smallest root where it does not (any admissible choice agrees)
@@ -101,28 +101,15 @@ def _symbols(p: OddPrime) -> SymbolSet:
 
 def v_level(p: int | OddPrime) -> tuple[int, SymbolSet]:
     """Certified 2-adic depth of h(-4p), capped at 4."""
-    p = _as_prime(p)
-    syms = _symbols(p)
-    m8 = p.value % 8
-    if m8 in (3, 7):
-        return 0, syms
-    if m8 == 5:
-        return 1, syms
-    if syms.chi_1pi != 1:
-        return 2, syms
-    return (4 if syms.chi_alpha_delta == 1 else 3), syms
+    c = classify(p)
+    return c.v_level, c.symbols
 
 
 def w_level(p: int | OddPrime) -> tuple[int | None, SymbolSet]:
     """Certified 2-divisibility depth of the distinguished locally solvable
     descent classes; None unless p ≡ 1 (mod 8)."""
-    p = _as_prime(p)
-    syms = _symbols(p)
-    if p.value % 8 != 1:
-        return None, syms
-    if syms.chi_1pi != 1:
-        return 1, syms
-    return (3 if syms.chi_zeta_alpha_delta == 1 else 2), syms
+    c = classify(p)
+    return c.w_level, c.symbols
 
 
 def classify(p: int | OddPrime) -> Classification:

@@ -9,15 +9,11 @@ class NotSplitError(ValueError):
     """The prime does not split completely in the quartic field."""
 
 
-class PrecisionExhausted(ArithmeticError):
-    """The scaled embedding Gram matrix lost positive definiteness."""
-
-
 class GeneratorNotFound(RuntimeError):
     """Lattice search finished without certifying a generator.
 
-    Raised instead of ever returning an unverified element: callers may
-    retry at higher precision but never receive a wrong answer.
+    Raised instead of ever returning an unverified element: callers never
+    receive a wrong answer.
     """
 
 

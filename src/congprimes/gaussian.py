@@ -1,4 +1,4 @@
-"""Exact arithmetic in Z[i]: two-squares decompositions, gcds, primary
+"""Exact arithmetic in Z[i]: two-squares decompositions, primary
 associates, and the quadratic residue symbol on Gaussian primes."""
 
 from __future__ import annotations
@@ -98,18 +98,6 @@ class GaussianInt:
         q = GaussianInt(_round_div(t.re, n), _round_div(t.im, n))
         return q, self - q * o
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def exact_div(self, other) -> "GaussianInt":
-        q, r = divmod(self, other)
-        if r:
-            raise PreconditionViolation(f"{self!r} is not divisible by {other!r}")
-        return q
-
 
 I_UNIT = GaussianInt(0, 1)
 ONE_PLUS_I = GaussianInt(1, 1)
@@ -153,34 +141,6 @@ def two_squares(p: OddPrime) -> TwoSquares:
     if u % 2 == 0:
         u, v = v, u
     return TwoSquares(p, abs(u), abs(v))
-
-
-def _first_quadrant(x: GaussianInt) -> GaussianInt:
-    # unique associate with re > 0, im >= 0 (x != 0)
-    for _ in range(4):
-        if x.re > 0 and x.im >= 0:
-            return x
-        x = x * I_UNIT
-    raise AssertionError("unreachable for nonzero input")
-
-
-def gi_gcd(x: GaussianInt, y: GaussianInt) -> GaussianInt:
-    """Greatest common divisor in Z[i].
-
-    Normalized to the associate with re odd and re > 0 when the gcd is odd,
-    otherwise to the first-quadrant associate.  gcd(0, 0) = 0.
-    """
-    while y:
-        x, y = y, x % y
-    if not x:
-        return x
-    if x.is_odd():
-        for _ in range(4):
-            if x.re % 2 != 0 and x.re > 0:
-                return x
-            x = x * I_UNIT
-        raise AssertionError("odd Gaussian integer has an associate with odd re > 0")
-    return _first_quadrant(x)
 
 
 def primary_associate(x: GaussianInt) -> GaussianInt:

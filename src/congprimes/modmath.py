@@ -156,12 +156,7 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     if hi < lo:
         return []
     if hi <= 10_000_000:
-        flags = bytearray([1]) * (hi + 1)
-        flags[0:2] = b"\x00\x00"
-        for n in range(2, isqrt(hi) + 1):
-            if flags[n]:
-                flags[n * n :: n] = bytearray((hi - n * n) // n + 1)
-        return [n for n in range(lo, hi + 1) if flags[n]]
+        return [n for n in _sieve(hi) if n >= lo]
     width = hi - lo + 1
     if width > 10_000_000:
         raise PreconditionViolation("window wider than 10^7 is not supported")

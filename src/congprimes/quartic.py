@@ -1,5 +1,6 @@
-"""Arithmetic in Z[x]/(x^4 - 2x^2 + 2) and the lattice machinery that
-certifies a relative-norm-p element for completely split primes.
+"""Arithmetic in Z[x]/(x^4 - 2x^2 + 2) and the rank-2 Z[i]-lattice
+reduction that certifies a relative-norm-p element for completely split
+primes.
 
 Write alpha for the class of x, and i := alpha^2 - 1 (so i^2 = -1 and
 alpha^2 = 1 + i).  Every element is a + b*alpha with a, b in Z[i]; the
@@ -16,17 +17,10 @@ solve_delta lands exactly on p.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import isqrt
 
-from .errors import (
-    GeneratorNotFound,
-    NotSplitError,
-    PrecisionExhausted,
-    PreconditionViolation,
-)
+from .errors import GeneratorNotFound, NotSplitError, PreconditionViolation
 from .gaussian import ONE_PLUS_I, GaussianInt
 from .modmath import OddPrime, quartic_roots
 
@@ -171,245 +165,50 @@ def primes_above(p: OddPrime) -> list[PrimeAboveP]:
     return [PrimeAboveP(p, r) for r in sorted(roots)]
 
 
-@dataclass(frozen=True)
-class IdealLattice:
-    """A rank-4 Z-lattice in coefficient coordinates together with its
-    index in Z[alpha].  |det(basis)| must equal ideal_norm."""
-
-    basis: tuple[tuple[int, int, int, int], ...]
-    ideal_norm: int
-
-    def __post_init__(self):
-        if len(self.basis) != 4 or any(len(row) != 4 for row in self.basis):
-            raise PreconditionViolation("basis must be 4x4")
-        if abs(_det4(self.basis)) != self.ideal_norm:
-            raise PreconditionViolation(
-                "basis determinant does not match the ideal norm")
-
-    def rows(self) -> list[QuarticInt]:
-        return [QuarticInt(*row) for row in self.basis]
+Vector = tuple[GaussianInt, GaussianInt]  # (a, b) stands for a + b*alpha
 
 
-def _det4(m) -> int:
-    def det(rows):
-        if len(rows) == 1:
-            return rows[0][0]
-        total = 0
-        for j, head in enumerate(rows[0]):
-            if head:
-                minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-                total += (-1) ** j * head * det(minor)
-        return total
+def ideal_basis(p: OddPrime) -> tuple[Vector, Vector]:
+    """Reduced Z[i]-basis (u, v) of the product of the two primes over p
+    with roots r = roots[0] and s = roots[2] of quartic_roots(p).
 
-    return det([list(r) for r in m])
+    Those primes send i to i' = r^2 - 1 and to -i' respectively, so
+    a + b*alpha lies in their product iff a + b*c ≡ 0 (mod p) for the
+    Gaussian integer c that maps to r under i -> i' and to s under
+    i -> -i'.  Hence (p, 0), (-c, 1) is a basis.  Z[i] is Euclidean, so
+    Lagrange reduction works over it (Napias 1996, "A generalization of
+    the LLL-algorithm over Euclidean rings or orders"); it runs here for
+    H(a, b) = |a|^2 + sqrt(2)*|b|^2, the trace form Tr(x * xbar) / 4.
 
-
-def _hnf4(rows: list[list[int]]) -> list[list[int]]:
-    """Row Hermite normal form of an integer matrix with 4 columns and
-    full column rank; returns the 4 nonzero rows (upper triangular,
-    positive pivots, entries above a pivot reduced mod it)."""
-    m = [list(r) for r in rows]
-    r = 0
-    for col in range(4):
-        while True:
-            nz = [i for i in range(r, len(m)) if m[i][col]]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda i: abs(m[i][col]))
-            i0, i1 = nz[0], nz[1]
-            q = m[i1][col] // m[i0][col]
-            m[i1] = [m[i1][t] - q * m[i0][t] for t in range(4)]
-        if not nz:
-            raise PreconditionViolation("matrix does not have full column rank")
-        i0 = nz[0]
-        m[r], m[i0] = m[i0], m[r]
-        if m[r][col] < 0:
-            m[r] = [-t for t in m[r]]
-        for i in range(r):
-            q = m[i][col] // m[r][col]
-            if q:
-                m[i] = [m[i][t] - q * m[r][t] for t in range(4)]
-        r += 1
-    return m[:4]
-
-
-def build_ideal(p: OddPrime) -> IdealLattice:
-    """HNF basis of the product of the two primes over p whose roots
-    square to 1+i' and 1-i' respectively: the Z-module generated by
-    p*alpha^k and g*alpha^k for g = (alpha - r)(alpha - s) mod p.
-    Its index in Z[alpha] is p^2."""
+    sqrt(2) is replaced by isqrt(2 * 4^k) / 2^k with k = bitlen(p) + 32.
+    That lowers H(x) by at most |b|^2 / 2^k < H(x) / 2^k, so the form is
+    still positive definite and the bounds in solve_delta hold with room
+    to spare.  The reduction is exact for this form: on return
+    H(u) <= H(v), and mu = <v, u> / H(u) has real and imaginary parts in
+    [-1/2, 1/2].
+    """
     roots = quartic_roots(p)
     if not roots:
         raise NotSplitError(f"{p} does not split completely in the quartic field")
     pv = p.value
     r, s = roots[0], roots[2]
+    i_img = (r * r - 1) % pv
+    c = GaussianInt((r + s) * (pv + 1) // 2 % pv, (r - s) * pow(2 * i_img, -1, pv) % pv)
+    k = pv.bit_length() + 32
+    one, root2 = 1 << k, isqrt(2 << 2 * k)
 
-    def centered(x):
-        x %= pv
-        return x - pv if x > pv // 2 else x
+    def dot(x: Vector, y: Vector) -> GaussianInt:
+        return x[0] * y[0].conj() * one + x[1] * y[1].conj() * root2
 
-    g = QuarticInt(centered(r * s), centered(-(r + s)), 1, 0)
-    rows = []
-    for k in range(4):
-        row = [0, 0, 0, 0]
-        row[k] = pv
-        rows.append(row)
-    gk = g
-    for _ in range(4):
-        rows.append(list(gk.coeffs()))
-        gk = gk * ALPHA
-    basis = _hnf4(rows)
-    lat = IdealLattice(tuple(tuple(row) for row in basis), pv * pv)
-    return lat
-
-
-# Exact trace pairing on the monomial basis: sum over all four complex
-# embeddings sigma of sigma(alpha^m) * conj(sigma(alpha^n)) equals
-# TA[m][n] + TB[m][n]*sqrt(2).  (The embeddings send alpha to the four
-# values (+-)2^(1/4) e^(+-i pi/8), so the pairing of alpha^m with alpha^n
-# is 0 for m+n odd and 4 * 2^((m+n)/4) cos((m-n) pi/8) otherwise.)
-_TA = ((4, 0, 4, 0), (0, 0, 0, 0), (4, 0, 8, 0), (0, 0, 0, 0))
-_TB = ((0, 0, 0, 0), (0, 4, 0, 4), (0, 0, 0, 0), (0, 4, 0, 8))
-
-
-def _gram_exact(rows) -> tuple[list[list[int]], list[list[int]]]:
-    """Embedding Gram matrix of the rows, exactly, as (A, B) with
-    G = A + B*sqrt(2)."""
-    a_mid = [[sum(rows[i][k] * _TA[k][l] for k in range(4)) for l in range(4)] for i in range(4)]
-    b_mid = [[sum(rows[i][k] * _TB[k][l] for k in range(4)) for l in range(4)] for i in range(4)]
-    A = [[sum(a_mid[i][l] * rows[j][l] for l in range(4)) for j in range(4)] for i in range(4)]
-    B = [[sum(b_mid[i][l] * rows[j][l] for l in range(4)) for j in range(4)] for i in range(4)]
-    return A, B
-
-
-def _scaled_gram(A, B, precision_bits: int) -> list[list[int]]:
-    """Integer Gram matrix round(2^t * (A + B*sqrt2)).  The sqrt2 part is
-    truncated toward zero, so each entry is off by less than 1."""
-    shift = 1 << precision_bits
-    four_t = shift * shift
-
-    def ent(i, j):
-        b = B[i][j]
-        root = isqrt(2 * b * b * four_t)
-        return A[i][j] * shift + (root if b >= 0 else -root)
-
-    return [[ent(i, j) for j in range(4)] for i in range(4)]
-
-
-def _int_gs(Q):
-    """All-integer Gram-Schmidt data of a quadratic form: Gramians
-    d[i] = det of the (i+1)x(i+1) principal minor, and lam[i][j] =
-    d[j] * mu_ij.  All divisions below are exact.  Raises
-    PrecisionExhausted if the form is not positive definite."""
-    n = len(Q)
-    d = [0] * n
-    lam = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            u = Q[i][j]
-            for k in range(j):
-                u = (d[k] * u - lam[i][k] * lam[j][k]) // (d[k - 1] if k else 1)
-            if j < i:
-                lam[i][j] = u
-            else:
-                if u <= 0:
-                    raise PrecisionExhausted("scaled Gram matrix is not positive definite")
-                d[i] = u
-    return d, lam
-
-
-def _lll_on_gram(Q):
-    """LLL-reduce a positive definite integer Gram matrix in place with
-    delta = 0.99; returns the unimodular transform U with
-    Q_new = U Q_old U^T.  Exact integer arithmetic throughout."""
-    n = len(Q)
-    U = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def row_op(k, j, q):  # b_k -= q * b_j
-        for t in range(n):
-            Q[k][t] -= q * Q[j][t]
-        for t in range(n):
-            Q[t][k] -= q * Q[t][j]
-        U[k] = [U[k][t] - q * U[j][t] for t in range(n)]
-
-    def swap(k, j):
-        Q[k], Q[j] = Q[j], Q[k]
-        for t in range(n):
-            Q[t][k], Q[t][j] = Q[t][j], Q[t][k]
-        U[k], U[j] = U[j], U[k]
-
-    def reduce_once(k, j, d, lam):
-        # nearest integer to mu_kj = lam[k][j] / d[j]
-        q = (2 * lam[k][j] + d[j]) // (2 * d[j])
-        if q:
-            row_op(k, j, q)
-        return q
-
-    k = 1
-    while k < n:
-        d, lam = _int_gs(Q)
-        if reduce_once(k, k - 1, d, lam):
-            d, lam = _int_gs(Q)
-        dkm2 = d[k - 2] if k >= 2 else 1
-        # Lovasz with delta = 99/100, cleared of denominators
-        if 100 * (d[k] * dkm2 + lam[k][k - 1] ** 2) < 99 * d[k - 1] ** 2:
-            swap(k, k - 1)
-            k = max(k - 1, 1)
-        else:
-            for j in range(k - 2, -1, -1):
-                if reduce_once(k, j, d, lam):
-                    d, lam = _int_gs(Q)
-            k += 1
-    return U
-
-
-def lll_reduce(lattice: IdealLattice, precision_bits: int | None = None) -> IdealLattice:
-    """Reduce the lattice basis with LLL (delta = 0.99) under the
-    embedding quadratic form scaled to precision_bits fractional bits.
-    The result spans the same Z-module; the first row has near-minimal
-    embedding length."""
-    if precision_bits is None:
-        precision_bits = lattice.ideal_norm.bit_length() + 64
-    if precision_bits < 16:
-        raise PreconditionViolation("precision_bits is unreasonably small")
-    rows = [list(r) for r in lattice.basis]
-    A, B = _gram_exact(rows)
-    Q = _scaled_gram(A, B, precision_bits)
-    U = _lll_on_gram(Q)
-    new_rows = [
-        [sum(U[i][k] * rows[k][t] for k in range(4)) for t in range(4)] for i in range(4)
-    ]
-    return IdealLattice(tuple(tuple(r) for r in new_rows), lattice.ideal_norm)
-
-
-def _fincke_pohst(Q, bound: int):
-    """Yield all nonzero integer coordinate vectors x with x^T Q x <= bound
-    (Q positive definite, exact arithmetic)."""
-    n = len(Q)
-    d, lam = _int_gs(Q)
-    mu = [[Fraction(lam[i][j], d[j]) for j in range(n)] for i in range(n)]
-    bstar = [Fraction(d[i], d[i - 1] if i else 1) for i in range(n)]
-    x = [0] * n
-
-    def rec(i, budget: Fraction):
-        if i < 0:
-            if any(x):
-                yield tuple(x)
-            return
-        center = -sum(mu[j][i] * x[j] for j in range(i + 1, n))
-        rad = budget / bstar[i]
-        # floor(sqrt(rad)) with one unit of padding, exactly
-        smax = Fraction(isqrt(rad.numerator * rad.denominator) + 1, rad.denominator)
-        lo = math.ceil(center - smax)
-        hi = math.floor(center + smax)
-        for xi in range(lo, hi + 1):
-            used = (xi - center) ** 2 * bstar[i]
-            if used <= budget:
-                x[i] = xi
-                yield from rec(i - 1, budget - used)
-        x[i] = 0
-
-    yield from rec(n - 1, Fraction(bound))
+    u, v = (GaussianInt(pv), GaussianInt(0)), (-c, GaussianInt(1))
+    hu = dot(u, u).re
+    while True:
+        q = divmod(dot(v, u), hu)[0]
+        v = (v[0] - q * u[0], v[1] - q * u[1])
+        hv = dot(v, v).re
+        if hv >= hu:
+            return u, v
+        u, v, hu = v, u, hv
 
 
 @dataclass(frozen=True)
@@ -452,68 +251,51 @@ def _unit_adjust(g: QuarticInt, p: OddPrime) -> QuarticInt:
     return g
 
 
+_BOX = [GaussianInt(re, im) for re in range(-2, 3) for im in range(-2, 3)]
+_COEFFS = [(GaussianInt(1), GaussianInt(0))] + [(a, b) for b in _BOX for a in _BOX if a or b]
+
+
 def solve_delta(p: OddPrime) -> DeltaSolution:
     """Certified element of relative norm p for a completely split prime.
 
-    Pipeline: ideal of norm p^2 -> LLL on the scaled embedding Gram ->
-    generator search (first row, remaining rows, small combinations,
-    then full enumeration below the unit-balanced length bound 4*sqrt(2)*p)
-    -> unit adjustment.  Las Vegas: on failure raises GeneratorNotFound,
-    never returns an unverified answer.  Precision starts at
-    2*bitlen(p) + 64 and doubles on a positive-definiteness failure,
-    capped at 16x.
+    Takes the reduced basis (u, v) of ideal_basis(p) and returns the first
+    a*u + b*v, with a, b in the Gaussian box |re|, |im| <= 2 and u tried
+    first, whose absolute norm is p^2, rotated by _unit_adjust.  Las
+    Vegas: raises GeneratorNotFound, never returns an unverified answer.
+
+    The box is complete.  Write x = a + b*alpha and, at the two complex
+    places, x(beta) = a + b*beta and x(-beta) = a - b*beta with
+    beta^2 = 1 + i, |beta|^2 = sqrt(2).  Then
+    H(x) = (|x(beta)|^2 + |x(-beta)|^2) / 2 >= |x(beta) x(-beta)| =
+    |a^2 - (1+i) b^2|, and:
+
+    * H(u) >= p, because every nonzero element of the ideal has absolute
+      norm >= p^2.
+    * Some unit multiple of a generator g has H <= (1 + sqrt(2)) p.  Here
+      |g(beta)| |g(-beta)| = p, and the unit 1 + alpha multiplies
+      |g(beta)|^2 by |1+beta|^2 and |g(-beta)|^2 by |1-beta|^2 =
+      1 / |1+beta|^2.  Pick the power with p <= |g(beta)|^2 <
+      p |1+beta|^2; by convexity H is largest at an end of that range,
+      where it is p (|1+beta|^2 + |1-beta|^2) / 2 = (1 + sqrt(2)) p.
+    * Write v = mu*u + v* with v* orthogonal to u.  Reduction gives
+      |mu|^2 <= 1/2, so H(v*) = H(v) - |mu|^2 H(u) >= H(u) / 2.  If
+      H(a*u + b*v) = |a + b*mu|^2 H(u) + |b|^2 H(v*) <= (1 + sqrt(2)) p,
+      then |b|^2 <= 2 (1 + sqrt(2)) < 5, so |b|^2 <= 4, and
+      |a| <= sqrt(1 + sqrt(2)) + 2 / sqrt(2) < 2.97, so |a|^2 <= 8.
+
+    Both bounds leave far more slack than the 2^-k error of the form used
+    by ideal_basis.
     """
-    lat = build_ideal(p)
-    pv = p.value
-    target = pv * pv
-    base = 2 * pv.bit_length() + 64
-    for mult in (1, 2, 4, 8, 16):
-        prec = base * mult
-        try:
-            reduced = lll_reduce(lat, prec)
-            rows = reduced.rows()
-            for cand in rows:
-                if cand.absolute_norm() == target:
-                    return _finish(cand, p)
-            for combo in _small_combos(rows):
-                if combo.absolute_norm() == target:
-                    return _finish(combo, p)
-            A, B = _gram_exact([list(r) for r in reduced.basis])
-            Q = _scaled_gram(A, B, prec)
-            # embedding-length bound 4*sqrt(2)*p: some unit multiple of any
-            # generator lands under it, so the enumeration is complete
-            v = isqrt(32 * target) + 1
-            bound = (v << prec) + 16
-            bound += bound >> 20
-            count = 0
-            for coords in _fincke_pohst(Q, bound):
-                count += 1
-                if count > 200_000:
-                    break
-                cand = QuarticInt(
-                    *[
-                        sum(coords[k] * reduced.basis[k][t] for k in range(4))
-                        for t in range(4)
-                    ]
-                )
-                if cand.absolute_norm() == target:
-                    return _finish(cand, p)
-        except PrecisionExhausted:
-            continue
-    raise GeneratorNotFound(f"no relative-norm-{pv} generator found")
+    u, v = ideal_basis(p)
+    target = p.value**2
+    for a, b in _COEFFS:
+        g = QuarticInt.from_relative(a * u[0] + b * v[0], a * u[1] + b * v[1])
+        if g.absolute_norm() == target:
+            return _finish(g, p)
+    raise GeneratorNotFound(f"no relative-norm-{p.value} generator found")
 
 
 def _finish(g: QuarticInt, p: OddPrime) -> DeltaSolution:
     g = _unit_adjust(g, p)
     a, b = g.to_relative()
     return DeltaSolution(p=p, delta=g, a=a, b=b)
-
-
-def _small_combos(rows):
-    span = (-2, -1, 0, 1, 2)
-    for c0 in span:
-        for c1 in span:
-            for c2 in span:
-                for c3 in span:
-                    if c0 or c1 or c2 or c3:
-                        yield c0 * rows[0] + c1 * rows[1] + c2 * rows[2] + c3 * rows[3]

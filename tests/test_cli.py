@@ -5,9 +5,14 @@ be asserted without spawning a shell.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import congprimes
 from congprimes.cli import CSV_HEADER, main
 from congprimes.criteria import classify
 from congprimes.verify import SuiteResult, density_lines, level_counts
@@ -238,3 +243,14 @@ def test_unknown_command(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 1
     assert "invalid choice" in err
+
+
+# ---------------------------------------------------------------- library
+
+def test_import_does_not_load_the_cli():
+    code = ("import sys, congprimes; "
+            "print(sorted(m for m in ('argparse', 'multiprocessing') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(congprimes.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.strip() == "[]"

@@ -7,7 +7,6 @@ from congprimes.gaussian import (
     GaussianInt,
     ONE_PLUS_I,
     TwoSquares,
-    gi_gcd,
     gi_symbol,
     primary_associate,
     two_squares,
@@ -54,22 +53,6 @@ def test_divmod_nearest_remainder_small():
 def test_divmod_by_zero():
     with pytest.raises(ZeroDivisionError):
         divmod(GaussianInt(1, 2), GaussianInt(0))
-
-
-def test_gcd_divides_and_normalizes():
-    rng = random.Random(9)
-    for _ in range(200):
-        g = _rand(rng, 50)
-        if not g:
-            continue
-        a, b = g * _rand(rng, 50), g * _rand(rng, 50)
-        d = gi_gcd(a, b)
-        if not a and not b:
-            assert not d
-            continue
-        assert divmod(a, d)[1] == GaussianInt(0)
-        assert divmod(b, d)[1] == GaussianInt(0)
-        assert d.norm() % g.norm() == 0  # g divides the gcd
 
 
 def test_two_squares_certificate():

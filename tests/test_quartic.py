@@ -9,14 +9,12 @@ from congprimes.quartic import (
     ALPHA,
     DeltaSolution,
     I_ALG,
-    IdealLattice,
     PrimeAboveP,
     QuarticInt,
     UNIT_ALPHA_PLUS_1,
     UNIT_NORM_ONE,
-    build_ideal,
     embed,
-    lll_reduce,
+    ideal_basis,
     primes_above,
     solve_delta,
 )
@@ -121,71 +119,74 @@ def test_prime_above_validates_root():
         PrimeAboveP(p=OddPrime(41), r=5)
 
 
-def _det4(rows):
-    # cofactor expansion, small fixed size
-    def det3(m):
-        return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-    total = 0
-    for j in range(4):
-        minor = [[rows[i][k] for k in range(4) if k != j] for i in range(1, 4)]
-        total += (-1) ** j * rows[0][j] * det3(minor)
-    return total
+def _at_most_zero(m, n):
+    # m + n*sqrt(2) <= 0, decided exactly
+    if m <= 0 and n <= 0:
+        return True
+    if m > 0 and n > 0:
+        return False
+    return m * m >= 2 * n * n if m <= 0 else 2 * n * n >= m * m
 
 
-def test_build_ideal_norm_and_membership():
-    for p in (41, 113, 257, 1153):
-        P = OddPrime(p)
-        lat = build_ideal(P)
-        assert lat.ideal_norm == p * p
-        assert abs(_det4(lat.basis)) == p * p
-        # row Hermite form: echelon, positive pivots, reduced above them
-        for i in range(4):
-            assert lat.basis[i][i] > 0
-            for j in range(i):
-                assert lat.basis[i][j] == 0
-            for k in range(i):
-                assert 0 <= lat.basis[k][i] < lat.basis[i][i]
-        # lattice vectors vanish at exactly two of the four primes, one
-        # above each Gaussian prime (their i-images differ)
-        above = primes_above(P)
-        vanishing = [q for q in above
-                     if all(embed(x, q) == 0 for x in lat.rows())]
-        assert len(vanishing) == 2
-        assert len({q.i_image for q in vanishing}) == 2
-
-
-def test_build_ideal_requires_split():
-    with pytest.raises(NotSplitError):
-        build_ideal(OddPrime(17))
-
-
-def test_ideal_lattice_validates_determinant():
-    with pytest.raises(PreconditionViolation):
-        IdealLattice(basis=((1, 0, 0, 0), (0, 1, 0, 0),
-                            (0, 0, 1, 0), (0, 0, 0, 1)), ideal_norm=41)
-
-
-def test_lll_reduce_preserves_lattice():
+def test_ideal_basis_spans_the_ideal():
     count = 0
-    for p in (41, 113, 257, 10009, 104729):
+    for p in (41, 113, 257, 1153, 10009, 104729, 10**200 + 16737):
         P = OddPrime(p)
-        if not quartic_roots(P):
+        roots = quartic_roots(P)
+        if not roots:
             continue
-        lat = build_ideal(P)
-        red = lll_reduce(lat)
-        assert abs(_det4(red.basis)) == p * p
-        # reduced vectors stay in the ideal: they vanish where it vanishes
-        above = primes_above(P)
-        vanishing = [q for q in above
-                     if all(embed(x, q) == 0 for x in lat.rows())]
-        assert len(vanishing) == 2
-        for x in red.rows():
-            for q in vanishing:
-                assert embed(x, q) == 0
         count += 1
-    assert count >= 3
+        u, v = ideal_basis(P)
+        # both vectors vanish exactly at the primes with roots r and s
+        for x in (u, v):
+            g = QuarticInt.from_relative(*x)
+            vanishing = {q.r for q in primes_above(P) if embed(g, q) == 0}
+            assert vanishing == {roots[0], roots[2]}
+        # the Z[i]-determinant has norm p^2, the index of the ideal
+        assert (u[0] * v[1] - u[1] * v[0]).norm() == p * p
+        # reduced for H = |a|^2 + sqrt(2)|b|^2: H(u) <= H(v), and
+        # 2|Re <v,u>|, 2|Im <v,u>| <= H(u)
+        assert _at_most_zero(u[0].norm() - v[0].norm(), u[1].norm() - v[1].norm())
+        dot_a, dot_b = v[0] * u[0].conj(), v[1] * u[1].conj()
+        for m, n in ((dot_a.re, dot_b.re), (dot_a.im, dot_b.im)):
+            for sign in (1, -1):
+                assert _at_most_zero(2 * sign * m - u[0].norm(),
+                                     2 * sign * n - u[1].norm())
+    assert count >= 5
+
+
+def test_delta_box_is_complete():
+    # Every vector with H <= (1 + sqrt(2)) p among the coefficients
+    # |re|, |im| <= 4 lies in the box |re|, |im| <= 2 that solve_delta
+    # searches, and one of them generates the ideal.
+    span = [(re, im) for re in range(-4, 5) for im in range(-4, 5)]
+
+    def times(c, x):
+        return tuple((c[0] * g.re - c[1] * g.im, c[0] * g.im + c[1] * g.re) for g in x)
+
+    count = 0
+    for p in primes_in_range(3, 20000):
+        P = OddPrime(p)
+        if p % 8 != 1 or not quartic_roots(P):
+            continue
+        u, v = ideal_basis(P)
+        bs = [(c, times(c, v)) for c in span]
+        generators = 0
+        for ca, ((a1r, a1i), (a2r, a2i)) in ((c, times(c, u)) for c in span):
+            for cb, ((b1r, b1i), (b2r, b2i)) in bs:
+                x1r, x1i = a1r + b1r, a1i + b1i
+                h1 = x1r * x1r + x1i * x1i
+                if h1 > 3 * p:
+                    continue
+                x2r, x2i = a2r + b2r, a2i + b2i
+                if not _at_most_zero(h1 - p, x2r * x2r + x2i * x2i - p):
+                    continue
+                assert max(map(abs, ca + cb)) <= 2, (p, ca, cb)
+                x1, x2 = GaussianInt(x1r, x1i), GaussianInt(x2r, x2i)
+                generators += (x1 * x1 - GaussianInt(1, 1) * x2 * x2).norm() == p * p
+        assert generators, p
+        count += 1
+    assert count > 250
 
 
 def test_solve_delta_certificates_small_range():
