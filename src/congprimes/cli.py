@@ -14,13 +14,14 @@ import argparse
 import dataclasses
 import json
 import multiprocessing
+import os
 import sys
 from dataclasses import dataclass
 from math import ceil
 
 from .criteria import Classification, classify
 from .errors import BoundExceeded, ComputeFailed, PreconditionViolation
-from .modmath import primes_in_range
+from .modmath import OddPrime, _odd_primes_in_range
 from .verify import (
     DEFAULT_LIMITS,
     SUITES,
@@ -108,19 +109,24 @@ def cmd_classify(args) -> int:
 
 # -------------------------------------------------------------------- scan
 
-def _scan_chunk(ps: list[int]) -> list[tuple]:
+def _pool_size(workers: int) -> int:
+    """Processes to start for a requested worker count: at most one per CPU."""
+    return min(workers, os.cpu_count() or 1)
+
+
+def _scan_chunk(ps: list[OddPrime]) -> list[tuple]:
     out = []
     for p in ps:
         try:
             out.append(("ok", ScanRow.from_classification(classify(p))))
         except ComputeFailed as exc:
-            out.append(("err", p, str(exc)))
+            out.append(("err", p.value, str(exc)))
     return out
 
 
 def _scan_results(lo: int, hi: int, workers: int) -> list[tuple]:
-    ps = primes_in_range(max(lo, 2), hi)
-    ps = [p for p in ps if p != 2]
+    ps = _odd_primes_in_range(lo, hi)
+    workers = _pool_size(workers)
     if workers <= 1 or len(ps) < 2 * workers:
         return _scan_chunk(ps)
     size = ceil(len(ps) / workers)
@@ -137,6 +143,9 @@ def _scan_results(lo: int, hi: int, workers: int) -> list[tuple]:
 def cmd_scan(args) -> int:
     if args.lo > args.hi:
         print("error: --from must not exceed --to", file=sys.stderr)
+        return 1
+    if args.workers < 1:
+        print("error: --workers must be at least 1", file=sys.stderr)
         return 1
     results = _scan_results(args.lo, args.hi, args.workers)
     failed = 0
@@ -225,7 +234,8 @@ def build_parser() -> _Parser:
     p_scan.add_argument("--to", dest="hi", type=int, required=True)
     p_scan.add_argument("--out", required=True)
     p_scan.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p_scan.add_argument("--workers", type=int, default=1)
+    p_scan.add_argument("--workers", type=int, default=1,
+                        help="worker processes (at most one per CPU is started)")
     p_scan.set_defaults(func=cmd_scan)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")

@@ -30,7 +30,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import ComputeFailed, GeneratorNotFound, NotSplitError
-from .modmath import OddPrime, eighth_root_of_unity, legendre, sqrt_mod
+from .modmath import OddPrime, legendre, split_roots
 from .quartic import DeltaSolution, embed, primes_above, solve_delta
 
 
@@ -73,17 +73,18 @@ def _as_prime(p: int | OddPrime) -> OddPrime:
 
 
 def _symbols(p: OddPrime) -> SymbolSet:
-    """Compute every applicable symbol at p, solving for delta once."""
+    """Compute every applicable symbol at p, taking the roots and solving
+    for delta once."""
     pv = p.value
     if pv % 8 != 1:
         return SymbolSet()
-    i_img = sqrt_mod(-1, p)
-    chi_1pi = legendre(1 + i_img, p)
+    roots = split_roots(p)
+    chi_1pi = legendre(1 + roots.i_img, p)
     if chi_1pi != 1:
         return SymbolSet(chi_1pi=chi_1pi)
     try:
-        sol: DeltaSolution = solve_delta(p)
-        above = primes_above(p)
+        sol: DeltaSolution = solve_delta(p, roots)
+        above = primes_above(p, roots)
     except (GeneratorNotFound, NotSplitError) as exc:
         raise ComputeFailed(f"could not certify delta for p = {pv}") from exc
     # delta vanishes at exactly two of the four primes; evaluate at the
@@ -91,7 +92,7 @@ def _symbols(p: OddPrime) -> SymbolSet:
     admissible = [q for q in above if embed(sol.delta, q) != 0]
     q = admissible[0]
     e = embed(sol.delta, q)
-    z = eighth_root_of_unity(p)
+    z = roots.zeta
     return SymbolSet(
         chi_1pi=1,
         chi_alpha_delta=legendre(q.r * e, p),

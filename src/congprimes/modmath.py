@@ -131,10 +131,10 @@ def is_probable_prime(n: int) -> bool:
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
-        if n == q:
+        if q * q > n:
             return True
         if n % q == 0:
-            return False
+            return n == q
     if n < 1_002_001:  # below 1001^2 trial division was complete
         return True
     if n < 2**64:
@@ -171,10 +171,13 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     return [lo + k for k in range(width) if flags[k] and is_probable_prime(lo + k)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OddPrime:
-    """A certified odd prime.  Construction re-checks primality, so every
-    downstream function may assume its argument really is an odd prime."""
+    """A certified odd prime.  OddPrime(n) runs is_probable_prime on n and
+    raises unless n is an odd prime, so every downstream function may
+    assume its argument really is one.  The one other way in is the
+    package-internal _odd_primes_in_range, whose primes primes_in_range
+    has already certified."""
 
     value: int
     residue_mod_16: int = field(init=False)
@@ -193,6 +196,20 @@ class OddPrime:
 
     def __str__(self) -> str:
         return str(self.value)
+
+
+def _odd_primes_in_range(lo: int, hi: int) -> list[OddPrime]:
+    """The odd primes of primes_in_range(lo, hi) as OddPrimes, built
+    without a second primality test: primes_in_range certifies every
+    number it returns (exact sieve, or is_probable_prime per survivor)."""
+    out = []
+    for n in primes_in_range(lo, hi):
+        if n != 2:
+            p = object.__new__(OddPrime)
+            object.__setattr__(p, "value", n)
+            object.__setattr__(p, "residue_mod_16", n % 16)
+            out.append(p)
+    return out
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -257,13 +274,58 @@ def sqrt_mod(a: int, p: OddPrime) -> int | None:
 
 def eighth_root_of_unity(p: OddPrime) -> int:
     """Canonical primitive eighth root of unity mod p (p ≡ 1 mod 8 only):
-    the canonical square root of the canonical sqrt(-1)."""
-    if p.value % 8 != 1:
+    the canonical square root of the canonical sqrt(-1).
+
+    One power of a non-residue g: z = g^((p-1)/8) has order 8, so z^2 is
+    i' or -i' (i' the canonical sqrt(-1)), and the square roots of i' are
+    ±z or ±z^3 (z^6 = -z^2)."""
+    pv = p.value
+    if pv % 8 != 1:
         raise PreconditionViolation("eighth roots of unity require p ≡ 1 (mod 8)")
-    i_img = _sqrt_mod_int(-1, p.value)
-    z = _sqrt_mod_int(i_img, p.value)
-    assert z is not None  # i_img is a square exactly when p ≡ 1 (mod 8)
-    return z
+    g = 3
+    while _jacobi(g, pv) != -1:
+        g += 1
+    z = pow(g, (pv - 1) // 8, pv)
+    z2 = z * z % pv
+    if z2 > pv - z2:  # z^2 = -i'
+        z = z * z2 % pv
+    return min(z, pv - z)
+
+
+@dataclass(frozen=True)
+class SplitRoots:
+    """The canonical roots at a prime p ≡ 1 (mod 8), taken once and shared
+    by every symbol and by the delta solve.  Each is the root in [0, p/2]:
+    i_img = sqrt(-1), zeta = sqrt(i_img), r = sqrt(1 + i_img) and
+    s = sqrt(1 - i_img); r and s are None unless (1+i'/p) = +1."""
+
+    p: int
+    i_img: int
+    zeta: int
+    r: int | None
+    s: int | None
+
+    def quartic(self) -> list[int]:
+        """The roots of x^4 - 2x^2 + 2 mod p as quartic_roots lists them."""
+        if self.r is None:
+            return []
+        return [self.r, self.p - self.r, self.s, self.p - self.s]
+
+
+def split_roots(p: OddPrime) -> SplitRoots:
+    """Every root the classification of p ≡ 1 (mod 8) needs, from one
+    eighth root of unity and one square root.
+
+    (zeta - zeta^3)^2 = i' + 2 - i' = 2 = (1 + i')(1 - i') = (r s)^2, so
+    s = ±(zeta - zeta^3) / r needs no square root of its own."""
+    pv = p.value
+    zeta = eighth_root_of_unity(p)
+    i_img = zeta * zeta % pv
+    r = sqrt_mod(1 + i_img, p)
+    if r is None:
+        return SplitRoots(pv, i_img, zeta, None, None)
+    s = (zeta - pow(zeta, 3, pv)) * pow(r, -1, pv) % pv
+    return SplitRoots(pv, i_img, zeta, r, min(s, pv - s))
 
 
 def quartic_roots(p: OddPrime) -> list[int]:
@@ -275,12 +337,6 @@ def quartic_roots(p: OddPrime) -> list[int]:
     (1+i'/p) = +1; a partial split (two roots, possible for p ≡ 5 mod 8)
     does not produce embeddings of the full quartic ring and yields [].
     """
-    pv = p.value
-    if pv % 4 != 1:
+    if p.value % 8 != 1:
         return []
-    i_img = _sqrt_mod_int(-1, pv)
-    r = _sqrt_mod_int(1 + i_img, pv)
-    s = _sqrt_mod_int(1 - i_img, pv)
-    if r is None or s is None:
-        return []
-    return [r, pv - r, s, pv - s]
+    return split_roots(p).quartic()

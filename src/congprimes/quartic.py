@@ -22,7 +22,7 @@ from math import isqrt
 
 from .errors import GeneratorNotFound, NotSplitError, PreconditionViolation
 from .gaussian import ONE_PLUS_I, GaussianInt
-from .modmath import OddPrime, quartic_roots
+from .modmath import OddPrime, SplitRoots, split_roots
 
 
 class QuarticInt:
@@ -156,21 +156,29 @@ def embed(x: QuarticInt, at: PrimeAboveP) -> int:
     return (((x.c3 * r + x.c2) * r + x.c1) * r + x.c0) % pv
 
 
-def primes_above(p: OddPrime) -> list[PrimeAboveP]:
-    """The four degree-one primes over a completely split p, sorted by
-    root.  Raises NotSplitError unless p ≡ 1 (mod 8) and (1+i'/p) = +1."""
-    roots = quartic_roots(p)
-    if not roots:
+def _split(p: OddPrime, roots: SplitRoots | None) -> SplitRoots:
+    """split_roots(p) unless the caller already has it; raises
+    NotSplitError unless p ≡ 1 (mod 8) and (1+i'/p) = +1."""
+    if roots is None and p.value % 8 == 1:
+        roots = split_roots(p)
+    if roots is None or roots.r is None:
         raise NotSplitError(f"{p} does not split completely in the quartic field")
-    return [PrimeAboveP(p, r) for r in sorted(roots)]
+    return roots
+
+
+def primes_above(p: OddPrime, roots: SplitRoots | None = None) -> list[PrimeAboveP]:
+    """The four degree-one primes over a completely split p, sorted by
+    root.  roots, if given, must be split_roots(p).  Raises NotSplitError
+    unless p ≡ 1 (mod 8) and (1+i'/p) = +1."""
+    return [PrimeAboveP(p, r) for r in sorted(_split(p, roots).quartic())]
 
 
 Vector = tuple[GaussianInt, GaussianInt]  # (a, b) stands for a + b*alpha
 
 
-def ideal_basis(p: OddPrime) -> tuple[Vector, Vector]:
+def ideal_basis(p: OddPrime, roots: SplitRoots | None = None) -> tuple[Vector, Vector]:
     """Reduced Z[i]-basis (u, v) of the product of the two primes over p
-    with roots r = roots[0] and s = roots[2] of quartic_roots(p).
+    with roots r and s of split_roots(p) (roots, if given, must be that).
 
     Those primes send i to i' = r^2 - 1 and to -i' respectively, so
     a + b*alpha lies in their product iff a + b*c ≡ 0 (mod p) for the
@@ -187,12 +195,9 @@ def ideal_basis(p: OddPrime) -> tuple[Vector, Vector]:
     H(u) <= H(v), and mu = <v, u> / H(u) has real and imaginary parts in
     [-1/2, 1/2].
     """
-    roots = quartic_roots(p)
-    if not roots:
-        raise NotSplitError(f"{p} does not split completely in the quartic field")
+    roots = _split(p, roots)
     pv = p.value
-    r, s = roots[0], roots[2]
-    i_img = (r * r - 1) % pv
+    r, s, i_img = roots.r, roots.s, roots.i_img
     c = GaussianInt((r + s) * (pv + 1) // 2 % pv, (r - s) * pow(2 * i_img, -1, pv) % pv)
     k = pv.bit_length() + 32
     one, root2 = 1 << k, isqrt(2 << 2 * k)
@@ -255,10 +260,10 @@ _BOX = [GaussianInt(re, im) for re in range(-2, 3) for im in range(-2, 3)]
 _COEFFS = [(GaussianInt(1), GaussianInt(0))] + [(a, b) for b in _BOX for a in _BOX if a or b]
 
 
-def solve_delta(p: OddPrime) -> DeltaSolution:
+def solve_delta(p: OddPrime, roots: SplitRoots | None = None) -> DeltaSolution:
     """Certified element of relative norm p for a completely split prime.
 
-    Takes the reduced basis (u, v) of ideal_basis(p) and returns the first
+    Takes the reduced basis (u, v) of ideal_basis(p, roots) and returns the first
     a*u + b*v, with a, b in the Gaussian box |re|, |im| <= 2 and u tried
     first, whose absolute norm is p^2, rotated by _unit_adjust.  Las
     Vegas: raises GeneratorNotFound, never returns an unverified answer.
@@ -286,7 +291,7 @@ def solve_delta(p: OddPrime) -> DeltaSolution:
     Both bounds leave far more slack than the 2^-k error of the form used
     by ideal_basis.
     """
-    u, v = ideal_basis(p)
+    u, v = ideal_basis(p, roots)
     target = p.value**2
     for a, b in _COEFFS:
         g = QuarticInt.from_relative(a * u[0] + b * v[0], a * u[1] + b * v[1])

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import congprimes
-from congprimes.cli import CSV_HEADER, main
+from congprimes.cli import CSV_HEADER, _pool_size, main
 from congprimes.criteria import classify
 from congprimes.verify import SuiteResult, density_lines, level_counts
 
@@ -168,6 +168,23 @@ def test_scan_rejects_inverted_range(capsys, tmp_path):
                        "--out", str(tmp_path / "x.csv"))
     assert code == 1
     assert "must not exceed" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_scan_rejects_fewer_than_one_worker(capsys, tmp_path, workers):
+    out_path = tmp_path / "x.csv"
+    code, _, err = run(capsys, "scan", "--from", "3", "--to", "100",
+                       "--out", str(out_path), "--workers", workers)
+    assert code == 1
+    assert "--workers must be at least 1" in err
+    assert not out_path.exists()
+
+
+def test_pool_size_is_capped_at_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert [_pool_size(n) for n in (1, 3, 4, 5, 10**6)] == [1, 3, 4, 4, 4]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one process
+    assert _pool_size(8) == 1
 
 
 def test_scan_requires_out(capsys, tmp_path):

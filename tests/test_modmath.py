@@ -11,12 +11,19 @@ from congprimes.modmath import (
     legendre,
     primes_in_range,
     quartic_roots,
+    split_roots,
     sqrt_mod,
 )
 
+# where trial division by the primes below 1000 stops or is complete:
+# 997^2 and 991*997 need the last divisors, 1001^2 and the primes next to
+# it sit on either side of the bound below which no Miller-Rabin runs
+TRIAL_DIVISION_EDGES = (997**2, 991 * 997, 993_997, 1_001_989, 1_001_999,
+                        1_002_001, 1_002_017, 1009**2)
+
 
 def test_primality_agrees_with_sympy_below_20000():
-    for n in range(2, 20000):
+    for n in [*range(2, 20000), *TRIAL_DIVISION_EDGES]:
         assert is_probable_prime(n) == sympy.isprime(n), n
 
 
@@ -146,3 +153,37 @@ def test_quartic_roots_split_iff_symbol_condition():
         else:
             chi = legendre(1 + sqrt_mod(-1, P), P)
             assert split == (chi == 1)
+
+
+def _canonical_roots(P: OddPrime) -> tuple[int, int, int | None, int | None]:
+    """i', zeta, r, s each by its own Tonelli-Shanks square root."""
+    i_img = sqrt_mod(-1, P)
+    return i_img, sqrt_mod(i_img, P), sqrt_mod(1 + i_img, P), sqrt_mod(1 - i_img, P)
+
+
+@pytest.mark.parametrize("ps", [
+    [p for p in primes_in_range(3, 20000) if p % 8 == 1],
+    [10**200 + 16737, 10**200 + 28729],
+], ids=["below-2e4", "200-digit-anchors"])
+def test_split_roots_equal_the_canonical_roots(ps):
+    split = 0
+    for p in ps:
+        P = OddPrime(p)
+        roots = split_roots(P)
+        i_img, zeta, r, s = _canonical_roots(P)
+        assert (roots.p, roots.i_img, roots.zeta) == (p, i_img, zeta), p
+        assert eighth_root_of_unity(P) == zeta
+        if legendre(1 + i_img, P) == 1:
+            split += 1
+            assert (roots.r, roots.s) == (r, s), p
+            assert quartic_roots(P) == roots.quartic() == [r, p - r, s, p - s]
+        else:
+            assert (roots.r, roots.s) == (None, None), p
+            assert quartic_roots(P) == roots.quartic() == []
+    assert split >= 2
+
+
+def test_split_roots_require_p_1_mod_8():
+    for p in (5, 7, 13):
+        with pytest.raises(PreconditionViolation):
+            split_roots(OddPrime(p))
