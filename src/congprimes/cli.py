@@ -21,7 +21,7 @@ from math import ceil
 
 from .criteria import Classification, classify
 from .errors import BoundExceeded, ComputeFailed, PreconditionViolation
-from .modmath import OddPrime, _odd_primes_in_range
+from .modmath import _certified, primes_in_range
 from .verify import (
     DEFAULT_LIMITS,
     SUITES,
@@ -60,9 +60,7 @@ class ScanRow:
 
     @classmethod
     def from_classification(cls, c: Classification) -> "ScanRow":
-        return cls(c.p, c.p_mod_16, c.symbols.chi_1pi,
-                   c.symbols.chi_alpha_delta, c.symbols.chi_zeta_alpha_delta,
-                   c.v_level, c.w_level, c.congruent_status.value)
+        return cls(*_row_fields(c))
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -72,6 +70,13 @@ class ScanRow:
         return (f"{self.p},{self.p_mod_16},{self.chi_1pi},"
                 f"{self.chi_alpha_delta},{self.chi_zeta_alpha_delta},"
                 f"{self.v_level},{w},{self.congruent_status}")
+
+
+def _row_fields(c: Classification) -> tuple:
+    """The fields of ScanRow.from_classification(c) as a plain tuple."""
+    return (c.p, c.p_mod_16, c.symbols.chi_1pi, c.symbols.chi_alpha_delta,
+            c.symbols.chi_zeta_alpha_delta, c.v_level, c.w_level,
+            c.congruent_status.value)
 
 
 def _level_text(level: int | None, ceiling: int) -> str:
@@ -114,23 +119,25 @@ def _pool_size(workers: int) -> int:
     return min(workers, os.cpu_count() or 1)
 
 
-def _scan_chunk(ps: list[OddPrime]) -> list[tuple]:
+def _scan_chunk(ns: list[int]) -> list[tuple]:
+    """Classify certified odd primes, given as ints.  Rows travel back as
+    plain tuples, which pickle far cheaper than ScanRows."""
     out = []
-    for p in ps:
+    for n in ns:
         try:
-            out.append(("ok", ScanRow.from_classification(classify(p))))
+            out.append(("ok", _row_fields(classify(_certified(n)))))
         except ComputeFailed as exc:
-            out.append(("err", p.value, str(exc)))
+            out.append(("err", n, str(exc)))
     return out
 
 
 def _scan_results(lo: int, hi: int, workers: int) -> list[tuple]:
-    ps = _odd_primes_in_range(lo, hi)
+    ns = [n for n in primes_in_range(lo, hi) if n != 2]
     workers = _pool_size(workers)
-    if workers <= 1 or len(ps) < 2 * workers:
-        return _scan_chunk(ps)
-    size = ceil(len(ps) / workers)
-    chunks = [ps[i:i + size] for i in range(0, len(ps), size)]
+    if workers <= 1 or len(ns) < 2 * workers:
+        return _scan_chunk(ns)
+    size = ceil(len(ns) / workers)
+    chunks = [ns[i:i + size] for i in range(0, len(ns), size)]
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:
@@ -158,7 +165,7 @@ def cmd_scan(args) -> int:
                 failed += 1
                 print(f"compute failed at p={res[1]}: {res[2]}", file=sys.stderr)
                 continue
-            row = res[1]
+            row = ScanRow(*res[1])
             if args.format == "csv":
                 fh.write(row.csv_line() + "\n")
             else:

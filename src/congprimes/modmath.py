@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import compress
 from math import isqrt
 
 from .errors import PreconditionViolation
@@ -23,7 +24,7 @@ def _sieve(limit: int) -> list[int]:
     for n in range(2, isqrt(limit) + 1):
         if flags[n]:
             flags[n * n :: n] = bytearray((limit - n * n) // n + 1)
-    return [n for n in range(limit + 1) if flags[n]]
+    return list(compress(range(limit + 1), flags))
 
 
 _SMALL_PRIMES = tuple(_sieve(1000))
@@ -166,9 +167,10 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
         start = max(q * q, ((lo + q - 1) // q) * q)
         if start <= hi:
             flags[start - lo :: q] = bytearray((hi - start) // q + 1)
+    survivors = compress(range(lo, hi + 1), flags)
     if isqrt(hi) <= base_limit:
-        return [lo + k for k in range(width) if flags[k]]
-    return [lo + k for k in range(width) if flags[k] and is_probable_prime(lo + k)]
+        return list(survivors)
+    return [n for n in survivors if is_probable_prime(n)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,8 +178,8 @@ class OddPrime:
     """A certified odd prime.  OddPrime(n) runs is_probable_prime on n and
     raises unless n is an odd prime, so every downstream function may
     assume its argument really is one.  The one other way in is the
-    package-internal _odd_primes_in_range, whose primes primes_in_range
-    has already certified."""
+    package-internal _certified, for primes that primes_in_range has
+    already certified."""
 
     value: int
     residue_mod_16: int = field(init=False)
@@ -202,14 +204,16 @@ def _odd_primes_in_range(lo: int, hi: int) -> list[OddPrime]:
     """The odd primes of primes_in_range(lo, hi) as OddPrimes, built
     without a second primality test: primes_in_range certifies every
     number it returns (exact sieve, or is_probable_prime per survivor)."""
-    out = []
-    for n in primes_in_range(lo, hi):
-        if n != 2:
-            p = object.__new__(OddPrime)
-            object.__setattr__(p, "value", n)
-            object.__setattr__(p, "residue_mod_16", n % 16)
-            out.append(p)
-    return out
+    return [_certified(n) for n in primes_in_range(lo, hi) if n != 2]
+
+
+def _certified(n: int) -> OddPrime:
+    """OddPrime(n) without the primality test, for an odd n that
+    primes_in_range has already certified."""
+    p = object.__new__(OddPrime)
+    object.__setattr__(p, "value", n)
+    object.__setattr__(p, "residue_mod_16", n % 16)
+    return p
 
 
 def _jacobi(a: int, n: int) -> int:

@@ -195,25 +195,47 @@ def ideal_basis(p: OddPrime, roots: SplitRoots | None = None) -> tuple[Vector, V
     H(u) <= H(v), and mu = <v, u> / H(u) has real and imaginary parts in
     [-1/2, 1/2].
     """
+    (u0r, u0i, u1r, u1i, v0r, v0i, v1r, v1i), _ = _reduce(p, roots)
+    return ((GaussianInt(u0r, u0i), GaussianInt(u1r, u1i)),
+            (GaussianInt(v0r, v0i), GaussianInt(v1r, v1i)))
+
+
+def _reduce(p: OddPrime, roots: SplitRoots | None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """ideal_basis on plain ints: the coordinates (u0, u1, v0, v1), each
+    as re, im, and the Gram entries (H(u), H(v), Re <v,u>, Im <v,u>) of
+    the returned basis, in the form scaled by 2^k.
+
+    <x, y> = x0 conj(y0) 2^k + x1 conj(y1) isqrt(2 * 4^k) is exact, so
+    the entries are updated in place rather than recomputed (integral
+    LLL, Cohen GTM 138, 2.6): v <- v - q u sends <v,u> to <v,u> - q H(u)
+    and H(v) to H(v) - 2 Re(conj(q) <v,u>) + |q|^2 H(u), and a swap
+    conjugates <v,u>.  q rounds each coordinate of <v,u> / H(u) as
+    GaussianInt.__divmod__ does."""
     roots = _split(p, roots)
     pv = p.value
     r, s, i_img = roots.r, roots.s, roots.i_img
-    c = GaussianInt((r + s) * (pv + 1) // 2 % pv, (r - s) * pow(2 * i_img, -1, pv) % pv)
+    cr = (r + s) * (pv + 1) // 2 % pv
+    ci = (r - s) * pow(2 * i_img, -1, pv) % pv
     k = pv.bit_length() + 32
     one, root2 = 1 << k, isqrt(2 << 2 * k)
-
-    def dot(x: Vector, y: Vector) -> GaussianInt:
-        return x[0] * y[0].conj() * one + x[1] * y[1].conj() * root2
-
-    u, v = (GaussianInt(pv), GaussianInt(0)), (-c, GaussianInt(1))
-    hu = dot(u, u).re
+    u0r, u0i, u1r, u1i = pv, 0, 0, 0
+    v0r, v0i, v1r, v1i = -cr, -ci, 1, 0
+    hu = pv * pv * one
+    hv = (cr * cr + ci * ci) * one + root2
+    gr, gi = -cr * pv * one, -ci * pv * one
     while True:
-        q = divmod(dot(v, u), hu)[0]
-        v = (v[0] - q * u[0], v[1] - q * u[1])
-        hv = dot(v, v).re
+        h2 = 2 * hu
+        qr = (2 * gr + hu) // h2
+        qi = (2 * gi + hu) // h2
+        v0r, v0i = v0r - qr * u0r + qi * u0i, v0i - qr * u0i - qi * u0r
+        v1r, v1i = v1r - qr * u1r + qi * u1i, v1i - qr * u1i - qi * u1r
+        hv += (qr * qr + qi * qi) * hu - 2 * (qr * gr + qi * gi)
+        gr -= qr * hu
+        gi -= qi * hu
         if hv >= hu:
-            return u, v
-        u, v, hu = v, u, hv
+            return (u0r, u0i, u1r, u1i, v0r, v0i, v1r, v1i), (hu, hv, gr, gi)
+        u0r, u0i, u1r, u1i, v0r, v0i, v1r, v1i = v0r, v0i, v1r, v1i, u0r, u0i, u1r, u1i
+        hu, hv, gi = hv, hu, -gi
 
 
 @dataclass(frozen=True)
@@ -230,18 +252,19 @@ class DeltaSolution:
     def __post_init__(self):
         if QuarticInt.from_relative(self.a, self.b) != self.delta:
             raise PreconditionViolation("delta does not match its relative form")
-        if self.delta.relative_norm() != GaussianInt(self.p.value):
+        nr = self.delta.relative_norm()
+        if nr != GaussianInt(self.p.value):
             raise PreconditionViolation("relative norm is not exactly p")
-        if self.delta.absolute_norm() != self.p.value**2:
+        if nr.norm() != self.p.value**2:
             raise PreconditionViolation("absolute norm is not p^2")
 
 
-def _unit_adjust(g: QuarticInt, p: OddPrime) -> QuarticInt:
-    """Rotate a generator of relative norm w*p (w a fourth root of unity)
-    to relative norm exactly p by multiplying with (alpha+1)^m, then fix
-    the sign canonically (a.re > 0, ties broken lexicographically)."""
+def _unit_adjust(g: QuarticInt, nr: GaussianInt, p: OddPrime) -> QuarticInt:
+    """Rotate a generator g of relative norm nr = w*p (w a fourth root of
+    unity) to relative norm exactly p by multiplying with (alpha+1)^m,
+    then fix the sign canonically (a.re > 0, ties broken
+    lexicographically)."""
     pv = p.value
-    nr = g.relative_norm()
     w, rem = divmod(nr, GaussianInt(pv))
     if rem or w.norm() != 1:
         raise GeneratorNotFound("candidate norm is not a unit multiple of p")
@@ -256,8 +279,9 @@ def _unit_adjust(g: QuarticInt, p: OddPrime) -> QuarticInt:
     return g
 
 
-_BOX = [GaussianInt(re, im) for re in range(-2, 3) for im in range(-2, 3)]
-_COEFFS = [(GaussianInt(1), GaussianInt(0))] + [(a, b) for b in _BOX for a in _BOX if a or b]
+_BOX = [(re, im) for re in range(-2, 3) for im in range(-2, 3)]
+# (a.re, a.im, b.re, b.im), u alone first
+_COEFFS = [(1, 0, 0, 0)] + [a + b for b in _BOX for a in _BOX if any(a + b)]
 
 
 def solve_delta(p: OddPrime, roots: SplitRoots | None = None) -> DeltaSolution:
@@ -291,16 +315,20 @@ def solve_delta(p: OddPrime, roots: SplitRoots | None = None) -> DeltaSolution:
     Both bounds leave far more slack than the 2^-k error of the form used
     by ideal_basis.
     """
-    u, v = ideal_basis(p, roots)
+    (u0r, u0i, u1r, u1i, v0r, v0i, v1r, v1i), _ = _reduce(p, roots)
     target = p.value**2
-    for a, b in _COEFFS:
-        g = QuarticInt.from_relative(a * u[0] + b * v[0], a * u[1] + b * v[1])
-        if g.absolute_norm() == target:
-            return _finish(g, p)
+    for ar, ai, br, bi in _COEFFS:
+        # x = a*u + b*v, and its relative norm n = x0^2 - (1+i) x1^2
+        x0r = ar * u0r - ai * u0i + br * v0r - bi * v0i
+        x0i = ar * u0i + ai * u0r + br * v0i + bi * v0r
+        x1r = ar * u1r - ai * u1i + br * v1r - bi * v1i
+        x1i = ar * u1i + ai * u1r + br * v1i + bi * v1r
+        sr, si = x1r * x1r - x1i * x1i, 2 * x1r * x1i
+        nr = x0r * x0r - x0i * x0i - sr + si
+        ni = 2 * x0r * x0i - sr - si
+        if nr * nr + ni * ni == target:
+            g = QuarticInt.from_relative(GaussianInt(x0r, x0i), GaussianInt(x1r, x1i))
+            g = _unit_adjust(g, GaussianInt(nr, ni), p)
+            a, b = g.to_relative()
+            return DeltaSolution(p=p, delta=g, a=a, b=b)
     raise GeneratorNotFound(f"no relative-norm-{p.value} generator found")
-
-
-def _finish(g: QuarticInt, p: OddPrime) -> DeltaSolution:
-    g = _unit_adjust(g, p)
-    a, b = g.to_relative()
-    return DeltaSolution(p=p, delta=g, a=a, b=b)

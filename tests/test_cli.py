@@ -13,8 +13,10 @@ from pathlib import Path
 import pytest
 
 import congprimes
+from congprimes import cli
 from congprimes.cli import CSV_HEADER, _pool_size, main
 from congprimes.criteria import classify
+from congprimes.errors import ComputeFailed
 from congprimes.verify import SuiteResult, density_lines, level_counts
 
 
@@ -140,6 +142,34 @@ def test_scan_worker_count_does_not_change_output(capsys, tmp_path, fmt):
     assert run(capsys, "scan", "--from", "3", "--to", "400", "--out",
                str(parallel), "--format", fmt, "--workers", "3")[0] == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_scan_reports_a_failed_prime_from_every_worker_count(capsys, tmp_path, monkeypatch, fmt):
+    bad = 113
+
+    def failing(p, real=cli.classify):
+        if int(p) == bad:
+            raise ComputeFailed(f"could not certify delta for p = {bad}")
+        return real(p)
+
+    monkeypatch.setattr(cli, "classify", failing)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool of two
+    outputs = []
+    for workers in ("1", "2"):
+        out_path = tmp_path / f"scan{workers}.{fmt}"
+        code, out, err = run(capsys, "scan", "--from", "3", "--to", "200", "--out",
+                             str(out_path), "--format", fmt, "--workers", workers)
+        assert code == 2
+        assert f"compute failed at p={bad}: could not certify delta" in err
+        assert "1 primes failed to classify" in err
+        assert f"wrote 44 rows to {out_path}" in out  # 45 odd primes up to 200
+        outputs.append(out_path.read_bytes())
+    lines = outputs[0].decode().splitlines()
+    ps = [json.loads(line)["p"] for line in lines] if fmt == "jsonl" else [
+        int(line.split(",")[0]) for line in lines[1:]]
+    assert len(ps) == 44 and bad not in ps and {109, 127} <= set(ps)
+    assert outputs[0] == outputs[1]
 
 
 def test_scan_prints_density_summary(capsys, tmp_path):

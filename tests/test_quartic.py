@@ -1,10 +1,12 @@
 import random
+from math import isqrt
 
 import pytest
 
 from congprimes.errors import NotSplitError, PreconditionViolation
 from congprimes.gaussian import GaussianInt
-from congprimes.modmath import OddPrime, legendre, primes_in_range, quartic_roots, sqrt_mod
+from congprimes.modmath import (
+    OddPrime, legendre, primes_in_range, quartic_roots, split_roots, sqrt_mod)
 from congprimes.quartic import (
     ALPHA,
     DeltaSolution,
@@ -13,6 +15,7 @@ from congprimes.quartic import (
     QuarticInt,
     UNIT_ALPHA_PLUS_1,
     UNIT_NORM_ONE,
+    _reduce,
     embed,
     ideal_basis,
     primes_above,
@@ -153,6 +156,51 @@ def test_ideal_basis_spans_the_ideal():
                 assert _at_most_zero(2 * sign * m - u[0].norm(),
                                      2 * sign * n - u[1].norm())
     assert count >= 5
+
+
+def _gaussian_lagrange(p, roots):
+    """The Lagrange loop of ideal_basis written on GaussianInt vectors,
+    recomputing both inner products at every step; returns the basis and
+    the inner product it reduces for."""
+    pv = p.value
+    r, s, i_img = roots.r, roots.s, roots.i_img
+    c = GaussianInt((r + s) * (pv + 1) // 2 % pv, (r - s) * pow(2 * i_img, -1, pv) % pv)
+    k = pv.bit_length() + 32
+    one, root2 = 1 << k, isqrt(2 << 2 * k)
+
+    def dot(x, y):
+        return x[0] * y[0].conj() * one + x[1] * y[1].conj() * root2
+
+    u, v = (GaussianInt(pv), GaussianInt(0)), (-c, GaussianInt(1))
+    hu = dot(u, u).re
+    while True:
+        q = divmod(dot(v, u), hu)[0]
+        v = (v[0] - q * u[0], v[1] - q * u[1])
+        hv = dot(v, v).re
+        if hv >= hu:
+            return (u, v), dot
+        u, v, hu = v, u, hv
+
+
+def test_ideal_basis_matches_the_gaussian_reduction():
+    # the integer loop returns the same basis as the GaussianInt loop, and
+    # the Gram entries it carries equal the ones recomputed at the end
+    count = 0
+    for p in primes_in_range(3, 20000) + [10**200 + 16737, 10**200 + 28729]:
+        if p % 8 != 1:
+            continue
+        P = OddPrime(p)
+        roots = split_roots(P)
+        if roots.r is None:
+            continue
+        (u, v), dot = _gaussian_lagrange(P, roots)
+        assert ideal_basis(P, roots) == (u, v), p
+        coords, gram = _reduce(P, roots)
+        assert coords == tuple(n for g in u + v for n in (g.re, g.im))
+        uv = dot(v, u)
+        assert gram == (dot(u, u).re, dot(v, v).re, uv.re, uv.im), p
+        count += 1
+    assert count == 273
 
 
 def test_delta_box_is_complete():
