@@ -11,13 +11,12 @@ mismatch.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import multiprocessing
 import os
 import sys
-from dataclasses import dataclass
-from math import ceil
+from functools import partial
+from typing import Iterator, NamedTuple
 
 from .criteria import Classification, classify
 from .errors import BoundExceeded, ComputeFailed, PreconditionViolation
@@ -36,6 +35,10 @@ CSV_HEADER = "p,p_mod_16,chi_1pi,chi_alpha_delta,chi_zeta_alpha_delta,v_level,w_
 V_CEILING = 4
 W_CEILING = 3
 
+# primes per scan chunk, the unit a pool worker classifies and renders;
+# smaller chunks made a two-worker scan slower
+SCAN_CHUNK = 1024
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; the contract here is 1."""
@@ -45,8 +48,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     """One classified prime, in output-column order."""
 
     p: int
@@ -60,23 +62,18 @@ class ScanRow:
 
     @classmethod
     def from_classification(cls, c: Classification) -> "ScanRow":
-        return cls(*_row_fields(c))
+        return cls(c.p, c.p_mod_16, c.symbols.chi_1pi, c.symbols.chi_alpha_delta,
+                   c.symbols.chi_zeta_alpha_delta, c.v_level, c.w_level,
+                   c.congruent_status.value)
 
     def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return self._asdict()
 
     def csv_line(self) -> str:
         w = "NA" if self.w_level is None else str(self.w_level)
         return (f"{self.p},{self.p_mod_16},{self.chi_1pi},"
                 f"{self.chi_alpha_delta},{self.chi_zeta_alpha_delta},"
                 f"{self.v_level},{w},{self.congruent_status}")
-
-
-def _row_fields(c: Classification) -> tuple:
-    """The fields of ScanRow.from_classification(c) as a plain tuple."""
-    return (c.p, c.p_mod_16, c.symbols.chi_1pi, c.symbols.chi_alpha_delta,
-            c.symbols.chi_zeta_alpha_delta, c.v_level, c.w_level,
-            c.congruent_status.value)
 
 
 def _level_text(level: int | None, ceiling: int) -> str:
@@ -119,32 +116,42 @@ def _pool_size(workers: int) -> int:
     return min(workers, os.cpu_count() or 1)
 
 
-def _scan_chunk(ns: list[int]) -> list[tuple]:
-    """Classify certified odd primes, given as ints.  Rows travel back as
-    plain tuples, which pickle far cheaper than ScanRows."""
-    out = []
+ChunkResult = tuple[str, dict[tuple[int, int | None], int], list[tuple[int, str]]]
+
+
+def _scan_chunk(fmt: str, ns: list[int]) -> ChunkResult:
+    """Classify and render certified odd primes, given as ints: the
+    output text, the row count per (v_level, w_level), and the primes
+    that failed as (p, message)."""
+    lines, counts, failures = [], {}, []
     for n in ns:
         try:
-            out.append(("ok", _row_fields(classify(_certified(n)))))
+            row = ScanRow.from_classification(classify(_certified(n)))
         except ComputeFailed as exc:
-            out.append(("err", n, str(exc)))
-    return out
+            failures.append((n, str(exc)))
+            continue
+        lines.append(row.csv_line() if fmt == "csv" else json.dumps(row.as_dict()))
+        key = (row.v_level, row.w_level)
+        counts[key] = counts.get(key, 0) + 1
+    return "".join(line + "\n" for line in lines), counts, failures
 
 
-def _scan_results(lo: int, hi: int, workers: int) -> list[tuple]:
-    ns = [n for n in primes_in_range(lo, hi) if n != 2]
-    workers = _pool_size(workers)
-    if workers <= 1 or len(ns) < 2 * workers:
-        return _scan_chunk(ns)
-    size = ceil(len(ns) / workers)
-    chunks = [ns[i:i + size] for i in range(0, len(ns), size)]
+def _scan_results(ns: list[int], workers: int, fmt: str) -> Iterator[ChunkResult]:
+    """_scan_chunk over the primes ns in chunks of SCAN_CHUNK, yielded in
+    order; a pool of workers runs them when there is more than one
+    worker and more than one chunk."""
+    chunks = [ns[i:i + SCAN_CHUNK] for i in range(0, len(ns), SCAN_CHUNK)]
+    work = partial(_scan_chunk, fmt)
+    workers = min(_pool_size(workers), len(chunks))
+    if workers <= 1:
+        yield from map(work, chunks)
+        return
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:
         ctx = multiprocessing.get_context()
-    with ctx.Pool(len(chunks)) as pool:
-        parts = pool.map(_scan_chunk, chunks)
-    return [r for part in parts for r in part]
+    with ctx.Pool(workers) as pool:
+        yield from pool.imap(work, chunks)
 
 
 def cmd_scan(args) -> int:
@@ -154,24 +161,19 @@ def cmd_scan(args) -> int:
     if args.workers < 1:
         print("error: --workers must be at least 1", file=sys.stderr)
         return 1
-    results = _scan_results(args.lo, args.hi, args.workers)
+    ns = [n for n in primes_in_range(args.lo, args.hi) if n != 2]
     failed = 0
-    counts: dict[tuple, int] = {}
+    counts: dict[tuple[int, int | None], int] = {}
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         if args.format == "csv":
             fh.write(CSV_HEADER + "\n")
-        for res in results:
-            if res[0] == "err":
-                failed += 1
-                print(f"compute failed at p={res[1]}: {res[2]}", file=sys.stderr)
-                continue
-            row = ScanRow(*res[1])
-            if args.format == "csv":
-                fh.write(row.csv_line() + "\n")
-            else:
-                fh.write(json.dumps(row.as_dict()) + "\n")
-            key = (row.v_level, row.w_level)
-            counts[key] = counts.get(key, 0) + 1
+        for text, chunk_counts, failures in _scan_results(ns, args.workers, args.format):
+            fh.write(text)
+            for key, k in chunk_counts.items():
+                counts[key] = counts.get(key, 0) + k
+            for p, message in failures:
+                print(f"compute failed at p={p}: {message}", file=sys.stderr)
+            failed += len(failures)
     print(f"wrote {sum(counts.values())} rows to {args.out}")
     for line in density_lines(counts):
         print(line)

@@ -259,29 +259,17 @@ class DeltaSolution:
             raise PreconditionViolation("absolute norm is not p^2")
 
 
-def _unit_adjust(g: QuarticInt, nr: GaussianInt, p: OddPrime) -> QuarticInt:
-    """Rotate a generator g of relative norm nr = w*p (w a fourth root of
-    unity) to relative norm exactly p by multiplying with (alpha+1)^m,
-    then fix the sign canonically (a.re > 0, ties broken
-    lexicographically)."""
-    pv = p.value
-    w, rem = divmod(nr, GaussianInt(pv))
-    if rem or w.norm() != 1:
-        raise GeneratorNotFound("candidate norm is not a unit multiple of p")
-    m = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}[(w.re, w.im)]
-    for _ in range(m):
-        g = g * UNIT_ALPHA_PLUS_1
-    assert g.relative_norm() == GaussianInt(pv)
-    a, b = g.to_relative()
-    t = (a.re, a.im, b.re, b.im)
-    if a.re < 0 or (a.re == 0 and tuple(-v for v in t) < t):
-        g = -g
-    return g
-
-
 _BOX = [(re, im) for re in range(-2, 3) for im in range(-2, 3)]
 # (a.re, a.im, b.re, b.im), u alone first
 _COEFFS = [(1, 0, 0, 0)] + [a + b for b in _BOX for a in _BOX if any(a + b)]
+# multiplications by alpha + 1 (relative norm -i) that take w*p to p
+_ROTATIONS = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
+
+
+def _relative_norm(x0r: int, x0i: int, x1r: int, x1i: int) -> tuple[int, int]:
+    """x0^2 - (1+i) x1^2 as (re, im), for x0 = x0r + x0i*i, x1 = x1r + x1i*i."""
+    sr, si = x1r * x1r - x1i * x1i, 2 * x1r * x1i
+    return x0r * x0r - x0i * x0i - sr + si, 2 * x0r * x0i - sr - si
 
 
 def solve_delta(p: OddPrime, roots: SplitRoots | None = None) -> DeltaSolution:
@@ -289,8 +277,10 @@ def solve_delta(p: OddPrime, roots: SplitRoots | None = None) -> DeltaSolution:
 
     Takes the reduced basis (u, v) of ideal_basis(p, roots) and returns the first
     a*u + b*v, with a, b in the Gaussian box |re|, |im| <= 2 and u tried
-    first, whose absolute norm is p^2, rotated by _unit_adjust.  Las
-    Vegas: raises GeneratorNotFound, never returns an unverified answer.
+    first, whose absolute norm is p^2.  Its relative norm w*p (w a unit of
+    Z[i]) is rotated to exactly p by (alpha+1)^m, and the sign is fixed
+    by a.re > 0.  Las Vegas: raises GeneratorNotFound, never returns an
+    unverified answer.
 
     The box is complete.  Write x = a + b*alpha and, at the two complex
     places, x(beta) = a + b*beta and x(-beta) = a - b*beta with
@@ -316,19 +306,30 @@ def solve_delta(p: OddPrime, roots: SplitRoots | None = None) -> DeltaSolution:
     by ideal_basis.
     """
     (u0r, u0i, u1r, u1i, v0r, v0i, v1r, v1i), _ = _reduce(p, roots)
-    target = p.value**2
+    pv = p.value
+    target = pv * pv
     for ar, ai, br, bi in _COEFFS:
-        # x = a*u + b*v, and its relative norm n = x0^2 - (1+i) x1^2
+        # x = a*u + b*v = x0 + x1*alpha
         x0r = ar * u0r - ai * u0i + br * v0r - bi * v0i
         x0i = ar * u0i + ai * u0r + br * v0i + bi * v0r
         x1r = ar * u1r - ai * u1i + br * v1r - bi * v1i
         x1i = ar * u1i + ai * u1r + br * v1i + bi * v1r
-        sr, si = x1r * x1r - x1i * x1i, 2 * x1r * x1i
-        nr = x0r * x0r - x0i * x0i - sr + si
-        ni = 2 * x0r * x0i - sr - si
+        nr, ni = _relative_norm(x0r, x0i, x1r, x1i)
         if nr * nr + ni * ni == target:
-            g = QuarticInt.from_relative(GaussianInt(x0r, x0i), GaussianInt(x1r, x1i))
-            g = _unit_adjust(g, GaussianInt(nr, ni), p)
-            a, b = g.to_relative()
-            return DeltaSolution(p=p, delta=g, a=a, b=b)
-    raise GeneratorNotFound(f"no relative-norm-{p.value} generator found")
+            break
+    else:
+        raise GeneratorNotFound(f"no relative-norm-{pv} generator found")
+    wr, rr = divmod(nr, pv)
+    wi, ri = divmod(ni, pv)
+    if rr or ri or wr * wr + wi * wi != 1:
+        raise GeneratorNotFound("candidate norm is not a unit multiple of p")
+    # x * (1 + alpha) = (x0 + (1+i) x1) + (x0 + x1) alpha
+    for _ in range(_ROTATIONS[wr, wi]):
+        x0r, x0i, x1r, x1i = x0r + x1r - x1i, x0i + x1r + x1i, x0r + x1r, x0i + x1i
+    assert _relative_norm(x0r, x0i, x1r, x1i) == (pv, 0)
+    # a.re != 0: for a = k*i, Im(a^2 - (1+i) b^2) = 2 b.im^2 - (b.re + b.im)^2
+    # vanishes only at b = 0, and -k^2 != p
+    if x0r < 0:
+        x0r, x0i, x1r, x1i = -x0r, -x0i, -x1r, -x1i
+    a, b = GaussianInt(x0r, x0i), GaussianInt(x1r, x1i)
+    return DeltaSolution(p=p, delta=QuarticInt.from_relative(a, b), a=a, b=b)

@@ -5,6 +5,7 @@ be asserted without spawning a shell.
 """
 
 import json
+import multiprocessing.context
 import os
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from congprimes import cli
 from congprimes.cli import CSV_HEADER, _pool_size, main
 from congprimes.criteria import classify
 from congprimes.errors import ComputeFailed
+from congprimes.modmath import primes_in_range
 from congprimes.verify import SuiteResult, density_lines, level_counts
 
 
@@ -154,7 +156,7 @@ def test_scan_reports_a_failed_prime_from_every_worker_count(capsys, tmp_path, m
         return real(p)
 
     monkeypatch.setattr(cli, "classify", failing)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool of two
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # one chunk: no pool either way
     outputs = []
     for workers in ("1", "2"):
         out_path = tmp_path / f"scan{workers}.{fmt}"
@@ -170,6 +172,65 @@ def test_scan_reports_a_failed_prime_from_every_worker_count(capsys, tmp_path, m
         int(line.split(",")[0]) for line in lines[1:]]
     assert len(ps) == 44 and bad not in ps and {109, 127} <= set(ps)
     assert outputs[0] == outputs[1]
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The process count of every multiprocessing pool started."""
+    started = []
+    real = multiprocessing.context.BaseContext.Pool
+
+    def pool(self, processes=None, *args, **kwargs):
+        started.append(processes)
+        return real(self, processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", pool)
+    return started
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_chunked_scan_matches_across_worker_counts(capsys, tmp_path, monkeypatch, pools, fmt):
+    ns = primes_in_range(3, 30000)
+    chunks = -(-len(ns) // cli.SCAN_CHUNK)
+    bad = ns[len(ns) // 2]
+    assert len(ns) == 3244 and chunks >= 3
+    assert 0 < ns.index(bad) // cli.SCAN_CHUNK < chunks - 1  # a middle chunk
+
+    def failing(p, real=cli.classify):
+        if int(p) == bad:
+            raise ComputeFailed(f"could not certify delta for p = {bad}")
+        return real(p)
+
+    monkeypatch.setattr(cli, "classify", failing)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    results = []
+    for workers in ("1", "2"):
+        out_path = tmp_path / f"scan{workers}.{fmt}"
+        code, out, err = run(capsys, "scan", "--from", "3", "--to", "30000", "--out",
+                             str(out_path), "--format", fmt, "--workers", workers)
+        assert code == 2
+        assert [line for line in err.splitlines() if line.startswith("compute failed")] == [
+            f"compute failed at p={bad}: could not certify delta for p = {bad}"]
+        assert out.splitlines()[0] == f"wrote 3243 rows to {out_path}"
+        results.append((out_path.read_bytes(), out.splitlines()[1:]))
+    assert pools == [2]  # the one-worker run started none
+    assert results[0] == results[1]
+    assert str(bad).encode() not in results[0][0]
+
+
+def test_scan_starts_at_most_one_process_per_worker_cpu_and_chunk(capsys, tmp_path,
+                                                                  monkeypatch, pools):
+    def scan(hi):
+        return run(capsys, "scan", "--from", "3", "--to", str(hi), "--out",
+                   str(tmp_path / "scan.csv"), "--workers", "8")[0]
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert len(primes_in_range(3, 5000)) <= cli.SCAN_CHUNK
+    assert scan(5000) == 0 and pools == []  # one chunk runs in this process
+    assert -(-len(primes_in_range(3, 10000)) // cli.SCAN_CHUNK) == 2
+    assert scan(10000) == 0 and pools == [2]  # two chunks: two processes, not eight
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert scan(10000) == 0 and pools == [2]  # one CPU: no pool
 
 
 def test_scan_prints_density_summary(capsys, tmp_path):
@@ -207,6 +268,15 @@ def test_scan_rejects_fewer_than_one_worker(capsys, tmp_path, workers):
                        "--out", str(out_path), "--workers", workers)
     assert code == 1
     assert "--workers must be at least 1" in err
+    assert not out_path.exists()
+
+
+def test_scan_rejects_too_wide_a_window_before_writing(capsys, tmp_path):
+    out_path = tmp_path / "x.csv"
+    code, _, err = run(capsys, "scan", "--from", str(10**12), "--to", str(10**12 + 10**7),
+                       "--out", str(out_path))
+    assert code == 1
+    assert "window wider than 10^7" in err
     assert not out_path.exists()
 
 

@@ -237,6 +237,50 @@ def test_delta_box_is_complete():
     assert count > 250
 
 
+def _quartic_rotation(P, roots):
+    """solve_delta as it ran on QuarticInt: the first generator of the
+    box, rotated by (alpha+1)^m to relative norm p, then the sign fixed
+    (a.re > 0, ties broken lexicographically)."""
+    pv = P.value
+    u, v = ideal_basis(P, roots)
+    box = [GaussianInt(re, im) for re in range(-2, 3) for im in range(-2, 3)]
+    pairs = [(GaussianInt(1), GaussianInt(0))] + [(a, b) for b in box for a in box if a or b]
+    for a, b in pairs:
+        g = QuarticInt.from_relative(a * u[0] + b * v[0], a * u[1] + b * v[1])
+        nr = g.relative_norm()
+        if nr.norm() == pv * pv:
+            break
+    w, rem = divmod(nr, GaussianInt(pv))
+    assert not rem and w.norm() == 1
+    m = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}[(w.re, w.im)]
+    for _ in range(m):
+        g = g * UNIT_ALPHA_PLUS_1
+    assert g.relative_norm() == GaussianInt(pv)
+    a, b = g.to_relative()
+    t = (a.re, a.im, b.re, b.im)
+    if a.re < 0 or (a.re == 0 and tuple(-c for c in t) < t):
+        g = -g
+    return g, m
+
+
+def test_solve_delta_matches_the_quartic_rotation():
+    # the integer rotation and sign of solve_delta give the delta that
+    # the QuarticInt multiplications gave, for every rotation count
+    rotations = set()
+    for p in primes_in_range(3, 20000) + [10**200 + 16737, 10**200 + 28729]:
+        if p % 8 != 1:
+            continue
+        P = OddPrime(p)
+        roots = split_roots(P)
+        if roots.r is None:
+            continue
+        want, m = _quartic_rotation(P, roots)
+        sol = solve_delta(P, roots)
+        assert (sol.delta, (sol.a, sol.b)) == (want, want.to_relative()), p
+        rotations.add(m)
+    assert rotations == {0, 1, 2, 3}
+
+
 def test_solve_delta_certificates_small_range():
     count = 0
     for p in primes_in_range(3, 3000):
