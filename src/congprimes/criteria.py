@@ -29,9 +29,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import ComputeFailed, GeneratorNotFound, NotSplitError
+from .errors import ComputeFailed, GeneratorNotFound
 from .modmath import OddPrime, legendre, split_roots
-from .quartic import DeltaSolution, embed, primes_above, solve_delta
+from .quartic import solve_delta
 
 
 class CongruentStatus(str, enum.Enum):
@@ -68,35 +68,32 @@ class Classification:
     sha_report: ShaReport
 
 
-def _as_prime(p: int | OddPrime) -> OddPrime:
-    return p if isinstance(p, OddPrime) else OddPrime(p)
-
-
 def _symbols(p: OddPrime) -> SymbolSet:
     """Compute every applicable symbol at p, taking the roots and solving
-    for delta once."""
+    for delta once, and evaluating delta on plain ints."""
     pv = p.value
     if pv % 8 != 1:
         return SymbolSet()
     roots = split_roots(p)
-    chi_1pi = legendre(1 + roots.i_img, p)
-    if chi_1pi != 1:
-        return SymbolSet(chi_1pi=chi_1pi)
+    if roots.r is None:  # (1+i'/p) = -1; 1 + i' is never 0 mod p
+        return SymbolSet(chi_1pi=-1)
     try:
-        sol: DeltaSolution = solve_delta(p, roots)
-        above = primes_above(p, roots)
-    except (GeneratorNotFound, NotSplitError) as exc:
+        sol = solve_delta(p, roots)
+    except GeneratorNotFound as exc:
         raise ComputeFailed(f"could not certify delta for p = {pv}") from exc
-    # delta vanishes at exactly two of the four primes; evaluate at the
-    # smallest root where it does not (any admissible choice agrees)
-    admissible = [q for q in above if embed(sol.delta, q) != 0]
-    q = admissible[0]
-    e = embed(sol.delta, q)
-    z = roots.zeta
+    # delta vanishes at exactly two of the four roots; evaluate it by Horner at
+    # the smallest root where it does not (any admissible choice agrees)
+    c0, c1, c2, c3 = sol.delta.coeffs()
+    for r in sorted(roots.quartic()):
+        e = (((c3 * r + c2) * r + c1) * r + c0) % pv
+        if e:
+            break
+    if not e or (r**4 - 2 * r * r + 2) % pv:
+        raise ComputeFailed(f"no admissible root of x^4 - 2x^2 + 2 for p = {pv}")
     return SymbolSet(
         chi_1pi=1,
-        chi_alpha_delta=legendre(q.r * e, p),
-        chi_zeta_alpha_delta=legendre(z * q.r * e, p),
+        chi_alpha_delta=legendre(r * e, p),
+        chi_zeta_alpha_delta=legendre(roots.zeta * r * e, p),
     )
 
 
@@ -115,7 +112,7 @@ def w_level(p: int | OddPrime) -> tuple[int | None, SymbolSet]:
 
 def classify(p: int | OddPrime) -> Classification:
     """Full classification of one odd prime."""
-    p = _as_prime(p)
+    p = p if isinstance(p, OddPrime) else OddPrime(p)
     syms = _symbols(p)
     m8 = p.value % 8
     if m8 in (3, 7):

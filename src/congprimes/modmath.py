@@ -52,11 +52,8 @@ def _is_sprp(n: int, a: int) -> bool:
     a %= n
     if a == 0:
         return True
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s, d odd
+    d = (n - 1) >> s
     x = pow(a, d, n)
     if x == 1 or x == n - 1:
         return True
@@ -96,11 +93,8 @@ def _is_strong_lucas_prp(n: int) -> bool:
     if D is None:
         return False
     Q = (1 - D) // 4
-    d = n + 1
-    s2 = 0
-    while d % 2 == 0:
-        d //= 2
-        s2 += 1
+    s2 = ((n + 1) & -(n + 1)).bit_length() - 1  # n + 1 = d 2^s2, d odd
+    d = (n + 1) >> s2
     # binary ladder for (U_d, V_d, Q^d) mod n
     U, V, qk = 1, 1, Q % n
     for bit in bin(d)[3:]:
@@ -222,14 +216,14 @@ def _jacobi(a: int, n: int) -> int:
     a %= n
     result = 1
     while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
+        t = (a & -a).bit_length() - 1  # strip every factor 2 in one shift
+        if t:
+            a >>= t
+            if t & 1 and n & 7 in (3, 5):
                 result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
+        if a & n & 2:  # a ≡ n ≡ 3 (mod 4)
             result = -result
-        a %= n
+        a, n = n % a, a
     return result if n == 1 else 0
 
 
@@ -238,7 +232,9 @@ def legendre(a: int, p: OddPrime) -> int:
     return _jacobi(a, p.value)
 
 
-def _sqrt_mod_int(a: int, p: int) -> int | None:
+def _sqrt_mod_int(a: int, p: int, sylow: tuple[int, int, int] | None = None) -> int | None:
+    """sqrt_mod on ints.  For p ≡ 1 (mod 4), Tonelli-Shanks runs on
+    sylow = _two_sylow(p), computed here unless the caller has it."""
     a %= p
     if a == 0:
         return 0
@@ -247,16 +243,10 @@ def _sqrt_mod_int(a: int, p: int) -> int | None:
     if p % 4 == 3:
         x = pow(a, (p + 1) // 4, p)
         return min(x, p - x)
-    # Tonelli-Shanks
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while _jacobi(z, p) != -1:
-        z += 1
-    m, c = s, pow(z, q, p)
-    t, x = pow(a, q, p), pow(a, (q + 1) // 2, p)
+    q, m, c = sylow or _two_sylow(p)
+    x = pow(a, (q - 1) // 2, p)
+    t = x * x % p * a % p  # a^q
+    x = x * a % p  # a^((q+1)/2)
     while t != 1:
         i, t2 = 0, t
         while t2 != 1:
@@ -270,6 +260,18 @@ def _sqrt_mod_int(a: int, p: int) -> int | None:
     return min(x, p - x)
 
 
+def _two_sylow(p: int) -> tuple[int, int, int]:
+    """(q, s, c) for a prime p ≡ 1 (mod 4): p - 1 = q 2^s, q odd, and c = g^q
+    (order 2^s) for the least non-residue g.  g is prime, and 2 is a residue
+    exactly when p ≡ ±1 (mod 8), so past 2 only odd g are tried."""
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> s
+    g = 2 if p % 8 == 5 else 3
+    while _jacobi(g, p) != -1:
+        g += 2
+    return q, s, pow(g, q, p)
+
+
 def sqrt_mod(a: int, p: OddPrime) -> int | None:
     """Canonical square root of a mod p: the root in [0, p/2], or None
     when a is a non-residue."""
@@ -278,22 +280,22 @@ def sqrt_mod(a: int, p: OddPrime) -> int | None:
 
 def eighth_root_of_unity(p: OddPrime) -> int:
     """Canonical primitive eighth root of unity mod p (p ≡ 1 mod 8 only):
-    the canonical square root of the canonical sqrt(-1).
+    the canonical square root of the canonical sqrt(-1)."""
+    return _eighth_root(p.value)[0]
 
-    One power of a non-residue g: z = g^((p-1)/8) has order 8, so z^2 is
-    i' or -i' (i' the canonical sqrt(-1)), and the square roots of i' are
-    ±z or ±z^3 (z^6 = -z^2)."""
-    pv = p.value
-    if pv % 8 != 1:
+
+def _eighth_root(p: int) -> tuple[int, tuple[int, int, int]]:
+    """eighth_root_of_unity on ints, and the _two_sylow(p) it came from:
+    z = c^(2^(s-3)) = g^((p-1)/8) has order 8, so z^2 is ±i' (i' the canonical
+    sqrt(-1)), and the square roots of i' are ±z or ±z^3 (z^6 = -z^2)."""
+    if p % 8 != 1:
         raise PreconditionViolation("eighth roots of unity require p ≡ 1 (mod 8)")
-    g = 3
-    while _jacobi(g, pv) != -1:
-        g += 1
-    z = pow(g, (pv - 1) // 8, pv)
-    z2 = z * z % pv
-    if z2 > pv - z2:  # z^2 = -i'
-        z = z * z2 % pv
-    return min(z, pv - z)
+    _, s, c = sylow = _two_sylow(p)
+    z = pow(c, 1 << (s - 3), p)
+    z2 = z * z % p
+    if z2 > p - z2:  # z^2 = -i'
+        z = z * z2 % p
+    return min(z, p - z), sylow
 
 
 @dataclass(frozen=True)
@@ -318,14 +320,15 @@ class SplitRoots:
 
 def split_roots(p: OddPrime) -> SplitRoots:
     """Every root the classification of p ≡ 1 (mod 8) needs, from one
-    eighth root of unity and one square root.
+    quadratic non-residue g: zeta is a power of c = g^q (_eighth_root), and
+    the same c drives the one Tonelli-Shanks square root r.
 
     (zeta - zeta^3)^2 = i' + 2 - i' = 2 = (1 + i')(1 - i') = (r s)^2, so
     s = ±(zeta - zeta^3) / r needs no square root of its own."""
     pv = p.value
-    zeta = eighth_root_of_unity(p)
+    zeta, sylow = _eighth_root(pv)
     i_img = zeta * zeta % pv
-    r = sqrt_mod(1 + i_img, p)
+    r = _sqrt_mod_int(1 + i_img, pv, sylow)
     if r is None:
         return SplitRoots(pv, i_img, zeta, None, None)
     s = (zeta - pow(zeta, 3, pv)) * pow(r, -1, pv) % pv

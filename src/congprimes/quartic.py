@@ -166,11 +166,10 @@ def _split(p: OddPrime, roots: SplitRoots | None) -> SplitRoots:
     return roots
 
 
-def primes_above(p: OddPrime, roots: SplitRoots | None = None) -> list[PrimeAboveP]:
+def primes_above(p: OddPrime) -> list[PrimeAboveP]:
     """The four degree-one primes over a completely split p, sorted by
-    root.  roots, if given, must be split_roots(p).  Raises NotSplitError
-    unless p ≡ 1 (mod 8) and (1+i'/p) = +1."""
-    return [PrimeAboveP(p, r) for r in sorted(_split(p, roots).quartic())]
+    root.  Raises NotSplitError unless p ≡ 1 (mod 8) and (1+i'/p) = +1."""
+    return [PrimeAboveP(p, r) for r in sorted(_split(p, None).quartic())]
 
 
 Vector = tuple[GaussianInt, GaussianInt]  # (a, b) stands for a + b*alpha
@@ -250,12 +249,13 @@ class DeltaSolution:
     b: GaussianInt
 
     def __post_init__(self):
-        if QuarticInt.from_relative(self.a, self.b) != self.delta:
+        a, b, pv = self.a, self.b, self.p.value
+        if self.delta.coeffs() != (a.re - a.im, b.re - b.im, a.im, b.im):
             raise PreconditionViolation("delta does not match its relative form")
-        nr = self.delta.relative_norm()
-        if nr != GaussianInt(self.p.value):
+        nr, ni = _relative_norm(a.re, a.im, b.re, b.im)
+        if (nr, ni) != (pv, 0):
             raise PreconditionViolation("relative norm is not exactly p")
-        if nr.norm() != self.p.value**2:
+        if nr * nr + ni * ni != pv * pv:
             raise PreconditionViolation("absolute norm is not p^2")
 
 
@@ -326,7 +326,6 @@ def solve_delta(p: OddPrime, roots: SplitRoots | None = None) -> DeltaSolution:
     # x * (1 + alpha) = (x0 + (1+i) x1) + (x0 + x1) alpha
     for _ in range(_ROTATIONS[wr, wi]):
         x0r, x0i, x1r, x1i = x0r + x1r - x1i, x0i + x1r + x1i, x0r + x1r, x0i + x1i
-    assert _relative_norm(x0r, x0i, x1r, x1i) == (pv, 0)
     # a.re != 0: for a = k*i, Im(a^2 - (1+i) b^2) = 2 b.im^2 - (b.re + b.im)^2
     # vanishes only at b = 0, and -k^2 != p
     if x0r < 0:

@@ -4,6 +4,7 @@ Everything drives ``main(argv)`` in-process so exit codes and output can
 be asserted without spawning a shell.
 """
 
+import hashlib
 import json
 import multiprocessing.context
 import os
@@ -144,6 +145,20 @@ def test_scan_worker_count_does_not_change_output(capsys, tmp_path, fmt):
     assert run(capsys, "scan", "--from", "3", "--to", "400", "--out",
                str(parallel), "--format", fmt, "--workers", "3")[0] == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+# sha256 of the CSV of scan --from 3 --to 200000
+SCAN_200000_CSV_SHA256 = "a694c507d0acf752574b07f24abd7bb70bab4ae149d246f9874568b31904fcc5"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_scan_bytes_are_pinned(capsys, tmp_path, monkeypatch, pools, workers):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    out_path = tmp_path / "scan.csv"
+    assert run(capsys, "scan", "--from", "3", "--to", "200000", "--out", str(out_path),
+               "--workers", workers)[0] == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == SCAN_200000_CSV_SHA256
+    assert pools == ([] if workers == "1" else [2])
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])

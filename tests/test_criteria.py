@@ -1,5 +1,8 @@
+from dataclasses import astuple
+
 import pytest
 
+from congprimes import criteria
 from congprimes.criteria import (
     Classification,
     CongruentStatus,
@@ -9,8 +12,12 @@ from congprimes.criteria import (
     v_level,
     w_level,
 )
-from congprimes.errors import PreconditionViolation
-from congprimes.modmath import OddPrime, legendre, primes_in_range, sqrt_mod
+from congprimes.errors import ComputeFailed, PreconditionViolation
+from congprimes.modmath import (
+    OddPrime, SplitRoots, eighth_root_of_unity, legendre, primes_in_range, quartic_roots,
+    split_roots, sqrt_mod)
+from congprimes.quartic import primes_above, solve_delta
+from congprimes.verify import _delta_symbols
 
 
 # (p, v, w, status, sha) spot values, each confirmed by the brute-force
@@ -111,3 +118,44 @@ def test_classification_is_frozen():
     c = classify(17)
     with pytest.raises(AttributeError):
         c.v_level = 0
+
+
+SPLIT_CHECK_PRIMES = [p for p in primes_in_range(3, 200_000) if p % 8 == 1]
+ANCHORS = [10**200 + 16737, 10**200 + 28729]
+
+
+@pytest.mark.parametrize("ps,n_split", [(SPLIT_CHECK_PRIMES, 2220), (ANCHORS, 2)],
+                         ids=["below-2e5", "200-digit-anchors"])
+def test_integer_symbols_match_the_quartic_objects(ps, n_split):
+    # classify evaluates delta on ints; verify._delta_symbols takes every
+    # admissible PrimeAboveP, embed and both eighth roots of unity
+    split = 0
+    for p in ps:
+        P = OddPrime(p)
+        if not quartic_roots(P):
+            continue
+        split += 1
+        sol = solve_delta(P)
+        want = _delta_symbols(sol.delta, P, primes_above(P), eighth_root_of_unity(P))
+        c = classify(P)
+        assert want == {(c.symbols.chi_alpha_delta, c.symbols.chi_zeta_alpha_delta)}, p
+        assert c.symbols.chi_1pi == 1
+    assert split == n_split
+
+
+def test_chi_1pi_is_the_legendre_symbol_of_1_plus_i():
+    for p in SPLIT_CHECK_PRIMES:
+        P = OddPrime(p)
+        assert classify(P).symbols.chi_1pi == legendre(1 + sqrt_mod(-1, P), P), p
+
+
+def test_a_root_that_fails_its_check_raises_compute_failed(monkeypatch):
+    # the true r, s and zeta still reach solve_delta; only the roots that
+    # delta is evaluated at are off by one
+    class ShiftedRoots(SplitRoots):
+        def quartic(self):
+            return [x + 1 for x in super().quartic()]
+
+    monkeypatch.setattr(criteria, "split_roots", lambda P: ShiftedRoots(*astuple(split_roots(P))))
+    with pytest.raises(ComputeFailed, match="no admissible root"):
+        classify(41)

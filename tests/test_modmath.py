@@ -6,6 +6,7 @@ import sympy
 from congprimes.errors import PreconditionViolation
 from congprimes.modmath import (
     OddPrime,
+    _jacobi,
     eighth_root_of_unity,
     is_probable_prime,
     legendre,
@@ -85,6 +86,20 @@ def test_legendre_matches_sympy():
             a = rng.randrange(-3 * p, 3 * p)
             want = 0 if a % p == 0 else sympy.legendre_symbol(a % p, p)
             assert legendre(a, P) == want
+
+
+def test_jacobi_matches_sympy_for_every_small_pair():
+    for n in range(1, 500, 2):
+        for a in range(n):
+            assert _jacobi(a, n) == sympy.jacobi_symbol(a, n), (a, n)
+
+
+def test_jacobi_matches_sympy_at_200_digits():
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randrange(10**199, 10**200) | 1
+        a = rng.randrange(10**200) << rng.randrange(8)  # some even a too
+        assert _jacobi(a, n) == sympy.jacobi_symbol(a % n, n)
 
 
 def test_legendre_multiplicative():

@@ -307,6 +307,21 @@ def test_delta_solution_validates():
         DeltaSolution(p=P, delta=good.delta, a=good.a + GaussianInt(1), b=good.b)
 
 
+def test_delta_solution_rejects_a_delta_that_does_not_match_its_relative_form():
+    P = OddPrime(41)
+    good = solve_delta(P)
+    DeltaSolution(p=P, delta=good.delta, a=good.a, b=good.b)
+    for wrong in (good.delta + 1, -good.delta, good.delta * UNIT_NORM_ONE):
+        with pytest.raises(PreconditionViolation, match="delta does not match"):
+            DeltaSolution(p=P, delta=wrong, a=good.a, b=good.b)
+
+
+def test_delta_solution_rejects_a_consistent_solution_for_another_prime():
+    good = solve_delta(OddPrime(41))
+    with pytest.raises(PreconditionViolation, match="relative norm is not exactly p"):
+        DeltaSolution(p=OddPrime(73), delta=good.delta, a=good.a, b=good.b)
+
+
 def test_delta_sign_canonical():
     for p in (41, 113, 257, 353):
         sol = solve_delta(OddPrime(p))
