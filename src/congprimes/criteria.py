@@ -27,7 +27,7 @@ Sha(E_p)[2^inf] = (Z/2)^2 resp. (Z/4)^2), while w = 3 stays undecided.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ComputeFailed, GeneratorNotFound
 from .modmath import OddPrime, legendre, split_roots
@@ -47,8 +47,7 @@ class ShaReport(str, enum.Enum):
     UNKNOWN = "UNKNOWN"
 
 
-@dataclass(frozen=True)
-class SymbolSet:
+class SymbolSet(NamedTuple):
     """The three quadratic symbols driving the classification.
     0 means "not applicable at this prime" (keeps tabular output total)."""
 
@@ -57,8 +56,7 @@ class SymbolSet:
     chi_zeta_alpha_delta: int = 0
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     p: int
     p_mod_16: int
     v_level: int
@@ -68,15 +66,19 @@ class Classification:
     sha_report: ShaReport
 
 
+_NOT_SPLIT = SymbolSet()  # p ≢ 1 (mod 8)
+_INERT = SymbolSet(chi_1pi=-1)  # (1+i'/p) = -1
+
+
 def _symbols(p: OddPrime) -> SymbolSet:
     """Compute every applicable symbol at p, taking the roots and solving
     for delta once, and evaluating delta on plain ints."""
     pv = p.value
     if pv % 8 != 1:
-        return SymbolSet()
+        return _NOT_SPLIT
     roots = split_roots(p)
-    if roots.r is None:  # (1+i'/p) = -1; 1 + i' is never 0 mod p
-        return SymbolSet(chi_1pi=-1)
+    if roots.r is None:  # 1 + i' is never 0 mod p
+        return _INERT
     try:
         sol = solve_delta(p, roots)
     except GeneratorNotFound as exc:
@@ -90,11 +92,7 @@ def _symbols(p: OddPrime) -> SymbolSet:
             break
     if not e or (r**4 - 2 * r * r + 2) % pv:
         raise ComputeFailed(f"no admissible root of x^4 - 2x^2 + 2 for p = {pv}")
-    return SymbolSet(
-        chi_1pi=1,
-        chi_alpha_delta=legendre(r * e, p),
-        chi_zeta_alpha_delta=legendre(roots.zeta * r * e, p),
-    )
+    return SymbolSet(1, legendre(r * e, p), legendre(roots.zeta * r * e, p))
 
 
 def v_level(p: int | OddPrime) -> tuple[int, SymbolSet]:
@@ -141,12 +139,4 @@ def classify(p: int | OddPrime) -> Classification:
     else:
         status, sha = CongruentStatus.UNDECIDED, ShaReport.UNKNOWN
 
-    return Classification(
-        p=p.value,
-        p_mod_16=p.residue_mod_16,
-        v_level=v,
-        w_level=w,
-        symbols=syms,
-        congruent_status=status,
-        sha_report=sha,
-    )
+    return Classification(p.value, p.residue_mod_16, v, w, syms, status, sha)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import compress
-from math import isqrt
+from math import gcd, isqrt, prod
 
 from .errors import PreconditionViolation
 
@@ -27,7 +27,8 @@ def _sieve(limit: int) -> list[int]:
     return list(compress(range(limit + 1), flags))
 
 
-_SMALL_PRIMES = tuple(_sieve(1000))
+_SMALL_PRIMES = tuple(_sieve(1000))  # ascending: oracles._is_squarefree stops early
+_PRIMORIAL = prod(_SMALL_PRIMES)
 
 # Deterministic Miller-Rabin witness tiers (each proven complete for its range).
 _MR_TIERS = (
@@ -117,6 +118,8 @@ def _is_strong_lucas_prp(n: int) -> bool:
 def is_probable_prime(n: int) -> bool:
     """Primality test.
 
+    Trial division by every prime below 1000 is one gcd with their
+    product, which settles n below 1001^2 = 1,002,001 outright.
     Deterministic below 2^64 (Miller-Rabin with proven witness tiers).
     Above that: base-2 strong probable prime + strong Lucas, plus 64
     seeded-random Miller-Rabin rounds, so a composite slips through with
@@ -125,11 +128,8 @@ def is_probable_prime(n: int) -> bool:
     """
     if n < 2:
         return False
-    for q in _SMALL_PRIMES:
-        if q * q > n:
-            return True
-        if n % q == 0:
-            return n == q
+    if gcd(n, _PRIMORIAL) != 1:  # gcd == n also holds for 30 = 2*3*5
+        return n in _SMALL_PRIMES
     if n < 1_002_001:  # below 1001^2 trial division was complete
         return True
     if n < 2**64:

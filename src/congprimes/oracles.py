@@ -4,8 +4,9 @@ Everything here recomputes, by direct counting, quantities that the
 symbol criteria predict: reduced binary quadratic forms, sums of three
 squares, the ternary-form counts behind the congruent number criterion,
 x^2 + 32y^2 representability, and a bounded exhaustive search for the
-norm equation a^2 - (1+i)b^2 = p.  Deliberately naive; used to validate
-the fast routes, never to replace them.
+norm equation a^2 - (1+i)b^2 = p.  Deliberately naive, except that
+x^2 + 32y^2 is decided by Cornacchia's algorithm so that it reaches
+200 digits; used to validate the fast routes, never to replace them.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .errors import BoundExceeded, PreconditionViolation
+from .errors import BoundExceeded, ComputeFailed, PreconditionViolation
 from .gaussian import GaussianInt, ONE_PLUS_I
-from .modmath import OddPrime, _SMALL_PRIMES
+from .modmath import OddPrime, _SMALL_PRIMES, _sqrt_mod_int
 from .quartic import DeltaSolution, QuarticInt
 
 DEFAULT_BOUND = 10**6
@@ -134,16 +135,19 @@ def tunnell_a(n: int, bound: int = DEFAULT_BOUND) -> int:
 
 
 def rep_x2_32y2(p: OddPrime) -> bool:
-    """Whether p = x^2 + 32 y^2 for integers x, y (detects 8 | h(-4p))."""
+    """Whether p = x^2 + 32 y^2 for integers x, y (detects 8 | h(-4p)), by
+    Cornacchia's algorithm (Cohen, GTM 138, Alg. 1.5.2) in O(log p) steps."""
     pv = p.value
-    y = 0
-    while 32 * y * y <= pv:
-        x2 = pv - 32 * y * y
-        x = isqrt(x2)
-        if x * x == x2:
-            return True
-        y += 1
-    return False
+    x0 = _sqrt_mod_int(-32, pv)
+    if x0 is None:
+        return False
+    if (x0 * x0 + 32) % pv:
+        raise ComputeFailed(f"sqrt(-32) mod {pv} failed its check")
+    a, b, bound = pv, x0, isqrt(pv)  # Cohen's root p - x0 only adds one step
+    while b > bound:
+        a, b = b, a % b
+    c, rest = divmod(pv - b * b, 32)
+    return not rest and isqrt(c) ** 2 == c
 
 
 def _gaussian_sqrt(w: GaussianInt) -> GaussianInt | None:

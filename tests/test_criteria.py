@@ -118,6 +118,28 @@ def test_classification_is_frozen():
     c = classify(17)
     with pytest.raises(AttributeError):
         c.v_level = 0
+    with pytest.raises(AttributeError):
+        c.symbols.chi_1pi = 1
+
+
+def test_inert_prime_has_only_chi_1pi():
+    c = classify(17)  # (1+i'/17) = -1
+    assert c.symbols == SymbolSet(chi_1pi=-1) == (-1, 0, 0)
+
+
+def test_classification_repr_and_hash():
+    # the reprs the frozen dataclasses printed before the records became tuples
+    assert repr(classify(17)) == (
+        "Classification(p=17, p_mod_16=1, v_level=2, w_level=1, symbols=SymbolSet("
+        "chi_1pi=-1, chi_alpha_delta=0, chi_zeta_alpha_delta=0), congruent_status="
+        "<CongruentStatus.NOT_CONGRUENT: 'NOT_CONGRUENT'>, sha_report="
+        "<ShaReport.SHA_Z2xZ2: 'SHA_Z2xZ2'>)")
+    assert repr(classify(41)) == (
+        "Classification(p=41, p_mod_16=9, v_level=3, w_level=3, symbols=SymbolSet("
+        "chi_1pi=1, chi_alpha_delta=-1, chi_zeta_alpha_delta=1), congruent_status="
+        "<CongruentStatus.UNDECIDED: 'UNDECIDED'>, sha_report=<ShaReport.UNKNOWN: 'UNKNOWN'>)")
+    assert hash(classify(41)) == hash(classify(41))
+    assert len({classify(41), classify(41), classify(17)}) == 2
 
 
 SPLIT_CHECK_PRIMES = [p for p in primes_in_range(3, 200_000) if p % 8 == 1]

@@ -6,6 +6,7 @@ import sympy
 from congprimes.errors import PreconditionViolation
 from congprimes.modmath import (
     OddPrime,
+    _PRIMORIAL,
     _jacobi,
     eighth_root_of_unity,
     is_probable_prime,
@@ -26,6 +27,21 @@ TRIAL_DIVISION_EDGES = (997**2, 991 * 997, 993_997, 1_001_989, 1_001_999,
 def test_primality_agrees_with_sympy_below_20000():
     for n in [*range(2, 20000), *TRIAL_DIVISION_EDGES]:
         assert is_probable_prime(n) == sympy.isprime(n), n
+
+
+def test_primality_agrees_with_sympy_around_the_trial_division_bound():
+    for n in range(10**6 - 10**4, 1_002_001 + 10**4 + 1):
+        assert is_probable_prime(n) == sympy.isprime(n), n
+
+
+# the gcd with the product of the primes below 1000 equals n for the first
+# five, so only "n is one of those primes" tells them from a prime
+@pytest.mark.parametrize("n", [
+    6, 30, 30030, 991 * 997, _PRIMORIAL,
+    *(q * (10**200 + 16737) for q in (3, 101, 997)),
+])
+def test_primality_rejects_products_of_small_primes(n):
+    assert not is_probable_prime(n)
 
 
 @pytest.mark.parametrize("n", [

@@ -1,6 +1,9 @@
+from math import isqrt
+
 import pytest
 
-from congprimes.errors import BoundExceeded, PreconditionViolation
+from congprimes import oracles
+from congprimes.errors import BoundExceeded, ComputeFailed, PreconditionViolation
 from congprimes.gaussian import GaussianInt
 from congprimes.modmath import OddPrime, primes_in_range
 from congprimes.oracles import (
@@ -99,6 +102,35 @@ def test_tunnell_preconditions():
                                     (17, False), (257, True)])
 def test_rep_x2_32y2(p, want):
     assert rep_x2_32y2(OddPrime(p)) == want
+
+
+def _rep_x2_32y2_by_search(p: int) -> bool:
+    # the O(sqrt p) loop that Cornacchia's algorithm replaced
+    y = 0
+    while 32 * y * y <= p:
+        x2 = p - 32 * y * y
+        x = isqrt(x2)
+        if x * x == x2:
+            return True
+        y += 1
+    return False
+
+
+def test_rep_x2_32y2_matches_the_search_below_2e5():
+    for p in primes_in_range(3, 200_000):
+        assert rep_x2_32y2(OddPrime(p)) == _rep_x2_32y2_by_search(p), p
+
+
+@pytest.mark.parametrize("p", [10**200 + 16737, 10**200 + 28729])
+def test_rep_x2_32y2_at_the_200_digit_anchors(p):
+    # both anchors have v_level >= 3, so p = x^2 + 32y^2 (Barrucand & Cohn)
+    assert rep_x2_32y2(OddPrime(p))
+
+
+def test_rep_x2_32y2_rejects_a_wrong_square_root(monkeypatch):
+    monkeypatch.setattr(oracles, "_sqrt_mod_int", lambda a, p: 1)
+    with pytest.raises(ComputeFailed, match="sqrt"):
+        rep_x2_32y2(OddPrime(41))
 
 
 def test_box_search_finds_certified_solution():
