@@ -15,17 +15,20 @@ import json
 import multiprocessing
 import os
 import sys
+from collections import Counter
 from functools import partial
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .criteria import Classification, classify
 from .errors import BoundExceeded, ComputeFailed, PreconditionViolation
-from .modmath import _certified, primes_in_range
+from .modmath import primes_in_range
 from .verify import (
     DEFAULT_LIMITS,
     SUITES,
+    ChunkResult,
+    SuiteResult,
+    classify_chunk,
     density_lines,
-    level_counts,
     run_reference_scan,
     run_suite,
 )
@@ -65,9 +68,6 @@ class ScanRow(NamedTuple):
         p, m16, v, w, (chi_1pi, chi_ad, chi_zad), status, _ = c  # faster than *c.symbols
         return cls(p, m16, chi_1pi, chi_ad, chi_zad, v, w, status.value)
 
-    def as_dict(self) -> dict:
-        return self._asdict()
-
     def csv_line(self) -> str:
         w = "NA" if self.w_level is None else str(self.w_level)
         return (f"{self.p},{self.p_mod_16},{self.chi_1pi},"
@@ -76,11 +76,7 @@ class ScanRow(NamedTuple):
 
 
 def _level_text(level: int | None, ceiling: int) -> str:
-    if level is None:
-        return "NA"
-    if level == ceiling:
-        return f"≥ {level}"
-    return str(level)
+    return "NA" if level is None else f"≥ {level}" if level == ceiling else str(level)
 
 
 def _chi_text(value: int) -> str:
@@ -92,9 +88,8 @@ def _chi_text(value: int) -> str:
 def cmd_classify(args) -> int:
     c = classify(args.p)
     if args.format == "json":
-        obj = ScanRow.from_classification(c).as_dict()
-        obj["sha_report"] = c.sha_report.value
-        print(json.dumps(obj))
+        row = ScanRow.from_classification(c)._asdict()
+        print(json.dumps(row | {"sha_report": c.sha_report.value}))
         return 0
     print(f"p: {c.p}")
     print(f"p mod 16: {c.p_mod_16}")
@@ -115,32 +110,21 @@ def _pool_size(workers: int) -> int:
     return min(workers, os.cpu_count() or 1)
 
 
-ChunkResult = tuple[str, dict[tuple[int, int | None], int], list[tuple[int, str]]]
+# the row renderers of a scan; module-level, so the pool can pickle them
+def _csv_line(c: Classification) -> str:
+    return ScanRow.from_classification(c).csv_line()
 
 
-def _scan_chunk(fmt: str, ns: list[int]) -> ChunkResult:
-    """Classify and render certified odd primes, given as ints: the
-    output text, the row count per (v_level, w_level), and the primes
-    that failed as (p, message)."""
-    lines, counts, failures = [], {}, []
-    for n in ns:
-        try:
-            row = ScanRow.from_classification(classify(_certified(n)))
-        except ComputeFailed as exc:
-            failures.append((n, str(exc)))
-            continue
-        lines.append(row.csv_line() if fmt == "csv" else json.dumps(row.as_dict()))
-        key = (row.v_level, row.w_level)
-        counts[key] = counts.get(key, 0) + 1
-    return "".join(line + "\n" for line in lines), counts, failures
+def _json_line(c: Classification) -> str:
+    return json.dumps(ScanRow.from_classification(c)._asdict())
 
 
-def _scan_results(ns: list[int], workers: int, fmt: str) -> Iterator[ChunkResult]:
-    """_scan_chunk over the primes ns in chunks of SCAN_CHUNK, yielded in
-    order; a pool of workers runs them when there is more than one
-    worker and more than one chunk."""
+def _scan_results(ns: list[int], workers: int, render: Callable) -> Iterator[ChunkResult]:
+    """verify.classify_chunk over the primes ns in chunks of SCAN_CHUNK,
+    yielded in order; a pool of workers runs them when there is more
+    than one worker and more than one chunk."""
     chunks = [ns[i:i + SCAN_CHUNK] for i in range(0, len(ns), SCAN_CHUNK)]
-    work = partial(_scan_chunk, fmt)
+    work = partial(classify_chunk, render)
     workers = min(_pool_size(workers), len(chunks))
     if workers <= 1:
         yield from map(work, chunks)
@@ -153,27 +137,20 @@ def _scan_results(ns: list[int], workers: int, fmt: str) -> Iterator[ChunkResult
         yield from pool.imap(work, chunks)
 
 
-def cmd_scan(args) -> int:
-    if args.lo > args.hi:
-        print("error: --from must not exceed --to", file=sys.stderr)
-        return 1
-    if args.workers < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
-        return 1
-    ns = [n for n in primes_in_range(args.lo, args.hi) if n != 2]
-    failed = 0
-    counts: dict[tuple[int, int | None], int] = {}
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        if args.format == "csv":
-            fh.write(CSV_HEADER + "\n")
-        for text, chunk_counts, failures in _scan_results(ns, args.workers, args.format):
-            fh.write(text)
-            for key, k in chunk_counts.items():
-                counts[key] = counts.get(key, 0) + k
-            for p, message in failures:
-                print(f"compute failed at p={p}: {message}", file=sys.stderr)
-            failed += len(failures)
-    print(f"wrote {sum(counts.values())} rows to {args.out}")
+def _report(results: Iterable[ChunkResult], write=None, out: str | None = None) -> int:
+    """Pass each chunk's text to write and its failures to stderr as the
+    chunks come, then print the rows written to out, if given, and the
+    level histogram; 2 if a prime failed to classify, else 0."""
+    counts, failed = Counter(), 0
+    for text, chunk_counts, failures in results:
+        if write is not None:
+            write(text)
+        counts.update(chunk_counts)
+        for p, message in failures:
+            print(f"compute failed at p={p}: {message}", file=sys.stderr)
+        failed += len(failures)
+    if out is not None:
+        print(f"wrote {sum(counts.values())} rows to {out}")
     for line in density_lines(counts):
         print(line)
     if failed:
@@ -182,44 +159,56 @@ def cmd_scan(args) -> int:
     return 0
 
 
+def _odd_primes(args) -> list[int]:
+    """The odd primes from --from to --to, certified by the sieve."""
+    if args.lo > args.hi:
+        raise PreconditionViolation("--from must not exceed --to")
+    return primes_in_range(max(args.lo, 3), args.hi)
+
+
+def cmd_scan(args) -> int:
+    if args.workers < 1:
+        raise PreconditionViolation("--workers must be at least 1")
+    ns = _odd_primes(args)
+    try:
+        fh = open(args.out, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise PreconditionViolation(f"cannot write {args.out}: {exc.strerror}") from None
+    with fh:
+        if args.format == "csv":
+            fh.write(CSV_HEADER + "\n")
+        render = _csv_line if args.format == "csv" else _json_line
+        return _report(_scan_results(ns, args.workers, render), fh.write, args.out)
+
+
 # ------------------------------------------------------------------ verify
 
-def cmd_verify(args) -> int:
-    result = run_suite(args.suite, args.limit, args.seed)
+def _verdict(result: SuiteResult, name: str, checked: str) -> int:
+    """Print a suite's lines and verdict; 3 on a counterexample."""
     for line in result.lines:
         print(line)
     if result.passed:
-        print(f"{result.suite}: PASS ({result.checked} checks)")
+        print(f"{name}: PASS ({result.checked} {checked})")
         return 0
     print(f"counterexample: {result.counterexample}")
-    print(f"{result.suite}: FAIL")
+    print(f"{name}: FAIL")
     return 3
+
+
+def cmd_verify(args) -> int:
+    return _verdict(run_suite(args.suite, args.limit, args.seed), args.suite, "checks")
 
 
 # ----------------------------------------------------------------- density
 
 def cmd_density(args) -> int:
-    if args.lo > args.hi:
-        print("error: --from must not exceed --to", file=sys.stderr)
-        return 1
-    counts = level_counts(args.lo, args.hi)
-    for line in density_lines(counts):
-        print(line)
-    return 0
+    return _report([classify_chunk(None, _odd_primes(args))])
 
 
 # ------------------------------------------------------------- paper-check
 
 def cmd_paper_check(args) -> int:
-    result = run_reference_scan()
-    for line in result.lines:
-        print(line)
-    if result.passed:
-        print(f"reference computations: PASS ({result.checked} primes examined)")
-        return 0
-    print(f"counterexample: {result.counterexample}")
-    print("reference computations: FAIL")
-    return 3
+    return _verdict(run_reference_scan(), "reference computations", "primes examined")
 
 
 # ------------------------------------------------------------------- wiring
@@ -237,9 +226,10 @@ def build_parser() -> _Parser:
                        const="json", help="shorthand for --format json")
     p_cls.set_defaults(func=cmd_classify)
 
-    p_scan = sub.add_parser("scan", help="classify every prime in a range")
-    p_scan.add_argument("--from", dest="lo", type=int, required=True)
-    p_scan.add_argument("--to", dest="hi", type=int, required=True)
+    span = argparse.ArgumentParser(add_help=False)  # the range of scan and density
+    span.add_argument("--from", dest="lo", type=int, required=True)
+    span.add_argument("--to", dest="hi", type=int, required=True)
+    p_scan = sub.add_parser("scan", parents=[span], help="classify every prime in a range")
     p_scan.add_argument("--out", required=True)
     p_scan.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p_scan.add_argument("--workers", type=int, default=1,
@@ -254,9 +244,7 @@ def build_parser() -> _Parser:
     p_ver.add_argument("--seed", type=int, default=1)
     p_ver.set_defaults(func=cmd_verify)
 
-    p_den = sub.add_parser("density", help="level histogram for a range")
-    p_den.add_argument("--from", dest="lo", type=int, required=True)
-    p_den.add_argument("--to", dest="hi", type=int, required=True)
+    p_den = sub.add_parser("density", parents=[span], help="level histogram for a range")
     p_den.set_defaults(func=cmd_density)
 
     p_chk = sub.add_parser("paper-check",

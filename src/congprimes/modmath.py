@@ -145,13 +145,12 @@ def is_probable_prime(n: int) -> bool:
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """All primes in [lo, hi].  For large lo this trial-sieves the window
-    with primes below 10^5 and certifies survivors individually."""
+    """All primes in [lo, hi], from one window sieve.  The window is marked
+    with the primes q up to min(sqrt(hi), 10^5), each from q^2 on, so q
+    itself survives; when sqrt(hi) > 10^5 each survivor is certified on its own."""
     lo = max(lo, 2)
     if hi < lo:
         return []
-    if hi <= 10_000_000:
-        return [n for n in _sieve(hi) if n >= lo]
     width = hi - lo + 1
     if width > 10_000_000:
         raise PreconditionViolation("window wider than 10^7 is not supported")
@@ -192,13 +191,6 @@ class OddPrime:
 
     def __str__(self) -> str:
         return str(self.value)
-
-
-def _odd_primes_in_range(lo: int, hi: int) -> list[OddPrime]:
-    """The odd primes of primes_in_range(lo, hi) as OddPrimes, built
-    without a second primality test: primes_in_range certifies every
-    number it returns (exact sieve, or is_probable_prime per survivor)."""
-    return [_certified(n) for n in primes_in_range(lo, hi) if n != 2]
 
 
 def _certified(n: int) -> OddPrime:

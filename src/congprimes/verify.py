@@ -4,23 +4,24 @@ against an independent route.
 Each suite walks a range (or a seeded random family), compares the
 symbol-based classification with brute-force oracles or with alternate
 derivations, and reports the first counterexample if any.  The engines
-here back both the `verify` / `paper-check` CLI commands and the
-acceptance tests.
+here back the `verify` / `paper-check` CLI commands and the acceptance
+tests; classify_chunk is the one classify loop of `scan` and `density`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from math import isqrt
+from math import isqrt, prod
+from typing import Callable
 
 from .criteria import Classification, CongruentStatus, ShaReport, classify
 from .els import cover, lemma_symbol_prediction, locally_solvable_at_p
-from .errors import PreconditionViolation
+from .errors import ComputeFailed, PreconditionViolation
 from .gaussian import GaussianInt, ONE_PLUS_I, gi_symbol, primary_associate, two_squares
 from .modmath import (
     OddPrime,
-    _odd_primes_in_range,
+    _certified,
     eighth_root_of_unity,
     legendre,
     primes_in_range,
@@ -309,10 +310,7 @@ def _rational_instance(rng: random.Random, pool: list[int], aux: list[int]):
                 residues.append((r, q * q))
             x0, m = _crt(residues)
             x = (x0 + rng.randrange(0, 4) * m) * rng.choice((1, -1))
-            y = 1
-            for q in qs:
-                y *= q
-            y *= rng.choice((1, -1))
+            y = prod(qs) * rng.choice((1, -1))
             D = (x * x - p) // (y * y)
             if (x * x - p) % (y * y):
                 raise AssertionError("square-root lift failed")
@@ -387,10 +385,9 @@ def _gaussian_instance(rng: random.Random, pool: list[int], aux: list[int]):
             t = GaussianInt(rng.randrange(-3, 4), rng.randrange(-3, 4))
             x = x0 + t * yy
             num = x * x - pi
-        q_, rem = divmod(num, yy)
+        D, rem = divmod(num, yy)
         if rem:
             raise AssertionError("gaussian square-root lift failed")
-        D = q_
         if not D or not divmod(D, pi)[1]:
             continue
         return pi, x, y, D
@@ -513,8 +510,8 @@ def run_reference_scan() -> SuiteResult:
 
     firsts: dict[tuple[int, int], Classification] = {}
     checked = 1
-    for p in _odd_primes_in_range(REFERENCE_BASE + 1, REFERENCE_BASE + 28729):
-        c = classify(p)
+    for p in primes_in_range(REFERENCE_BASE + 1, REFERENCE_BASE + 28729):
+        c = classify(_certified(p))
         firsts.setdefault((c.v_level, c.w_level), c)
         checked += 1
     for offset, pattern in REFERENCE_OFFSETS.items():
@@ -535,17 +532,38 @@ def run_reference_scan() -> SuiteResult:
 
 # ------------------------------------------------------------- densities
 
-def level_counts(lo: int, hi: int) -> dict[tuple[int, int | None], int]:
-    """(v_level, w_level) histogram over primes in [lo, hi]."""
-    counts: dict[tuple[int, int | None], int] = {}
-    for p in _odd_primes_in_range(lo, hi):
-        c = classify(p)
+Counts = dict[tuple[int, int | None], int]
+ChunkResult = tuple[str, Counts, list[tuple[int, str]]]
+
+
+def classify_chunk(render: Callable[[Classification], str] | None, ns: list[int]) -> ChunkResult:
+    """Classify odd primes that primes_in_range has certified, given as
+    ints: the lines render makes of them ("" when render is None), the
+    count per (v_level, w_level), and the failed primes as (p, message)."""
+    lines, counts, failures = [], {}, []  # a dict: Counter's += is twice as slow
+    for n in ns:
+        try:
+            c = classify(_certified(n))
+        except ComputeFailed as exc:
+            failures.append((n, str(exc)))
+            continue
+        if render is not None:
+            lines.append(render(c) + "\n")
         key = (c.v_level, c.w_level)
         counts[key] = counts.get(key, 0) + 1
+    return "".join(lines), counts, failures
+
+
+def level_counts(lo: int, hi: int) -> Counts:
+    """(v_level, w_level) histogram over odd primes in [lo, hi]; raises
+    ComputeFailed if one of them fails to classify."""
+    _, counts, failures = classify_chunk(None, primes_in_range(max(lo, 3), hi))
+    if failures:
+        raise ComputeFailed(failures[0][1])
     return counts
 
 
-def density_lines(counts: dict[tuple[int, int | None], int]) -> list[str]:
+def density_lines(counts: Counts) -> list[str]:
     total = sum(counts.values())
     lines = [f"primes classified: {total}"]
     for (v, w), n in sorted(counts.items(), key=lambda kv: (kv[0][0], kv[0][1] or 0)):

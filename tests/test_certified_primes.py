@@ -17,7 +17,7 @@ from congprimes import modmath
 from congprimes.cli import CSV_HEADER, ScanRow, main
 from congprimes.criteria import classify
 from congprimes.errors import PreconditionViolation
-from congprimes.modmath import OddPrime, _odd_primes_in_range
+from congprimes.modmath import OddPrime, primes_in_range
 
 # past 10^12 the survivors' test is the deterministic Miller-Rabin tier
 LO, HI = 10**12, 10**12 + 3000
@@ -52,10 +52,9 @@ def test_windowed_scan_tests_each_prime_once(tmp_path, capsys, primality_calls):
 
 
 def test_odd_primes_come_only_from_the_test(monkeypatch):
-    assert [p.value for p in _odd_primes_in_range(LO, HI)] == [
-        n for n in range(LO, HI + 1) if sympy.isprime(n)]
+    assert primes_in_range(LO, HI) == [n for n in range(LO, HI + 1) if sympy.isprime(n)]
     monkeypatch.setattr(modmath, "is_probable_prime", lambda n: False)
-    assert _odd_primes_in_range(LO, HI) == []
+    assert primes_in_range(LO, HI) == []
     with pytest.raises(PreconditionViolation):
         OddPrime(sympy.nextprime(LO))
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import congprimes
-from congprimes import cli
+from congprimes import cli, verify
 from congprimes.cli import CSV_HEADER, _pool_size, main
 from congprimes.criteria import classify
 from congprimes.errors import ComputeFailed
@@ -165,12 +165,12 @@ def test_scan_bytes_are_pinned(capsys, tmp_path, monkeypatch, pools, workers):
 def test_scan_reports_a_failed_prime_from_every_worker_count(capsys, tmp_path, monkeypatch, fmt):
     bad = 113
 
-    def failing(p, real=cli.classify):
+    def failing(p, real=verify.classify):
         if int(p) == bad:
             raise ComputeFailed(f"could not certify delta for p = {bad}")
         return real(p)
 
-    monkeypatch.setattr(cli, "classify", failing)
+    monkeypatch.setattr(verify, "classify", failing)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # one chunk: no pool either way
     outputs = []
     for workers in ("1", "2"):
@@ -211,12 +211,12 @@ def test_chunked_scan_matches_across_worker_counts(capsys, tmp_path, monkeypatch
     assert len(ns) == 3244 and chunks >= 3
     assert 0 < ns.index(bad) // cli.SCAN_CHUNK < chunks - 1  # a middle chunk
 
-    def failing(p, real=cli.classify):
+    def failing(p, real=verify.classify):
         if int(p) == bad:
             raise ComputeFailed(f"could not certify delta for p = {bad}")
         return real(p)
 
-    monkeypatch.setattr(cli, "classify", failing)
+    monkeypatch.setattr(verify, "classify", failing)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     results = []
     for workers in ("1", "2"):
@@ -295,6 +295,17 @@ def test_scan_rejects_too_wide_a_window_before_writing(capsys, tmp_path):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("target", ["missing/scan.csv", "."])
+def test_scan_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path, target):
+    out_path = tmp_path / target  # a missing directory, or a directory
+    code, out, err = run(capsys, "scan", "--from", "3", "--to", "100", "--out", str(out_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write {out_path}: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_pool_size_is_capped_at_the_cpu_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert [_pool_size(n) for n in (1, 3, 4, 5, 10**6)] == [1, 3, 4, 4, 4]
@@ -337,6 +348,26 @@ def test_density_matches_library(capsys):
     code, out, _ = run(capsys, "density", "--from", "3", "--to", "100")
     assert code == 0
     assert out.splitlines() == density_lines(level_counts(3, 100))
+
+
+def test_density_reports_a_failed_prime_like_scan(capsys, tmp_path, monkeypatch):
+    bad = 113
+
+    def failing(p, real=verify.classify):
+        if int(p) == bad:
+            raise ComputeFailed(f"could not certify delta for p = {bad}")
+        return real(p)
+
+    monkeypatch.setattr(verify, "classify", failing)
+    code, out, err = run(capsys, "density", "--from", "3", "--to", "200")
+    assert code == 2
+    assert err.splitlines() == [f"compute failed at p={bad}: could not certify delta for p = {bad}",
+                                "1 primes failed to classify"]
+    assert out.splitlines()[0] == "primes classified: 44"  # 45 odd primes up to 200
+    _, scan_out, scan_err = run(capsys, "scan", "--from", "3", "--to", "200",
+                                "--out", str(tmp_path / "scan.csv"))
+    assert scan_err == err
+    assert scan_out.splitlines()[1:] == out.splitlines()
 
 
 def test_density_rejects_inverted_range(capsys):

@@ -1,8 +1,10 @@
 import random
+from math import isqrt
 
 import pytest
 import sympy
 
+from congprimes import modmath
 from congprimes.errors import PreconditionViolation
 from congprimes.modmath import (
     OddPrime,
@@ -74,10 +76,46 @@ def test_primes_in_range_inclusive_and_windowed():
     assert primes_in_range(8, 10) == []
     assert primes_in_range(10, 3) == []
     assert primes_in_range(90, 100) == [97]
-    # window above the plain-sieve threshold
+    # window past 10^7
     lo = 10_000_019
     ps = primes_in_range(lo, lo + 200)
     assert ps == [n for n in range(lo, lo + 201) if sympy.isprime(n)]
+
+
+def test_primes_in_range_small_ends_match_sympy():
+    for lo in (-5, 0, 1, 2, 3):
+        for hi in (1, 2, 3, 4, 100):
+            assert primes_in_range(lo, hi) == list(sympy.primerange(lo, hi + 1)), (lo, hi)
+
+
+@pytest.mark.parametrize("hi", [10**6, 10**7])
+@pytest.mark.parametrize("width", [1, 2, 1000, 100_000])
+def test_primes_in_range_windows_ending_at_a_power_of_ten(hi, width):
+    lo = hi - width + 1
+    assert primes_in_range(lo, hi) == list(sympy.primerange(lo, hi + 1))
+
+
+def test_primes_in_range_random_windows_below_10_7():
+    rng = random.Random(8)
+    for _ in range(20):
+        lo = rng.randrange(10**7)
+        hi = min(lo + rng.randrange(5000), 10**7)
+        assert primes_in_range(lo, hi) == list(sympy.primerange(lo, hi + 1)), (lo, hi)
+
+
+def test_base_primes_are_sieved_only_to_the_square_root(monkeypatch):
+    limits = []
+    sieve = modmath._sieve
+
+    def spy(limit):
+        limits.append(limit)
+        return sieve(limit)
+
+    monkeypatch.setattr(modmath, "_sieve", spy)
+    for lo, hi in ((3, 100), (3, 10**6), (10**7 - 1000, 10**7), (10**12, 10**12 + 3000)):
+        limits.clear()
+        primes_in_range(lo, hi)
+        assert limits and max(limits) <= isqrt(hi), (lo, hi, limits)
 
 
 def test_odd_prime_accepts_and_rejects():
