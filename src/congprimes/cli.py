@@ -33,8 +33,6 @@ from .verify import (
     run_suite,
 )
 
-CSV_HEADER = "p,p_mod_16,chi_1pi,chi_alpha_delta,chi_zeta_alpha_delta,v_level,w_level,congruent_status"
-
 V_CEILING = 4
 W_CEILING = 3
 
@@ -73,6 +71,9 @@ class ScanRow(NamedTuple):
         return (f"{self.p},{self.p_mod_16},{self.chi_1pi},"
                 f"{self.chi_alpha_delta},{self.chi_zeta_alpha_delta},"
                 f"{self.v_level},{w},{self.congruent_status}")
+
+
+CSV_HEADER = ",".join(ScanRow._fields)
 
 
 def _level_text(level: int | None, ceiling: int) -> str:

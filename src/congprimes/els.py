@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionViolation
-from .gaussian import GaussianInt
 from .modmath import OddPrime, legendre, sqrt_mod
 
 # q coefficients by descending degree
@@ -127,8 +126,9 @@ def lemma_symbol_prediction(c: QuarticCover) -> bool:
 
     D1: the quartic splits over Q(sqrt2) into quadratics of discriminant
     16(1 ± sqrt2), so a p-adic root exists iff (1 + sqrt2 image / p) = +1.
-    D2: it splits over Q(i) into quadratics of discriminant (1+i)^9 and
-    -i(1+i)^9; solvable iff either image is a square mod p.
+    D2: it splits over Q(i) into quadratics of discriminant (1+i)^9 =
+    16(1+i) and -i(1+i)^9 = 16(1-i); solvable iff either image
+    16(1 ± i') is a square mod p.
     """
     _require_d_cover(c)
     p = c.p
@@ -138,10 +138,6 @@ def lemma_symbol_prediction(c: QuarticCover) -> bool:
         assert s2 is not None  # p ≡ 1 (mod 8)
         return legendre(1 + s2, p) == 1
     i_img = sqrt_mod(-1, p)
-    disc1 = GaussianInt(1, 1)
-    for _ in range(8):
-        disc1 = disc1 * GaussianInt(1, 1)
-    disc2 = disc1 * GaussianInt(0, -1)
-    v1 = (disc1.re + disc1.im * i_img) % pv
-    v2 = (disc2.re + disc2.im * i_img) % pv
+    v1 = 16 * (1 + i_img) % pv
+    v2 = 16 * (1 - i_img) % pv
     return legendre(v1, p) == 1 or legendre(v2, p) == 1

@@ -3,17 +3,20 @@ against an independent route.
 
 Each suite walks a range (or a seeded random family), compares the
 symbol-based classification with brute-force oracles or with alternate
-derivations, and reports the first counterexample if any.  The engines
-here back the `verify` / `paper-check` CLI commands and the acceptance
-tests; classify_chunk is the one classify loop of `scan` and `density`.
+derivations, and reports the first counterexample if any.  A range
+walk takes its primes certified from the sieve and tests none again.
+The engines here back the `verify` / `paper-check` CLI commands and the
+acceptance tests; classify_chunk is the one classify loop of `scan` and
+`density`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from math import isqrt, prod
-from typing import Callable
+from typing import Callable, Iterator
 
 from .criteria import Classification, CongruentStatus, ShaReport, classify
 from .els import cover, lemma_symbol_prediction, locally_solvable_at_p
@@ -49,42 +52,46 @@ def _fail(suite: str, checked: int, counterexample: str) -> SuiteResult:
     return SuiteResult(suite, False, checked, counterexample=counterexample)
 
 
+def _certified_primes(lo: int, hi: int, m: int = 2, r: int = 1) -> Iterator[OddPrime]:
+    """The odd primes of [lo, hi] that are r mod m, as OddPrimes that
+    primes_in_range has certified, so no walk tests one again."""
+    for p in primes_in_range(max(lo, 3), hi):
+        if p % m == r:
+            yield _certified(p)
+
+
 # ---------------------------------------------------------------- suites
 
-def run_class_numbers(limit: int = 20000, seed: int = 0) -> SuiteResult:
+def run_class_numbers(limit: int, seed: int = 0) -> SuiteResult:
     """v_level equals min(v2(h(-4p)), 4) for every p ≡ 1 mod 4 below limit."""
     checked = 0
-    for p in primes_in_range(3, limit - 1):
-        if p % 4 != 1:
-            continue
-        fc = class_number(OddPrime(p), bound=max(limit, 10**6))
-        v = classify(p).v_level
+    for P in _certified_primes(3, limit - 1, 4, 1):
+        fc = class_number(P, bound=max(limit, 10**6))
+        v = classify(P).v_level
         checked += 1
         if min(fc.v2, 4) != v:
             return _fail("class-numbers", checked,
-                         f"p={p}: v_level={v} but h(-4p)={fc.h} has v2={fc.v2}")
+                         f"p={P}: v_level={v} but h(-4p)={fc.h} has v2={fc.v2}")
     return SuiteResult("class-numbers", True, checked,
                        lines=[f"{checked} primes ≡ 1 mod 4 below {limit}: "
                               "v_level matches the form-count 2-valuation"])
 
 
-def run_three_squares(limit: int = 20000, seed: int = 0) -> SuiteResult:
+def run_three_squares(limit: int, seed: int = 0) -> SuiteResult:
     """r3(p) = 12 h(-4p) for every p ≡ 1 mod 4 below limit."""
     checked = 0
     bound = max(limit, 10**6)
-    for p in primes_in_range(3, limit - 1):
-        if p % 4 != 1:
-            continue
-        r = r3(p, bound=bound)
-        h = class_number(OddPrime(p), bound=bound).h
+    for P in _certified_primes(3, limit - 1, 4, 1):
+        r = r3(P.value, bound=bound)
+        h = class_number(P, bound=bound).h
         checked += 1
         if r != 12 * h:
-            return _fail("three-squares", checked, f"p={p}: r3={r}, 12h={12 * h}")
+            return _fail("three-squares", checked, f"p={P}: r3={r}, 12h={12 * h}")
     return SuiteResult("three-squares", True, checked,
                        lines=[f"{checked} primes: r3(p) = 12 h(-4p)"])
 
 
-def run_tunnell(limit: int = 20000, seed: int = 0) -> SuiteResult:
+def run_tunnell(limit: int, seed: int = 0) -> SuiteResult:
     """Soft consistency of w_level with the theta-series coefficients a_p.
 
     Under the standard full conjecture #Sha = a_p^2/4, w_level 1 forces
@@ -97,13 +104,11 @@ def run_tunnell(limit: int = 20000, seed: int = 0) -> SuiteResult:
         return _fail("tunnell", 1, f"a_41 = {a41}, expected 0")
     stats = {1: [0, 0], 2: [0, 0]}
     bound = max(limit, 10**6)
-    for p in primes_in_range(17, limit - 1):
-        if p % 8 != 1:
-            continue
-        w = classify(p).w_level
+    for P in _certified_primes(17, limit - 1, 8, 1):
+        w = classify(P).w_level
         if w not in (1, 2):
             continue
-        a = tunnell_a(p, bound=bound)
+        a = tunnell_a(P.value, bound=bound)
         hit = (a % 8 == 4) if w == 1 else (a % 16 == 8)
         stats[w][0] += 1
         stats[w][1] += hit
@@ -117,14 +122,12 @@ def run_tunnell(limit: int = 20000, seed: int = 0) -> SuiteResult:
     return SuiteResult("tunnell", True, checked, lines=lines)
 
 
-def run_els(limit: int = 100000, seed: int = 0) -> SuiteResult:
+def run_els(limit: int, seed: int = 0) -> SuiteResult:
     """Both quartic covers: root existence mod p, the symbol prediction,
     and chi_1pi all coincide; plus legendre(1+sqrt2) = legendre(1+i)."""
     checked = 0
-    for p in primes_in_range(17, limit - 1):
-        if p % 8 != 1:
-            continue
-        P = OddPrime(p)
+    for P in _certified_primes(17, limit - 1, 8, 1):
+        p = P.value
         i2 = sqrt_mod(-1, P)
         chi = legendre(1 + i2, P)
         expected = chi == 1
@@ -159,21 +162,23 @@ def _delta_symbols(delta, P: OddPrime, above, z: int) -> set[tuple[int, int]]:
     return out
 
 
-def run_delta(limit: int = 10000, seed: int = 0, box_limit: int = 2000,
-              extra: tuple[int, ...] = ()) -> SuiteResult:
+DELTA_BOX_LIMIT = 2000  # run_delta box-searches delta below this p
+
+
+def run_delta(limit: int, seed: int = 0, extra: tuple[int, ...] = ()) -> SuiteResult:
     """solve_delta certificates and choice-independence of the symbols.
 
     For every completely split p below limit (plus any extra split primes
-    given): the solver's certificate validates, and the two symbols agree
-    across both admissible primes, both eighth-root signs, unit multiples
-    of delta, -delta, and (below box_limit) the exhaustive box-search
-    solution.
+    given, each certified by OddPrime): the solver's certificate validates,
+    and the two symbols agree across both admissible primes, both
+    eighth-root signs, unit multiples of delta, -delta, and (below
+    DELTA_BOX_LIMIT) the exhaustive box-search solution.
     """
     checked = 0
-    for p in list(primes_in_range(17, limit - 1)) + list(extra):
-        P = OddPrime(p)
-        if p % 8 != 1 or not quartic_roots(P):
+    for P in chain(_certified_primes(17, limit - 1, 8, 1), map(OddPrime, extra)):
+        if not quartic_roots(P):
             continue
+        p = P.value
         sol = solve_delta(P)
         above = primes_above(P)
         z = eighth_root_of_unity(P)
@@ -181,7 +186,7 @@ def run_delta(limit: int = 10000, seed: int = 0, box_limit: int = 2000,
         for d in (sol.delta * UNIT_NORM_ONE, -sol.delta,
                   sol.delta * UNIT_NORM_ONE * UNIT_NORM_ONE):
             syms |= _delta_symbols(d, P, above, z)
-        if p < box_limit:
+        if p < DELTA_BOX_LIMIT:
             bs = delta_box_search(P, isqrt(4 * p) + 2)
             if bs is None:
                 return _fail("delta", checked, f"p={p}: box search found nothing")
@@ -194,13 +199,11 @@ def run_delta(limit: int = 10000, seed: int = 0, box_limit: int = 2000,
                               "independent of every admissible choice"])
 
 
-def run_invariants(limit: int = 100000, seed: int = 0) -> SuiteResult:
+def run_invariants(limit: int, seed: int = 0) -> SuiteResult:
     """Structural laws tying the two level functions together."""
     checked = 0
-    for p in primes_in_range(3, limit - 1):
-        c = classify(p)
-        m16 = p % 16
-        err = _check_one_invariant(p, c, m16)
+    for P in _certified_primes(3, limit - 1):
+        err = _check_one_invariant(P, classify(P))
         if err:
             return _fail("invariants", checked, err)
         checked += 1
@@ -209,12 +212,13 @@ def run_invariants(limit: int = 100000, seed: int = 0) -> SuiteResult:
                               "V(3)=W(2), XOR law, symbol product, x^2+32y^2"])
 
 
-def _check_one_invariant(p: int, c: Classification, m16: int) -> str | None:
-    m8 = p % 8
-    if m8 != 1:
+def _check_one_invariant(P: OddPrime, c: Classification) -> str | None:
+    """The first law that c, the classification of P, breaks, or None."""
+    p, m16 = P.value, c.p_mod_16
+    if m16 % 8 != 1:
         if c.w_level is not None:
             return f"p={p}: w_level set off the 1 mod 8 stratum"
-        expect_v = 0 if p % 4 == 3 else 1
+        expect_v = 0 if m16 % 4 == 3 else 1
         if c.v_level != expect_v:
             return f"p={p}: v_level={c.v_level}, residue forces {expect_v}"
         return None
@@ -230,21 +234,19 @@ def _check_one_invariant(p: int, c: Classification, m16: int) -> str | None:
             return f"p={p} ≡ 9 mod 16: v4={v4}, w3={w3} (must differ)"
         if m16 == 1 and v4 != w3:
             return f"p={p} ≡ 1 mod 16: v4={v4}, w3={w3} (must agree)"
-        P = OddPrime(p)
         z = eighth_root_of_unity(P)
         s = c.symbols
         if s.chi_zeta_alpha_delta != s.chi_alpha_delta * legendre(z, P):
             return f"p={p}: symbol product broken"
         if legendre(z, P) != (1 if m16 == 1 else -1):
             return f"p={p}: (zeta | p) != mod-16 prediction"
-    if (c.v_level >= 3) != rep_x2_32y2(OddPrime(p)):
+    if (c.v_level >= 3) != rep_x2_32y2(P):
         return f"p={p}: x^2+32y^2 representability mismatch"
-    status_err = _check_status(p, c)
-    return status_err
+    return _check_status(c)
 
 
-def _check_status(p: int, c: Classification) -> str | None:
-    m8 = p % 8
+def _check_status(c: Classification) -> str | None:
+    m8 = c.p_mod_16 % 8
     if m8 in (5, 7):
         want = (CongruentStatus.CONGRUENT_MONSKY, ShaReport.SHA2_TRIVIAL_KNOWN)
     elif m8 == 3:
@@ -256,7 +258,7 @@ def _check_status(p: int, c: Classification) -> str | None:
     else:
         want = (CongruentStatus.UNDECIDED, ShaReport.UNKNOWN)
     if (c.congruent_status, c.sha_report) != want:
-        return f"p={p}: status {c.congruent_status}/{c.sha_report}, expected {want}"
+        return f"p={c.p}: status {c.congruent_status}/{c.sha_report}, expected {want}"
     return None
 
 
@@ -393,7 +395,7 @@ def _gaussian_instance(rng: random.Random, pool: list[int], aux: list[int]):
         return pi, x, y, D
 
 
-def run_lemmas(limit: int = 1000, seed: int = 1) -> SuiteResult:
+def run_lemmas(limit: int, seed: int = 1) -> SuiteResult:
     """Seeded property suites for the two norm-form residue lemmas and
     for quadratic reciprocity in Z[i].
 
@@ -510,8 +512,8 @@ def run_reference_scan() -> SuiteResult:
 
     firsts: dict[tuple[int, int], Classification] = {}
     checked = 1
-    for p in primes_in_range(REFERENCE_BASE + 1, REFERENCE_BASE + 28729):
-        c = classify(_certified(p))
+    for P in _certified_primes(REFERENCE_BASE + 1, REFERENCE_BASE + 28729):
+        c = classify(P)
         firsts.setdefault((c.v_level, c.w_level), c)
         checked += 1
     for offset, pattern in REFERENCE_OFFSETS.items():

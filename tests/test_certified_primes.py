@@ -4,6 +4,8 @@ A scan past 10^7 takes the windowed path of primes_in_range, which
 certifies every sieve survivor with is_probable_prime.  The OddPrimes
 built from those primes must not be tested again, and that shortcut
 must stay internal: OddPrime(n) from anywhere else still runs the test.
+The verify range walks take their primes from the same sieve, so below
+10^7 they make no primality call at all.
 """
 
 import inspect
@@ -17,7 +19,16 @@ from congprimes import modmath
 from congprimes.cli import CSV_HEADER, ScanRow, main
 from congprimes.criteria import classify
 from congprimes.errors import PreconditionViolation
-from congprimes.modmath import OddPrime, primes_in_range
+from congprimes.modmath import OddPrime, _certified, primes_in_range, quartic_roots
+from congprimes.verify import (
+    _check_one_invariant,
+    run_class_numbers,
+    run_delta,
+    run_els,
+    run_invariants,
+    run_three_squares,
+    run_tunnell,
+)
 
 # past 10^12 the survivors' test is the deterministic Miller-Rabin tier
 LO, HI = 10**12, 10**12 + 3000
@@ -88,3 +99,21 @@ def test_no_public_name_returns_an_odd_prime():
     for name, fn in names.items():
         returns = str(inspect.signature(fn).return_annotation)
         assert "OddPrime" not in returns, f"{name} -> {returns}"
+
+
+@pytest.mark.parametrize("suite, limit", [
+    (run_class_numbers, 500), (run_three_squares, 500), (run_tunnell, 500),
+    (run_els, 2000), (run_delta, 600), (run_invariants, 2000)])
+def test_range_suites_test_no_prime_again(suite, limit, primality_calls):
+    assert suite(limit).passed
+    assert not primality_calls
+
+
+def test_invariant_check_tests_no_prime_again(primality_calls):
+    p = 10**99 + 1  # ≡ 1 mod 8
+    while not (sympy.isprime(p) and quartic_roots(_certified(p))):
+        p += 8
+    c = classify(_certified(p))
+    assert c.v_level >= 3  # completely split, so the zeta checks run
+    assert _check_one_invariant(_certified(p), c) is None
+    assert not primality_calls

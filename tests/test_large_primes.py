@@ -41,4 +41,4 @@ def test_large_split_prime_passes_the_delta_and_level_checks(digits, seed):
     assert result.passed and result.checked == 1, result.counterexample
     c = classify(_certified(p))  # sympy.isprime has certified p
     assert c.v_level in (3, 4) and c.w_level in (2, 3)
-    assert _check_one_invariant(p, c, p % 16) is None
+    assert _check_one_invariant(_certified(p), c) is None
