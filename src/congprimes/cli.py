@@ -2,7 +2,8 @@
 
 Subcommands: classify one prime, scan a range to CSV/JSONL with parallel
 workers, run a verification suite, print a level-density table, or rerun
-the headline 200-digit reference computations.
+the headline 200-digit reference computations.  A scan renders each
+row's tail, all of it but p, once per (p mod 16, symbols) class of a chunk.
 
 Exit codes: 0 success, 1 usage error, 2 compute failure, 3 verification
 mismatch.
@@ -17,7 +18,7 @@ import os
 import sys
 from collections import Counter
 from functools import partial
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .criteria import Classification, classify
 from .errors import BoundExceeded, ComputeFailed, PreconditionViolation
@@ -120,7 +121,11 @@ def _json_line(c: Classification) -> str:
     return json.dumps(ScanRow.from_classification(c)._asdict())
 
 
-def _scan_results(ns: list[int], workers: int, render: Callable) -> Iterator[ChunkResult]:
+# (head, line) for verify.classify_chunk: head % p is the start of line(c)
+_RENDERERS = {"csv": ("%d,", _csv_line), "jsonl": ('{"p": %d, ', _json_line)}
+
+
+def _scan_results(ns: list[int], workers: int, render: tuple) -> Iterator[ChunkResult]:
     """verify.classify_chunk over the primes ns in chunks of SCAN_CHUNK,
     yielded in order; a pool of workers runs them when there is more
     than one worker and more than one chunk."""
@@ -178,8 +183,8 @@ def cmd_scan(args) -> int:
     with fh:
         if args.format == "csv":
             fh.write(CSV_HEADER + "\n")
-        render = _csv_line if args.format == "csv" else _json_line
-        return _report(_scan_results(ns, args.workers, render), fh.write, args.out)
+        return _report(_scan_results(ns, args.workers, _RENDERERS[args.format]),
+                       fh.write, args.out)
 
 
 # ------------------------------------------------------------------ verify

@@ -108,11 +108,14 @@ def w_level(p: int | OddPrime) -> tuple[int | None, SymbolSet]:
     return c.w_level, c.symbols
 
 
-def classify(p: int | OddPrime) -> Classification:
-    """Full classification of one odd prime."""
-    p = p if isinstance(p, OddPrime) else OddPrime(p)
-    syms = _symbols(p)
-    m8 = p.value % 8
+# classify's rule per (p mod 8, symbols): at most 4 x 6 = 24 entries, since
+# p ≢ 1 (mod 8) has only _NOT_SPLIT and p ≡ 1 (mod 8) has _INERT or (1, ±1, ±1)
+_RULES: dict[tuple[int, SymbolSet], tuple] = {}
+
+
+def _rule(m8: int, syms: SymbolSet) -> tuple:
+    """(v_level, w_level, syms, congruent_status, sha_report) of every odd
+    prime that is m8 mod 8 with symbols syms: the rules above, stated once."""
     if m8 in (3, 7):
         v = 0
     elif m8 == 5:
@@ -138,5 +141,15 @@ def classify(p: int | OddPrime) -> Classification:
         status, sha = CongruentStatus.NOT_CONGRUENT, ShaReport.SHA_Z4xZ4
     else:
         status, sha = CongruentStatus.UNDECIDED, ShaReport.UNKNOWN
+    return v, w, syms, status, sha
 
-    return Classification(p.value, p.residue_mod_16, v, w, syms, status, sha)
+
+def classify(p: int | OddPrime) -> Classification:
+    """Full classification of one odd prime: its symbols, and the rule of
+    its (p mod 8, symbols) class, settled once per class in _RULES."""
+    p = p if isinstance(p, OddPrime) else OddPrime(p)
+    key = p.value % 8, _symbols(p)
+    rule = _RULES.get(key)
+    if rule is None:
+        rule = _RULES[key] = _rule(*key)
+    return Classification(p.value, p.residue_mod_16, *rule)

@@ -144,6 +144,9 @@ def is_probable_prime(n: int) -> bool:
     return all(_is_sprp(n, rng.randrange(2, n - 1)) for _ in range(_EXTRA_MR_ROUNDS))
 
 
+MAX_WINDOW = 10_000_000  # the widest [lo, hi] that primes_in_range sieves
+
+
 def primes_in_range(lo: int, hi: int) -> list[int]:
     """All primes in [lo, hi], from one window sieve.  The window is marked
     with the primes q up to min(sqrt(hi), 10^5), each from q^2 on, so q
@@ -152,7 +155,7 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     if hi < lo:
         return []
     width = hi - lo + 1
-    if width > 10_000_000:
+    if width > MAX_WINDOW:
         raise PreconditionViolation("window wider than 10^7 is not supported")
     base_limit = min(isqrt(hi), 100_000)
     flags = bytearray([1]) * width

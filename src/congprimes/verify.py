@@ -4,10 +4,11 @@ against an independent route.
 Each suite walks a range (or a seeded random family), compares the
 symbol-based classification with brute-force oracles or with alternate
 derivations, and reports the first counterexample if any.  A range
-walk takes its primes certified from the sieve and tests none again.
-The engines here back the `verify` / `paper-check` CLI commands and the
-acceptance tests; classify_chunk is the one classify loop of `scan` and
-`density`.
+walk takes its primes certified from the sieve, window by window, and
+tests none again.  The engines here back the `verify` / `paper-check`
+CLI commands and the acceptance tests; classify_chunk is the one
+classify loop of `scan` and `density`, and renders each row's tail once
+per (p mod 16, symbols) class of its chunk.
 """
 
 from __future__ import annotations
@@ -23,16 +24,17 @@ from .els import cover, lemma_symbol_prediction, locally_solvable_at_p
 from .errors import ComputeFailed, PreconditionViolation
 from .gaussian import GaussianInt, ONE_PLUS_I, gi_symbol, primary_associate, two_squares
 from .modmath import (
+    MAX_WINDOW,
     OddPrime,
     _certified,
     eighth_root_of_unity,
     legendre,
     primes_in_range,
-    quartic_roots,
+    split_roots,
     sqrt_mod,
 )
 from .oracles import class_number, delta_box_search, r3, rep_x2_32y2, tunnell_a
-from .quartic import DeltaSolution, UNIT_NORM_ONE, embed, primes_above, solve_delta
+from .quartic import DeltaSolution, PrimeAboveP, UNIT_NORM_ONE, embed, solve_delta
 
 # The acceptance tests import this name.  It is classify itself, uncached:
 # no walk classifies a prime twice, and a cache would grow with the range.
@@ -54,10 +56,12 @@ def _fail(suite: str, checked: int, counterexample: str) -> SuiteResult:
 
 def _certified_primes(lo: int, hi: int, m: int = 2, r: int = 1) -> Iterator[OddPrime]:
     """The odd primes of [lo, hi] that are r mod m, as OddPrimes that
-    primes_in_range has certified, so no walk tests one again."""
-    for p in primes_in_range(max(lo, 3), hi):
-        if p % m == r:
-            yield _certified(p)
+    primes_in_range has certified, so no walk tests one again; [lo, hi]
+    is sieved in windows of at most MAX_WINDOW numbers."""
+    for start in range(max(lo, 3), hi + 1, MAX_WINDOW):
+        for p in primes_in_range(start, min(start + MAX_WINDOW - 1, hi)):
+            if p % m == r:
+                yield _certified(p)
 
 
 # ---------------------------------------------------------------- suites
@@ -169,19 +173,19 @@ def run_delta(limit: int, seed: int = 0, extra: tuple[int, ...] = ()) -> SuiteRe
     """solve_delta certificates and choice-independence of the symbols.
 
     For every completely split p below limit (plus any extra split primes
-    given, each certified by OddPrime): the solver's certificate validates,
-    and the two symbols agree across both admissible primes, both
-    eighth-root signs, unit multiples of delta, -delta, and (below
-    DELTA_BOX_LIMIT) the exhaustive box-search solution.
+    given, each certified by OddPrime), with the roots at p taken once: the
+    solver's certificate validates, and the two symbols agree across both
+    admissible primes, both eighth-root signs, unit multiples of delta,
+    -delta, and (below DELTA_BOX_LIMIT) the exhaustive box-search solution.
     """
     checked = 0
     for P in chain(_certified_primes(17, limit - 1, 8, 1), map(OddPrime, extra)):
-        if not quartic_roots(P):
+        if P.value % 8 != 1 or (roots := split_roots(P)).r is None:
             continue
         p = P.value
-        sol = solve_delta(P)
-        above = primes_above(P)
-        z = eighth_root_of_unity(P)
+        sol = solve_delta(P, roots)
+        above = [PrimeAboveP(P, r) for r in sorted(roots.quartic())]
+        z = roots.zeta
         syms = _delta_symbols(sol.delta, P, above, z)
         for d in (sol.delta * UNIT_NORM_ONE, -sol.delta,
                   sol.delta * UNIT_NORM_ONE * UNIT_NORM_ONE):
@@ -538,21 +542,33 @@ Counts = dict[tuple[int, int | None], int]
 ChunkResult = tuple[str, Counts, list[tuple[int, str]]]
 
 
-def classify_chunk(render: Callable[[Classification], str] | None, ns: list[int]) -> ChunkResult:
+def classify_chunk(render: tuple[str, Callable[[Classification], str]] | None,
+                   ns: list[int]) -> ChunkResult:
     """Classify odd primes that primes_in_range has certified, given as
-    ints: the lines render makes of them ("" when render is None), the
-    count per (v_level, w_level), and the failed primes as (p, message)."""
-    lines, counts, failures = [], {}, []  # a dict: Counter's += is twice as slow
+    ints: their lines ("" when render is None), the count per (v_level,
+    w_level), and the failed primes as (p, message).  render is (head,
+    line): head % p starts line(c), and the rest of the line depends on p
+    only through p mod 16 and the symbols, so it is rendered once per such
+    class of the chunk."""
+    lines, classes, failures = [], {}, []
+    head, line = render or (None, None)
     for n in ns:
         try:
             c = classify(_certified(n))
         except ComputeFailed as exc:
             failures.append((n, str(exc)))
             continue
-        if render is not None:
-            lines.append(render(c) + "\n")
-        key = (c.v_level, c.w_level)
-        counts[key] = counts.get(key, 0) + 1
+        key = c.p_mod_16, c.symbols
+        cls = classes.get(key)
+        if cls is None:
+            tail = line(c)[len(head % n):] + "\n" if render else ""
+            cls = classes[key] = [tail, (c.v_level, c.w_level), 0]
+        cls[2] += 1
+        if render:
+            lines.append(head % n + cls[0])
+    counts = {}
+    for _, levels, k in classes.values():
+        counts[levels] = counts.get(levels, 0) + k
     return "".join(lines), counts, failures
 
 

@@ -4,22 +4,24 @@ Everything drives ``main(argv)`` in-process so exit codes and output can
 be asserted without spawning a shell.
 """
 
+import functools
 import hashlib
 import json
 import multiprocessing.context
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import congprimes
-from congprimes import cli, verify
+from congprimes import cli, criteria, verify
 from congprimes.cli import CSV_HEADER, _pool_size, main
-from congprimes.criteria import classify
+from congprimes.criteria import SymbolSet, classify
 from congprimes.errors import ComputeFailed
-from congprimes.modmath import primes_in_range
+from congprimes.modmath import _certified, primes_in_range
 from congprimes.verify import SuiteResult, density_lines, level_counts
 
 
@@ -159,6 +161,73 @@ def test_scan_bytes_are_pinned(capsys, tmp_path, monkeypatch, pools, workers):
                "--workers", workers)[0] == 0
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == SCAN_200000_CSV_SHA256
     assert pools == ([] if workers == "1" else [2])
+
+
+# a window past 10^200 with 5 primes, 10^200+16737 (split, v = 3, w = 2) among them
+WINDOW = (10**200 + 16000, 10**200 + 17000)
+WINDOW_SHA256 = {"csv": "04e3c75fbd9789bc3aeb2a98c75d8686d4250d9ac105ec55699d6f36bdf823b0",
+                 "jsonl": "248a780f1e4f3b13196717a88ce968962bd04033a7e88e89e65543cb8c4eba79"}
+
+
+@functools.cache
+def _primes(lo, hi):
+    return primes_in_range(lo, hi)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_window_scan_bytes_are_pinned(capsys, tmp_path, fmt):
+    out_path = tmp_path / f"window.{fmt}"
+    assert run(capsys, "scan", "--from", str(WINDOW[0]), "--to", str(WINDOW[1]),
+               "--out", str(out_path), "--format", fmt)[0] == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == WINDOW_SHA256[fmt]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("lo, hi", [(3, 30000), WINDOW])
+def test_classify_chunk_matches_the_per_prime_loop(monkeypatch, fmt, lo, hi):
+    """Rows rendered once per (p mod 16, symbols) class are the rows of
+    rendering every prime, and the counts and failures are the same."""
+    ns = _primes(lo, hi)
+    bad = ns[0]
+    assert len({n % 16 for n in ns[1:]}) < len(ns) - 1  # some class holds two rows
+
+    def failing(p, real=verify.classify):
+        if int(p) == bad:
+            raise ComputeFailed(f"could not certify delta for p = {bad}")
+        return real(p)
+
+    monkeypatch.setattr(verify, "classify", failing)
+    head, line = cli._RENDERERS[fmt]
+    lines, counts, failures = [], Counter(), []
+    for n in ns:
+        try:
+            c = failing(_certified(n))
+        except ComputeFailed as exc:
+            failures.append((n, str(exc)))
+            continue
+        assert line(c).startswith(head % n)
+        lines.append(line(c) + "\n")
+        counts[c.v_level, c.w_level] += 1
+    want = ("".join(lines), counts, failures)
+    assert verify.classify_chunk((head, line), ns) == want
+    assert verify.classify_chunk(None, ns) == ("",) + want[1:]
+
+
+def test_rules_are_settled_once_per_class(capsys, tmp_path, monkeypatch):
+    settled = []
+
+    def rule(*key, real=criteria._rule):
+        settled.append(key)
+        return real(*key)
+
+    monkeypatch.setattr(criteria, "_RULES", {})
+    monkeypatch.setattr(criteria, "_rule", rule)
+    assert run(capsys, "scan", "--from", "3", "--to", "200000",
+               "--out", str(tmp_path / "scan.csv"))[0] == 0
+    split = {SymbolSet(1, a, b) for a in (1, -1) for b in (1, -1)} | {SymbolSet(-1)}
+    classes = {(m8, SymbolSet()) for m8 in (3, 5, 7)} | {(1, s) for s in split}
+    assert len(settled) == len(set(settled)) == len(criteria._RULES) <= 24
+    assert set(settled) == set(criteria._RULES) == classes
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])

@@ -5,7 +5,9 @@ only pin the plumbing (dispatch, result shape, determinism, counting).
 """
 
 import pytest
+import sympy
 
+from congprimes import criteria, modmath, quartic, verify
 from congprimes.criteria import classify
 from congprimes.errors import PreconditionViolation
 from congprimes.modmath import primes_in_range
@@ -13,8 +15,10 @@ from congprimes.verify import (
     DEFAULT_LIMITS,
     SUITES,
     SuiteResult,
+    _certified_primes,
     density_lines,
     level_counts,
+    run_delta,
     run_suite,
 )
 
@@ -72,3 +76,28 @@ def test_density_lines_fraction_present():
     assert any(line.startswith("V(4)/V(3) fraction:") for line in lines)
     # 41 is the first prime with v_level 3, 257 the first with v_level 4
     assert any("NA (no V(3)" in line for line in density_lines(level_counts(3, 30)))
+
+
+@pytest.mark.parametrize("lo, hi", [(3, 50000), (17, 4017)])
+@pytest.mark.parametrize("m", [2, 8])
+def test_range_walks_cross_the_sieve_window(monkeypatch, lo, hi, m):
+    for module in (modmath, verify):
+        monkeypatch.setattr(module, "MAX_WINDOW", 1000)
+    with pytest.raises(PreconditionViolation):
+        primes_in_range(3, 1003)  # the cap is in force
+    walked = [P.value for P in _certified_primes(lo, hi, m, 1)]
+    assert walked == [p for p in sympy.primerange(lo, hi + 1) if p % m == 1]
+
+
+def test_run_delta_takes_the_roots_once_per_prime(monkeypatch):
+    calls = []
+
+    def spy(P, real=modmath.split_roots):
+        calls.append(P.value)
+        return real(P)
+
+    for module in (modmath, criteria, quartic, verify):
+        monkeypatch.setattr(module, "split_roots", spy)
+    result = run_delta(10000)
+    assert result.passed and result.checked == 146
+    assert calls == [p for p in primes_in_range(17, 9999) if p % 8 == 1]
