@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Subcommands: classify one prime, scan a range to CSV/JSONL with parallel
-workers, run a verification suite, print a level-density table, or rerun
-the headline 200-digit reference computations.  A scan renders each
-row's tail, all of it but p, once per (p mod 16, symbols) class of a chunk.
+Subcommands: classify one prime, scan a range to CSV/JSONL with shard
+processes, run a verification suite, print a level-density table, or rerun
+the headline 200-digit reference computations.  A scan renders each row's
+tail, all of it but p, once per (p mod 16, symbols) class of a window.
 
 Exit codes: 0 success, 1 usage error, 2 compute failure, 3 verification
 mismatch.
@@ -17,12 +17,14 @@ import multiprocessing
 import os
 import sys
 from collections import Counter
-from functools import partial
+from contextlib import closing, contextmanager, suppress
+from math import log
+from multiprocessing.connection import wait
 from typing import Iterable, Iterator, NamedTuple
 
 from .criteria import Classification, classify
 from .errors import BoundExceeded, ComputeFailed, PreconditionViolation
-from .modmath import primes_in_range
+from .modmath import MAX_WINDOW, primes_in_range
 from .verify import (
     DEFAULT_LIMITS,
     SUITES,
@@ -37,8 +39,7 @@ from .verify import (
 V_CEILING = 4
 W_CEILING = 3
 
-# primes per scan chunk, the unit a pool worker classifies and renders;
-# smaller chunks made a two-worker scan slower
+# primes expected per scan window, the unit a shard sieves, classifies and renders
 SCAN_CHUNK = 1024
 
 
@@ -112,7 +113,7 @@ def _pool_size(workers: int) -> int:
     return min(workers, os.cpu_count() or 1)
 
 
-# the row renderers of a scan; module-level, so the pool can pickle them
+# the row renderers of a scan; module-level, so that they pickle where fork is missing
 def _csv_line(c: Classification) -> str:
     return ScanRow.from_classification(c).csv_line()
 
@@ -125,22 +126,62 @@ def _json_line(c: Classification) -> str:
 _RENDERERS = {"csv": ("%d,", _csv_line), "jsonl": ('{"p": %d, ', _json_line)}
 
 
-def _scan_results(ns: list[int], workers: int, render: tuple) -> Iterator[ChunkResult]:
-    """verify.classify_chunk over the primes ns in chunks of SCAN_CHUNK,
-    yielded in order; a pool of workers runs them when there is more
-    than one worker and more than one chunk."""
-    chunks = [ns[i:i + SCAN_CHUNK] for i in range(0, len(ns), SCAN_CHUNK)]
-    work = partial(classify_chunk, render)
-    workers = min(_pool_size(workers), len(chunks))
-    if workers <= 1:
-        yield from map(work, chunks)
-        return
+def _windows(lo: int, hi: int) -> list[tuple[int, int]]:
+    """[lo, hi] cut into windows expected to hold about SCAN_CHUNK primes
+    each (about one number in ln hi is prime), none wider than MAX_WINDOW."""
+    width = min(1 + int(SCAN_CHUNK * log(max(hi, 2))), MAX_WINDOW)
+    return [(a, min(a + width - 1, hi)) for a in range(lo, hi + 1, width)]
+
+
+def _shard(render: tuple | None, windows: list[tuple[int, int]], writer) -> None:
+    """A shard process: send each of its windows' ChunkResult down its pipe."""
+    for lo, hi in windows:
+        writer.send(classify_chunk(render, primes_in_range(lo, hi)))
+
+
+@contextmanager
+def _shards(render: tuple | None, windows: list[tuple[int, int]], workers: int):
+    """Start shard w of `workers` on windows w, w + workers, ...; end them on exit."""
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:
         ctx = multiprocessing.get_context()
-    with ctx.Pool(workers) as pool:
-        yield from pool.imap(work, chunks)
+    shards = []
+    try:
+        for w in range(workers):
+            reader, writer = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_shard, args=(render, windows[w::workers], writer),
+                               name=f"worker {w + 1}", daemon=True)
+            proc.start()
+            writer.close()  # the shard's is then the only write end
+            shards.append((proc, reader))
+        yield shards
+    finally:
+        for proc, reader in shards:
+            proc.terminate()
+            proc.join()
+            reader.close()
+
+
+def _scan_results(lo: int, hi: int, workers: int, render: tuple | None) -> Iterator[ChunkResult]:
+    """verify.classify_chunk over each window of [lo, hi], in order.  Given
+    W > 1 workers, CPUs and windows, window i is sieved and classified by
+    shard i mod W in its own process; else this process runs them all."""
+    windows = _windows(lo, hi)
+    workers = min(_pool_size(workers), len(windows))
+    if workers <= 1:
+        yield from (classify_chunk(render, primes_in_range(a, b)) for a, b in windows)
+        return
+    with _shards(render, windows, workers) as shards:
+        for i in range(len(windows)):
+            proc, reader = shards[i % workers]
+            wait([reader, proc.sentinel])  # no EOF if another process holds a write end
+            with suppress(EOFError, OSError):  # EOF: the shard died, maybe mid-message
+                if reader.poll():
+                    yield reader.recv()
+                    continue
+            proc.join()
+            raise ComputeFailed(f"{proc.name} exited with code {proc.exitcode}")
 
 
 def _report(results: Iterable[ChunkResult], write=None, out: str | None = None) -> int:
@@ -165,26 +206,29 @@ def _report(results: Iterable[ChunkResult], write=None, out: str | None = None) 
     return 0
 
 
-def _odd_primes(args) -> list[int]:
-    """The odd primes from --from to --to, certified by the sieve."""
+def _span(args) -> tuple[int, int]:
+    """The first and last number of --from..--to to sieve for odd primes."""
     if args.lo > args.hi:
         raise PreconditionViolation("--from must not exceed --to")
-    return primes_in_range(max(args.lo, 3), args.hi)
+    lo = max(args.lo, 3)
+    if args.hi - lo >= MAX_WINDOW:
+        raise PreconditionViolation("window wider than 10^7 is not supported")
+    return lo, args.hi
 
 
 def cmd_scan(args) -> int:
     if args.workers < 1:
         raise PreconditionViolation("--workers must be at least 1")
-    ns = _odd_primes(args)
+    lo, hi = _span(args)
     try:
         fh = open(args.out, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise PreconditionViolation(f"cannot write {args.out}: {exc.strerror}") from None
-    with fh:
+    results = _scan_results(lo, hi, args.workers, _RENDERERS[args.format])
+    with fh, closing(results):
         if args.format == "csv":
             fh.write(CSV_HEADER + "\n")
-        return _report(_scan_results(ns, args.workers, _RENDERERS[args.format]),
-                       fh.write, args.out)
+        return _report(results, fh.write, args.out)
 
 
 # ------------------------------------------------------------------ verify
@@ -208,7 +252,7 @@ def cmd_verify(args) -> int:
 # ----------------------------------------------------------------- density
 
 def cmd_density(args) -> int:
-    return _report([classify_chunk(None, _odd_primes(args))])
+    return _report(_scan_results(*_span(args), 1, None))
 
 
 # ------------------------------------------------------------- paper-check

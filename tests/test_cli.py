@@ -7,11 +7,15 @@ be asserted without spawning a shell.
 import functools
 import hashlib
 import json
-import multiprocessing.context
+import multiprocessing.connection
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -260,15 +264,14 @@ def test_scan_reports_a_failed_prime_from_every_worker_count(capsys, tmp_path, m
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The process count of every multiprocessing pool started."""
+    """The process count of every set of scan shards started."""
     started = []
-    real = multiprocessing.context.BaseContext.Pool
 
-    def pool(self, processes=None, *args, **kwargs):
-        started.append(processes)
-        return real(self, processes, *args, **kwargs)
+    def shards(render, windows, workers, real=cli._shards):
+        started.append(workers)
+        return real(render, windows, workers)
 
-    monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", pool)
+    monkeypatch.setattr(cli, "_shards", shards)
     return started
 
 
@@ -315,6 +318,140 @@ def test_scan_starts_at_most_one_process_per_worker_cpu_and_chunk(capsys, tmp_pa
     assert scan(10000) == 0 and pools == [2]  # two chunks: two processes, not eight
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     assert scan(10000) == 0 and pools == [2]  # one CPU: no pool
+
+
+def test_windows_cover_the_range_and_are_capped(monkeypatch):
+    assert cli._windows(3, 2) == []
+    for lo, hi in [(3, 5000), (3, 200000), (10**12, 10**12 + 10**7 - 1), WINDOW]:
+        windows = cli._windows(lo, hi)
+        assert windows[0][0] == lo and windows[-1][1] == hi
+        assert all(b + 1 == c for (_, b), (c, _) in zip(windows, windows[1:]))
+    per_window = len(primes_in_range(3, 200000)) / len(cli._windows(3, 200000))
+    assert cli.SCAN_CHUNK <= per_window <= 1.2 * cli.SCAN_CHUNK
+    monkeypatch.setattr(cli, "SCAN_CHUNK", 10**6)  # never wider than MAX_WINDOW
+    assert cli._windows(3, 3 * 10**7) == [(3, 10**7 + 2), (10**7 + 3, 2 * 10**7 + 2),
+                                          (2 * 10**7 + 3, 3 * 10**7)]
+
+
+@pytest.mark.parametrize("chunk", [16, 100])
+def test_scan_bytes_do_not_depend_on_the_window_size(capsys, tmp_path, monkeypatch, pools,
+                                                     chunk):
+    monkeypatch.setattr(cli, "SCAN_CHUNK", chunk)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert len(cli._windows(3, 200000)) > 100
+    for workers in ("1", "2"):
+        out_path = tmp_path / f"scan{workers}.csv"
+        assert run(capsys, "scan", "--from", "3", "--to", "200000", "--out", str(out_path),
+                   "--workers", workers)[0] == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == SCAN_200000_CSV_SHA256
+    assert pools == [2]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_window_scan_bytes_are_pinned_when_both_shards_certify(capsys, tmp_path, monkeypatch,
+                                                               pools, fmt):
+    monkeypatch.setattr(cli, "SCAN_CHUNK", 1)  # windows of about 460 numbers
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert len(cli._windows(*WINDOW)) == 3
+    out_path = tmp_path / f"window.{fmt}"
+    assert run(capsys, "scan", "--from", str(WINDOW[0]), "--to", str(WINDOW[1]),
+               "--out", str(out_path), "--format", fmt, "--workers", "2")[0] == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == WINDOW_SHA256[fmt]
+    assert pools == [2]
+
+
+class Overran(Exception):
+    """Raised by deadline.  Not an OSError, as TimeoutError is: a scan takes an
+    OSError from a worker's pipe for the worker's death."""
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise Overran in this process if the block runs longer."""
+    def expire(signum, frame):
+        raise Overran(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+DEAD_WORKER_PRIME = 15013  # in window 1 of 3..30000, so worker 2's
+
+
+def _dying_chunk(render, ns):
+    """verify.classify_chunk, but a worker process handed DEAD_WORKER_PRIME
+    exits with code 9; module-level, so a pool could pickle it too."""
+    if multiprocessing.parent_process() is not None and DEAD_WORKER_PRIME in ns:
+        os._exit(9)
+    return verify.classify_chunk(render, ns)
+
+
+def _dying_in_send(render, ns):
+    """verify.classify_chunk, but the worker handed DEAD_WORKER_PRIME exits
+    with code 9 half a second later, while it is blocked sending that window:
+    the worker handed 3 holds the parent back for a second before it."""
+    if multiprocessing.parent_process() is not None:
+        if DEAD_WORKER_PRIME in ns:
+            threading.Timer(0.5, os._exit, (9,)).start()
+        elif 3 in ns:
+            time.sleep(1)
+    return verify.classify_chunk(render, ns)
+
+
+@pytest.mark.parametrize("fmt, how", [
+    ("csv", "exit"), ("jsonl", "exit"),
+    ("csv", "write end held"), ("jsonl", "write end held"),
+    ("jsonl", "exit mid-send"),  # its window's JSONL outgrows a pipe's buffer
+])
+def test_a_dead_worker_is_reported_not_waited_on(capsys, tmp_path, monkeypatch, fmt, how):
+    """A worker process that dies mid-scan makes scan exit 2 with one line
+    naming it, after the rows of the windows before its own: when it dies
+    between windows, in the middle of sending one, or while some other
+    process (one forked by another thread, say) holds its pipe's write end."""
+    bad, held = DEAD_WORKER_PRIME, []
+
+    def pipe(duplex=True, real=multiprocessing.connection.Pipe):
+        reader, writer = real(duplex)
+        held.append(os.dup(writer.fileno()))
+        return reader, writer
+
+    if how == "write end held":
+        monkeypatch.setattr(multiprocessing.connection, "Pipe", pipe)
+    monkeypatch.setattr(cli, "classify_chunk",
+                        _dying_in_send if how == "exit mid-send" else _dying_chunk)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    out_path = tmp_path / f"scan.{fmt}"
+    try:
+        with deadline(20):
+            code, out, err = run(capsys, "scan", "--from", "3", "--to", "30000", "--out",
+                                 str(out_path), "--format", fmt, "--workers", "2")
+    finally:
+        for fd in held:
+            os.close(fd)
+    windows = cli._windows(3, 30000)
+    assert len(windows) == 3 and windows[1][0] <= bad <= windows[1][1]
+    assert code == 2
+    assert out == ""
+    assert err == "compute failed: worker 2 exited with code 9\n"
+    assert multiprocessing.active_children() == []
+    rows = out_path.read_text().splitlines()[fmt == "csv":]
+    assert len(rows) == len(primes_in_range(*windows[0]))
+    if how == "exit mid-send":
+        text = verify.classify_chunk(cli._RENDERERS[fmt], primes_in_range(*windows[1]))[0]
+        assert len(text) > 2 * 65536  # twice a Linux pipe's default buffer
+
+
+def test_density_walks_its_windows_in_this_process(capsys, pools):
+    assert len(cli._windows(3, 30000)) == 3
+    code, out, _ = run(capsys, "density", "--from", "3", "--to", "30000")
+    assert code == 0
+    assert out.splitlines() == density_lines(level_counts(3, 30000))
+    assert pools == []
 
 
 def test_scan_prints_density_summary(capsys, tmp_path):
