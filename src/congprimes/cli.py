@@ -18,8 +18,9 @@ import os
 import sys
 from collections import Counter
 from contextlib import closing, contextmanager, suppress
-from math import log
+from math import isqrt, log
 from multiprocessing.connection import wait
+from multiprocessing.pool import ExceptionWithTraceback
 from typing import Iterable, Iterator, NamedTuple
 
 from .criteria import Classification, classify
@@ -41,6 +42,9 @@ W_CEILING = 3
 
 # primes expected per scan window, the unit a shard sieves, classifies and renders
 SCAN_CHUNK = 1024
+# least scan window width over primes_in_range's base bound min(sqrt(hi), 10^5),
+# to amortize its loop over the base primes, run once per window (10 ms at 10^10)
+BASE_SPAN = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,17 +130,23 @@ def _json_line(c: Classification) -> str:
 _RENDERERS = {"csv": ("%d,", _csv_line), "jsonl": ('{"p": %d, ', _json_line)}
 
 
-def _windows(lo: int, hi: int) -> list[tuple[int, int]]:
-    """[lo, hi] cut into windows expected to hold about SCAN_CHUNK primes
-    each (about one number in ln hi is prime), none wider than MAX_WINDOW."""
-    width = min(1 + int(SCAN_CHUNK * log(max(hi, 2))), MAX_WINDOW)
+def _windows(lo: int, hi: int, processes: int = 1) -> list[tuple[int, int]]:
+    """[lo, hi] cut into windows expected to hold SCAN_CHUNK primes (one number in
+    ln hi is prime), at most MAX_WINDOW wide, and at least BASE_SPAN base bounds
+    wide unless that would leave fewer than 4 windows per process."""
+    top = max(hi, 2)
+    least = min(BASE_SPAN * min(isqrt(top), 100_000), (hi - lo) // (4 * processes) + 1)
+    width = min(max(1 + int(SCAN_CHUNK * log(top)), least), MAX_WINDOW)
     return [(a, min(a + width - 1, hi)) for a in range(lo, hi + 1, width)]
 
 
 def _shard(render: tuple | None, windows: list[tuple[int, int]], writer) -> None:
-    """A shard process: send each of its windows' ChunkResult down its pipe."""
-    for lo, hi in windows:
-        writer.send(classify_chunk(render, primes_in_range(lo, hi)))
+    """A shard process: send its windows' ChunkResults, or what stopped it, down its pipe."""
+    try:
+        for lo, hi in windows:
+            writer.send(classify_chunk(render, primes_in_range(lo, hi)))
+    except Exception as exc:  # raised in the parent, with this traceback as its cause
+        writer.send(ExceptionWithTraceback(exc, exc.__traceback__))
 
 
 @contextmanager
@@ -167,7 +177,7 @@ def _scan_results(lo: int, hi: int, workers: int, render: tuple | None) -> Itera
     """verify.classify_chunk over each window of [lo, hi], in order.  Given
     W > 1 workers, CPUs and windows, window i is sieved and classified by
     shard i mod W in its own process; else this process runs them all."""
-    windows = _windows(lo, hi)
+    windows = _windows(lo, hi, _pool_size(workers))
     workers = min(_pool_size(workers), len(windows))
     if workers <= 1:
         yield from (classify_chunk(render, primes_in_range(a, b)) for a, b in windows)
@@ -176,12 +186,15 @@ def _scan_results(lo: int, hi: int, workers: int, render: tuple | None) -> Itera
         for i in range(len(windows)):
             proc, reader = shards[i % workers]
             wait([reader, proc.sentinel])  # no EOF if another process holds a write end
+            result = None
             with suppress(EOFError, OSError):  # EOF: the shard died, maybe mid-message
-                if reader.poll():
-                    yield reader.recv()
-                    continue
-            proc.join()
-            raise ComputeFailed(f"{proc.name} exited with code {proc.exitcode}")
+                result = reader.recv() if reader.poll() else None
+            if result is None:
+                proc.join()
+                raise ComputeFailed(f"{proc.name} exited with code {proc.exitcode}")
+            if isinstance(result, Exception):
+                raise result  # as window i would raise in this process
+            yield result
 
 
 def _report(results: Iterable[ChunkResult], write=None, out: str | None = None) -> int:

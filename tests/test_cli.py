@@ -24,7 +24,7 @@ import congprimes
 from congprimes import cli, criteria, verify
 from congprimes.cli import CSV_HEADER, _pool_size, main
 from congprimes.criteria import SymbolSet, classify
-from congprimes.errors import ComputeFailed
+from congprimes.errors import ComputeFailed, PreconditionViolation
 from congprimes.modmath import _certified, primes_in_range
 from congprimes.verify import SuiteResult, density_lines, level_counts
 
@@ -328,15 +328,19 @@ def test_windows_cover_the_range_and_are_capped(monkeypatch):
         assert all(b + 1 == c for (_, b), (c, _) in zip(windows, windows[1:]))
     per_window = len(primes_in_range(3, 200000)) / len(cli._windows(3, 200000))
     assert cli.SCAN_CHUNK <= per_window <= 1.2 * cli.SCAN_CHUNK
+    # past about 2 * 10^7 the sieve's base loop sets the width: 4 * 10^5 at 10^10
+    assert [b - a + 1 for a, b in cli._windows(10**10 - 10**7 + 1, 10**10)] == [4 * 10**5] * 25
+    assert len(cli._windows(10**10 - 10**6 + 1, 10**10, 2)) == 8  # unless < 4 per process
     monkeypatch.setattr(cli, "SCAN_CHUNK", 10**6)  # never wider than MAX_WINDOW
     assert cli._windows(3, 3 * 10**7) == [(3, 10**7 + 2), (10**7 + 3, 2 * 10**7 + 2),
                                           (2 * 10**7 + 3, 3 * 10**7)]
 
 
-@pytest.mark.parametrize("chunk", [16, 100])
+@pytest.mark.parametrize("chunk, span", [(16, 0), (100, 0), (1, 4)])
 def test_scan_bytes_do_not_depend_on_the_window_size(capsys, tmp_path, monkeypatch, pools,
-                                                     chunk):
+                                                     chunk, span):
     monkeypatch.setattr(cli, "SCAN_CHUNK", chunk)
+    monkeypatch.setattr(cli, "BASE_SPAN", span)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert len(cli._windows(3, 200000)) > 100
     for workers in ("1", "2"):
@@ -351,6 +355,7 @@ def test_scan_bytes_do_not_depend_on_the_window_size(capsys, tmp_path, monkeypat
 def test_window_scan_bytes_are_pinned_when_both_shards_certify(capsys, tmp_path, monkeypatch,
                                                                pools, fmt):
     monkeypatch.setattr(cli, "SCAN_CHUNK", 1)  # windows of about 460 numbers
+    monkeypatch.setattr(cli, "BASE_SPAN", 0)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert len(cli._windows(*WINDOW)) == 3
     out_path = tmp_path / f"window.{fmt}"
@@ -444,6 +449,40 @@ def test_a_dead_worker_is_reported_not_waited_on(capsys, tmp_path, monkeypatch, 
     if how == "exit mid-send":
         text = verify.classify_chunk(cli._RENDERERS[fmt], primes_in_range(*windows[1]))[0]
         assert len(text) > 2 * 65536  # twice a Linux pipe's default buffer
+
+
+def test_an_exception_in_a_worker_is_raised_as_in_one_process(capsys, tmp_path, monkeypatch,
+                                                              pools):
+    """A worker that raises, a precondition check or a bug, makes scan end
+    as one process does: the same exit code, stderr and rows at 1 and 2
+    workers, and no traceback from the worker."""
+    bad = DEAD_WORKER_PRIME  # in window 1, so worker 2's
+    error = PreconditionViolation
+
+    def raising(p, real=verify.classify):
+        if int(p) == bad:
+            raise error(f"{bad} breaks a precondition")
+        return real(p)
+
+    monkeypatch.setattr(verify, "classify", raising)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    outputs = []
+    for workers in ("1", "2"):
+        out_path = tmp_path / f"scan{workers}.csv"
+        assert run(capsys, "scan", "--from", "3", "--to", "30000", "--out", str(out_path),
+                   "--workers", workers) == (1, "", f"error: {bad} breaks a precondition\n")
+        outputs.append(out_path.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\n") == 1 + len(primes_in_range(*cli._windows(3, 30000)[0]))
+    error = KeyError
+    for workers in ("1", "2"):
+        with pytest.raises(KeyError, match=f"{bad} breaks a precondition") as raised:
+            main(["scan", "--from", "3", "--to", "30000", "--out", str(tmp_path / "bug.csv"),
+                  "--workers", workers])
+        assert capsys.readouterr().err == ""
+    assert "in raising" in str(raised.value.__cause__)  # the worker's traceback
+    assert pools == [2, 2]
+    assert multiprocessing.active_children() == []
 
 
 def test_density_walks_its_windows_in_this_process(capsys, pools):
