@@ -220,7 +220,10 @@ def _report(results: Iterable[ChunkResult], write=None, out: str | None = None) 
 
 
 def _span(args) -> tuple[int, int]:
-    """The first and last number of --from..--to to sieve for odd primes."""
+    """The first and last number of --from..--to to sieve for odd primes,
+    after checking --workers, which scan and density share."""
+    if args.workers < 1:
+        raise PreconditionViolation("--workers must be at least 1")
     if args.lo > args.hi:
         raise PreconditionViolation("--from must not exceed --to")
     lo = max(args.lo, 3)
@@ -230,8 +233,6 @@ def _span(args) -> tuple[int, int]:
 
 
 def cmd_scan(args) -> int:
-    if args.workers < 1:
-        raise PreconditionViolation("--workers must be at least 1")
     lo, hi = _span(args)
     try:
         fh = open(args.out, "w", encoding="utf-8", newline="")
@@ -259,13 +260,17 @@ def _verdict(result: SuiteResult, name: str, checked: str) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.limit is not None and args.limit < 1:
+        raise PreconditionViolation("--limit must be at least 1")
     return _verdict(run_suite(args.suite, args.limit, args.seed), args.suite, "checks")
 
 
 # ----------------------------------------------------------------- density
 
 def cmd_density(args) -> int:
-    return _report(_scan_results(*_span(args), 1, None))
+    results = _scan_results(*_span(args), args.workers, None)
+    with closing(results):
+        return _report(results)
 
 
 # ------------------------------------------------------------- paper-check
@@ -289,14 +294,14 @@ def build_parser() -> _Parser:
                        const="json", help="shorthand for --format json")
     p_cls.set_defaults(func=cmd_classify)
 
-    span = argparse.ArgumentParser(add_help=False)  # the range of scan and density
+    span = argparse.ArgumentParser(add_help=False)  # the range walk of scan and density
     span.add_argument("--from", dest="lo", type=int, required=True)
     span.add_argument("--to", dest="hi", type=int, required=True)
+    span.add_argument("--workers", type=int, default=1,
+                      help="worker processes (at most one per CPU is started)")
     p_scan = sub.add_parser("scan", parents=[span], help="classify every prime in a range")
     p_scan.add_argument("--out", required=True)
     p_scan.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p_scan.add_argument("--workers", type=int, default=1,
-                        help="worker processes (at most one per CPU is started)")
     p_scan.set_defaults(func=cmd_scan)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import compress
 from math import gcd, isqrt, prod
+from typing import NamedTuple
 
 from .errors import PreconditionViolation
 
@@ -293,8 +294,7 @@ def _eighth_root(p: int) -> tuple[int, tuple[int, int, int]]:
     return min(z, p - z), sylow
 
 
-@dataclass(frozen=True)
-class SplitRoots:
+class SplitRoots(NamedTuple):
     """The canonical roots at a prime p ≡ 1 (mod 8), taken once and shared
     by every symbol and by the delta solve.  Each is the root in [0, p/2]:
     i_img = sqrt(-1), zeta = sqrt(i_img), r = sqrt(1 + i_img) and

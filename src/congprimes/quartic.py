@@ -304,6 +304,14 @@ def solve_delta(p: OddPrime, roots: SplitRoots | None = None) -> DeltaSolution:
     Both bounds leave far more slack than the 2^-k error of the form used
     by ideal_basis.
     """
+    ar, ai, br, bi = _delta(p, roots)
+    a, b = GaussianInt(ar, ai), GaussianInt(br, bi)
+    return DeltaSolution(p=p, delta=QuarticInt.from_relative(a, b), a=a, b=b)
+
+
+def _delta(p: OddPrime, roots: SplitRoots | None) -> tuple[int, int, int, int]:
+    """solve_delta on plain ints: (a.re, a.im, b.re, b.im) of delta = a + b*alpha,
+    checked to satisfy a^2 - (1+i) b^2 = p exactly (else GeneratorNotFound)."""
     (u0r, u0i, u1r, u1i, v0r, v0i, v1r, v1i), _ = _reduce(p, roots)
     pv = p.value
     target = pv * pv
@@ -329,5 +337,6 @@ def solve_delta(p: OddPrime, roots: SplitRoots | None = None) -> DeltaSolution:
     # vanishes only at b = 0, and -k^2 != p
     if x0r < 0:
         x0r, x0i, x1r, x1i = -x0r, -x0i, -x1r, -x1i
-    a, b = GaussianInt(x0r, x0i), GaussianInt(x1r, x1i)
-    return DeltaSolution(p=p, delta=QuarticInt.from_relative(a, b), a=a, b=b)
+    if _relative_norm(x0r, x0i, x1r, x1i) != (pv, 0):
+        raise GeneratorNotFound(f"rotated candidate does not have relative norm {pv}")
+    return x0r, x0i, x1r, x1i

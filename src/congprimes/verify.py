@@ -549,20 +549,24 @@ def classify_chunk(render: tuple[str, Callable[[Classification], str]] | None,
     w_level), and the failed primes as (p, message).  render is (head,
     line): head % p starts line(c), and the rest of the line depends on p
     only through p mod 16 and the symbols, so it is rendered once per such
-    class of the chunk."""
+    class of the chunk.  A prime p ≢ 1 (mod 8) is settled by p mod 16
+    alone, so only the first of each such class is classified."""
     lines, classes, failures = [], {}, []
     head, line = render or (None, None)
     for n in ns:
-        try:
-            c = classify(_certified(n))
-        except ComputeFailed as exc:
-            failures.append((n, str(exc)))
-            continue
-        key = c.p_mod_16, c.symbols
-        cls = classes.get(key)
+        forced = n % 8 != 1
+        cls = classes.get(n % 16) if forced else None
         if cls is None:
-            tail = line(c)[len(head % n):] + "\n" if render else ""
-            cls = classes[key] = [tail, (c.v_level, c.w_level), 0]
+            try:
+                c = classify(_certified(n))
+            except ComputeFailed as exc:
+                failures.append((n, str(exc)))
+                continue
+            key = c.p_mod_16 if forced else (c.p_mod_16, c.symbols)
+            cls = classes.get(key)
+            if cls is None:
+                tail = line(c)[len(head % n):] + "\n" if render else ""
+                cls = classes[key] = [tail, (c.v_level, c.w_level), 0]
         cls[2] += 1
         if render:
             lines.append(head % n + cls[0])

@@ -192,12 +192,13 @@ def test_classify_chunk_matches_the_per_prime_loop(monkeypatch, fmt, lo, hi):
     """Rows rendered once per (p mod 16, symbols) class are the rows of
     rendering every prime, and the counts and failures are the same."""
     ns = _primes(lo, hi)
-    bad = ns[0]
+    # the first prime of its residue-forced class, and a split one
+    bad = {ns[0], next(n for n in ns if n % 8 == 1)}
     assert len({n % 16 for n in ns[1:]}) < len(ns) - 1  # some class holds two rows
 
     def failing(p, real=verify.classify):
-        if int(p) == bad:
-            raise ComputeFailed(f"could not certify delta for p = {bad}")
+        if int(p) in bad:
+            raise ComputeFailed(f"could not certify delta for p = {p}")
         return real(p)
 
     monkeypatch.setattr(verify, "classify", failing)
@@ -215,6 +216,28 @@ def test_classify_chunk_matches_the_per_prime_loop(monkeypatch, fmt, lo, hi):
     want = ("".join(lines), counts, failures)
     assert verify.classify_chunk((head, line), ns) == want
     assert verify.classify_chunk(None, ns) == ("",) + want[1:]
+
+
+def test_classify_runs_once_per_forced_class_and_per_split_prime(monkeypatch):
+    """A chunk classifies the first prime of each residue-forced (p mod 16)
+    class, and every prime ≡ 1 (mod 8), in order."""
+    seen = []
+
+    def spy(p, real=verify.classify):
+        seen.append(int(p))
+        return real(p)
+
+    monkeypatch.setattr(verify, "classify", spy)
+    for lo, hi in cli._windows(3, 30000):
+        ns, classes, want = primes_in_range(lo, hi), set(), []
+        for n in ns:
+            if n % 8 == 1 or n % 16 not in classes:
+                want.append(n)
+                classes.add(n % 16)
+        seen.clear()
+        verify.classify_chunk(cli._RENDERERS["csv"], ns)
+        assert seen == want
+        assert len(want) == 6 + sum(n % 8 == 1 for n in ns)
 
 
 def test_rules_are_settled_once_per_class(capsys, tmp_path, monkeypatch):
@@ -279,7 +302,7 @@ def pools(monkeypatch):
 def test_chunked_scan_matches_across_worker_counts(capsys, tmp_path, monkeypatch, pools, fmt):
     ns = primes_in_range(3, 30000)
     chunks = -(-len(ns) // cli.SCAN_CHUNK)
-    bad = ns[len(ns) // 2]
+    bad = next(n for n in ns[len(ns) // 2:] if n % 8 == 1)
     assert len(ns) == 3244 and chunks >= 3
     assert 0 < ns.index(bad) // cli.SCAN_CHUNK < chunks - 1  # a middle chunk
 
@@ -385,7 +408,7 @@ def deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-DEAD_WORKER_PRIME = 15013  # in window 1 of 3..30000, so worker 2's
+DEAD_WORKER_PRIME = 15017  # ≡ 1 (mod 8), in window 1 of 3..30000, so worker 2's
 
 
 def _dying_chunk(render, ns):
@@ -493,6 +516,27 @@ def test_density_walks_its_windows_in_this_process(capsys, pools):
     assert pools == []
 
 
+def test_density_with_two_workers_prints_what_one_does(capsys, monkeypatch, pools):
+    bad = DEAD_WORKER_PRIME  # in window 1, so worker 2's
+
+    def failing(p, real=verify.classify):
+        if int(p) == bad:
+            raise ComputeFailed(f"could not certify delta for p = {bad}")
+        return real(p)
+
+    monkeypatch.setattr(verify, "classify", failing)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    one, two = (run(capsys, "density", "--from", "3", "--to", "30000", "--workers", workers)
+                for workers in ("1", "2"))
+    assert one == two
+    code, _, err = one
+    assert code == 2
+    assert err.splitlines() == [
+        f"compute failed at p={bad}: could not certify delta for p = {bad}",
+        "1 primes failed to classify"]
+    assert pools == [2]
+
+
 def test_scan_prints_density_summary(capsys, tmp_path):
     out_path = tmp_path / "scan.csv"
     _, out, _ = run(capsys, "scan", "--from", "3", "--to", "600",
@@ -581,6 +625,12 @@ def test_verify_failure_exit_three(capsys, monkeypatch):
     assert "els: FAIL" in out
 
 
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_verify_rejects_a_limit_below_one(capsys, limit):
+    assert run(capsys, "verify", "delta", "--limit", limit) == (
+        1, "", "error: --limit must be at least 1\n")
+
+
 def test_verify_unknown_suite_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "nonsense")
     assert code == 1
@@ -613,6 +663,12 @@ def test_density_reports_a_failed_prime_like_scan(capsys, tmp_path, monkeypatch)
                                 "--out", str(tmp_path / "scan.csv"))
     assert scan_err == err
     assert scan_out.splitlines()[1:] == out.splitlines()
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_density_rejects_fewer_than_one_worker(capsys, workers):
+    assert run(capsys, "density", "--from", "3", "--to", "100", "--workers", workers) == (
+        1, "", "error: --workers must be at least 1\n")
 
 
 def test_density_rejects_inverted_range(capsys):

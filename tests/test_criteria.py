@@ -1,5 +1,3 @@
-from dataclasses import astuple
-
 import pytest
 
 from congprimes import criteria
@@ -178,6 +176,6 @@ def test_a_root_that_fails_its_check_raises_compute_failed(monkeypatch):
         def quartic(self):
             return [x + 1 for x in super().quartic()]
 
-    monkeypatch.setattr(criteria, "split_roots", lambda P: ShiftedRoots(*astuple(split_roots(P))))
+    monkeypatch.setattr(criteria, "split_roots", lambda P: ShiftedRoots(*tuple(split_roots(P))))
     with pytest.raises(ComputeFailed, match="no admissible root"):
         classify(41)

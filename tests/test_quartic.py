@@ -1,9 +1,11 @@
+import hashlib
 import random
 from math import isqrt
 
 import pytest
 
-from congprimes.errors import NotSplitError, PreconditionViolation
+from congprimes import quartic
+from congprimes.errors import GeneratorNotFound, NotSplitError, PreconditionViolation
 from congprimes.gaussian import GaussianInt
 from congprimes.modmath import (
     OddPrime, legendre, primes_in_range, quartic_roots, split_roots, sqrt_mod)
@@ -15,6 +17,7 @@ from congprimes.quartic import (
     QuarticInt,
     UNIT_ALPHA_PLUS_1,
     UNIT_NORM_ONE,
+    _delta,
     _reduce,
     embed,
     ideal_basis,
@@ -279,6 +282,41 @@ def test_solve_delta_matches_the_quartic_rotation():
         assert (sol.delta, (sol.a, sol.b)) == (want, want.to_relative()), p
         rotations.add(m)
     assert rotations == {0, 1, 2, 3}
+
+
+# sha256 of "a.re,a.im,b.re,b.im\n" per completely split p below 2*10^4 and
+# for both 200-digit anchors, as solve_delta returned them when it built
+# its candidates as GaussianInt and QuarticInt records
+DELTA_SHA256 = "bf65417a98a53a7e640f17cee24fe29e7633c966681b9219e23881ad6b975a1f"
+
+
+def test_delta_coordinates_are_pinned():
+    text = []
+    for p in primes_in_range(3, 20000) + [10**200 + 16737, 10**200 + 28729]:
+        P = OddPrime(p)
+        if p % 8 == 1 and (roots := split_roots(P)).r is not None:
+            sol = solve_delta(P, roots)
+            assert _delta(P, roots) == (sol.a.re, sol.a.im, sol.b.re, sol.b.im)
+            text.append(f"{sol.a.re},{sol.a.im},{sol.b.re},{sol.b.im}\n")
+    assert len(text) == 273
+    assert hashlib.sha256("".join(text).encode()).hexdigest() == DELTA_SHA256
+
+
+def test_delta_refuses_a_candidate_whose_norm_is_not_exactly_p(monkeypatch):
+    # with the unit rotation skipped, a generator of relative norm w*p, w != 1,
+    # is refused by _delta itself, before any DeltaSolution checks it
+    split = [P for P in map(OddPrime, primes_in_range(3, 3000)) if quartic_roots(P)]
+    want = {P: _delta(P, None) for P in split}
+    monkeypatch.setattr(quartic, "_ROTATIONS", dict.fromkeys(quartic._ROTATIONS, 0))
+    refused = 0
+    for P in split:
+        try:
+            assert _delta(P, None) == want[P], P
+        except GeneratorNotFound:
+            refused += 1
+            with pytest.raises(GeneratorNotFound, match="relative norm"):
+                solve_delta(P)
+    assert 0 < refused < len(split)
 
 
 def test_solve_delta_certificates_small_range():
