@@ -113,8 +113,9 @@ def cmd_classify(args) -> int:
 # -------------------------------------------------------------------- scan
 
 def _pool_size(workers: int) -> int:
-    """Processes to start for a requested worker count: at most one per CPU."""
-    return min(workers, os.cpu_count() or 1)
+    """Processes to start for a requested worker count: at most one per usable CPU."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(workers, cpus or 1)
 
 
 # the row renderers of a scan; module-level, so that they pickle where fork is missing

@@ -229,14 +229,15 @@ def legendre(a: int, p: OddPrime) -> int:
 
 
 def _sqrt_mod_int(a: int, p: int, sylow: tuple[int, int, int] | None = None) -> int | None:
-    """sqrt_mod on ints.  For p ≡ 1 (mod 4), Tonelli-Shanks runs on
-    sylow = _two_sylow(p), computed here unless the caller has it."""
+    """sqrt_mod on ints.  For p ≡ 3 (mod 4), _jacobi decides residuosity; for
+    p ≡ 1 (mod 4), Tonelli-Shanks on sylow = _two_sylow(p) (computed here unless
+    the caller has it) decides it: a is a non-residue iff t = a^q has order 2^m."""
     a %= p
     if a == 0:
         return 0
-    if _jacobi(a, p) != 1:
-        return None
     if p % 4 == 3:
+        if _jacobi(a, p) != 1:
+            return None
         x = pow(a, (p + 1) // 4, p)
         return min(x, p - x)
     q, m, c = sylow or _two_sylow(p)
@@ -248,6 +249,8 @@ def _sqrt_mod_int(a: int, p: int, sylow: tuple[int, int, int] | None = None) -> 
         while t2 != 1:
             t2 = t2 * t2 % p
             i += 1
+        if i == m:  # first round only: later rounds have i < m
+            return None
         b = pow(c, 1 << (m - i - 1), p)
         x = x * b % p
         c = b * b % p

@@ -207,42 +207,49 @@ def _reduce(p: OddPrime, roots: SplitRoots | None) -> tuple[tuple[int, ...], tup
     <x, y> = x0 conj(y0) 2^k + x1 conj(y1) isqrt(2 * 4^k) is exact, so
     the entries are updated in place rather than recomputed (integral
     LLL, Cohen GTM 138, 2.6): v <- v - q u sends <v,u> to <v,u> - q H(u)
-    and H(v) to H(v) - 2 Re(conj(q) <v,u>) + |q|^2 H(u), and a swap
-    conjugates <v,u>.  q rounds each coordinate of <v,u> / H(u) as
-    GaussianInt.__divmod__ does."""
+    and H(v) to H(v) - 2 Re(conj(q) <v,u>) + |q|^2 H(u).  q rounds each
+    coordinate of <v,u> / H(u) as GaussianInt.__divmod__ does.  Lagrange's
+    loop from (p, 0), (-c, 1) always first moves c's coordinates into
+    (-p/2, p/2] and swaps, so this starts at u = (-c, 1), v = (p, 0) and
+    then reduces v by u and u by v in turn instead of swapping."""
     roots = _split(p, roots)
     pv = p.value
-    r, s, i_img = roots.r, roots.s, roots.i_img
-    cr = (r + s) * (pv + 1) // 2 % pv
-    ci = (r - s) * pow(2 * i_img, -1, pv) % pv
+    r, s, i_img, h = roots.r, roots.s, roots.i_img, pv // 2
+    cr = ((r + s) * (h + 1) + h) % pv - h  # h + 1 = 1/2 mod p
+    ci = ((s - r) * i_img * (h + 1) + h) % pv - h  # 1/(2i') = -i'/2
     k = pv.bit_length() + 32
     one, root2 = 1 << k, isqrt(2 << 2 * k)
-    u0r, u0i, u1r, u1i = pv, 0, 0, 0
-    v0r, v0i, v1r, v1i = -cr, -ci, 1, 0
-    hu = pv * pv * one
-    hv = (cr * cr + ci * ci) * one + root2
-    gr, gi = -cr * pv * one, -ci * pv * one
+    u0r, u0i, u1r, u1i = -cr, -ci, 1, 0
+    v0r, v0i, v1r, v1i = pv, 0, 0, 0
+    hu = (cr * cr + ci * ci) * one + root2
+    hv = pv * pv * one
+    gr, gi = -cr * pv * one, ci * pv * one  # <v,u>
     while True:
-        h2 = 2 * hu
-        qr = (2 * gr + hu) // h2
-        qi = (2 * gi + hu) // h2
+        h2 = 2 * hu  # v <- v - q u, q = round(<v,u> / H(u))
+        qr, qi = (2 * gr + hu) // h2, (2 * gi + hu) // h2
         v0r, v0i = v0r - qr * u0r + qi * u0i, v0i - qr * u0i - qi * u0r
         v1r, v1i = v1r - qr * u1r + qi * u1i, v1i - qr * u1i - qi * u1r
         hv += (qr * qr + qi * qi) * hu - 2 * (qr * gr + qi * gi)
-        gr -= qr * hu
-        gi -= qi * hu
+        gr, gi = gr - qr * hu, gi - qi * hu
         if hv >= hu:
             return (u0r, u0i, u1r, u1i, v0r, v0i, v1r, v1i), (hu, hv, gr, gi)
-        u0r, u0i, u1r, u1i, v0r, v0i, v1r, v1i = v0r, v0i, v1r, v1i, u0r, u0i, u1r, u1i
-        hu, hv, gi = hv, hu, -gi
+        h2 = 2 * hv  # u <- u - q v, q = round(<u,v> / H(v)), <u,v> = conj(<v,u>)
+        qr, qi = (2 * gr + hv) // h2, (hv - 2 * gi) // h2
+        u0r, u0i = u0r - qr * v0r + qi * v0i, u0i - qr * v0i - qi * v0r
+        u1r, u1i = u1r - qr * v1r + qi * v1i, u1i - qr * v1i - qi * v1r
+        hu += (qr * qr + qi * qi) * hv - 2 * (qr * gr - qi * gi)
+        gr, gi = gr - qr * hv, gi + qi * hv
+        if hu >= hv:
+            return (v0r, v0i, v1r, v1i, u0r, u0i, u1r, u1i), (hv, hu, gr, -gi)
 
 
 @dataclass(frozen=True)
 class DeltaSolution:
     """A certified solution a^2 - (1+i) b^2 = p: delta = a + b*alpha has
-    relative norm exactly p, hence absolute norm p^2.  Construction
-    verifies the relative norm, so a DeltaSolution can never hold a wrong
-    answer."""
+    relative norm exactly p, hence absolute norm p^2.  Construction checks
+    delta against (a, b) and the relative norm, so a DeltaSolution never
+    holds a wrong answer.  solve_delta alone skips both checks, for the
+    (a, b) whose relative norm _delta has just checked to be exactly p."""
 
     p: OddPrime
     delta: QuarticInt
@@ -306,7 +313,9 @@ def solve_delta(p: OddPrime, roots: SplitRoots | None = None) -> DeltaSolution:
     """
     ar, ai, br, bi = _delta(p, roots)
     a, b = GaussianInt(ar, ai), GaussianInt(br, bi)
-    return DeltaSolution(p=p, delta=QuarticInt.from_relative(a, b), a=a, b=b)
+    sol = object.__new__(DeltaSolution)  # trusted: _delta has checked the norm
+    sol.__dict__.update(p=p, delta=QuarticInt.from_relative(a, b), a=a, b=b)
+    return sol
 
 
 def _delta(p: OddPrime, roots: SplitRoots | None) -> tuple[int, int, int, int]:

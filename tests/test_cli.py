@@ -35,6 +35,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def cpus(monkeypatch, n):
+    """Let this process run on n CPUs of a machine with n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
 # ---------------------------------------------------------------- classify
 
 def test_classify_text_plain_levels(capsys):
@@ -159,7 +165,7 @@ SCAN_200000_CSV_SHA256 = "a694c507d0acf752574b07f24abd7bb70bab4ae149d246f9874568
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_scan_bytes_are_pinned(capsys, tmp_path, monkeypatch, pools, workers):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cpus(monkeypatch, 2)
     out_path = tmp_path / "scan.csv"
     assert run(capsys, "scan", "--from", "3", "--to", "200000", "--out", str(out_path),
                "--workers", workers)[0] == 0
@@ -267,7 +273,7 @@ def test_scan_reports_a_failed_prime_from_every_worker_count(capsys, tmp_path, m
         return real(p)
 
     monkeypatch.setattr(verify, "classify", failing)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # one chunk: no pool either way
+    cpus(monkeypatch, 2)  # one chunk: no pool either way
     outputs = []
     for workers in ("1", "2"):
         out_path = tmp_path / f"scan{workers}.{fmt}"
@@ -312,7 +318,7 @@ def test_chunked_scan_matches_across_worker_counts(capsys, tmp_path, monkeypatch
         return real(p)
 
     monkeypatch.setattr(verify, "classify", failing)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cpus(monkeypatch, 2)
     results = []
     for workers in ("1", "2"):
         out_path = tmp_path / f"scan{workers}.{fmt}"
@@ -334,12 +340,12 @@ def test_scan_starts_at_most_one_process_per_worker_cpu_and_chunk(capsys, tmp_pa
         return run(capsys, "scan", "--from", "3", "--to", str(hi), "--out",
                    str(tmp_path / "scan.csv"), "--workers", "8")[0]
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    cpus(monkeypatch, 8)
     assert len(primes_in_range(3, 5000)) <= cli.SCAN_CHUNK
     assert scan(5000) == 0 and pools == []  # one chunk runs in this process
     assert -(-len(primes_in_range(3, 10000)) // cli.SCAN_CHUNK) == 2
     assert scan(10000) == 0 and pools == [2]  # two chunks: two processes, not eight
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    cpus(monkeypatch, 1)
     assert scan(10000) == 0 and pools == [2]  # one CPU: no pool
 
 
@@ -364,7 +370,7 @@ def test_scan_bytes_do_not_depend_on_the_window_size(capsys, tmp_path, monkeypat
                                                      chunk, span):
     monkeypatch.setattr(cli, "SCAN_CHUNK", chunk)
     monkeypatch.setattr(cli, "BASE_SPAN", span)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cpus(monkeypatch, 2)
     assert len(cli._windows(3, 200000)) > 100
     for workers in ("1", "2"):
         out_path = tmp_path / f"scan{workers}.csv"
@@ -379,7 +385,7 @@ def test_window_scan_bytes_are_pinned_when_both_shards_certify(capsys, tmp_path,
                                                                pools, fmt):
     monkeypatch.setattr(cli, "SCAN_CHUNK", 1)  # windows of about 460 numbers
     monkeypatch.setattr(cli, "BASE_SPAN", 0)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cpus(monkeypatch, 2)
     assert len(cli._windows(*WINDOW)) == 3
     out_path = tmp_path / f"window.{fmt}"
     assert run(capsys, "scan", "--from", str(WINDOW[0]), "--to", str(WINDOW[1]),
@@ -452,7 +458,7 @@ def test_a_dead_worker_is_reported_not_waited_on(capsys, tmp_path, monkeypatch, 
         monkeypatch.setattr(multiprocessing.connection, "Pipe", pipe)
     monkeypatch.setattr(cli, "classify_chunk",
                         _dying_in_send if how == "exit mid-send" else _dying_chunk)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cpus(monkeypatch, 2)
     out_path = tmp_path / f"scan.{fmt}"
     try:
         with deadline(20):
@@ -488,7 +494,7 @@ def test_an_exception_in_a_worker_is_raised_as_in_one_process(capsys, tmp_path, 
         return real(p)
 
     monkeypatch.setattr(verify, "classify", raising)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cpus(monkeypatch, 2)
     outputs = []
     for workers in ("1", "2"):
         out_path = tmp_path / f"scan{workers}.csv"
@@ -525,7 +531,7 @@ def test_density_with_two_workers_prints_what_one_does(capsys, monkeypatch, pool
         return real(p)
 
     monkeypatch.setattr(verify, "classify", failing)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cpus(monkeypatch, 2)
     one, two = (run(capsys, "density", "--from", "3", "--to", "30000", "--workers", workers)
                 for workers in ("1", "2"))
     assert one == two
@@ -596,10 +602,19 @@ def test_scan_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path, target):
 
 
 def test_pool_size_is_capped_at_the_cpu_count(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    cpus(monkeypatch, 4)
     assert [_pool_size(n) for n in (1, 3, 4, 5, 10**6)] == [1, 3, 4, 4, 4]
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # no CPU set: the machine's
+    assert _pool_size(8) == 4
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one process
     assert _pool_size(8) == 1
+
+
+def test_pool_size_counts_only_the_cpus_this_process_may_run_on(monkeypatch):
+    # as under `taskset -c 0` on a machine with two CPUs
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _pool_size(2) == 1
 
 
 def test_scan_requires_out(capsys, tmp_path):

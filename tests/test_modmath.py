@@ -1,5 +1,5 @@
 import random
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 import sympy
@@ -10,6 +10,7 @@ from congprimes.modmath import (
     OddPrime,
     _PRIMORIAL,
     _jacobi,
+    _sqrt_mod_int,
     eighth_root_of_unity,
     is_probable_prime,
     legendre,
@@ -179,6 +180,20 @@ def test_sqrt_mod_roots_and_canonical_choice():
     assert sqrt_mod(0, OddPrime(13)) == 0
 
 
+def test_tonelli_shanks_decides_residuosity_for_every_a_below_1000():
+    # for p ≡ 1 (mod 4) no Jacobi symbol runs: Tonelli-Shanks alone says None
+    count = 0
+    for p in primes_in_range(5, 1000):
+        if p % 4 != 1:
+            continue
+        for a in range(p):
+            x = _sqrt_mod_int(a, p)
+            assert (x is None) == (_jacobi(a, p) == -1), (a, p)
+            assert x is None or x * x % p == a, (a, p)
+            count += 1
+    assert count == 36_628  # the sum of those p
+
+
 def test_sqrt_mod_200_digit():
     P = OddPrime(10**200 + 16737)
     x = sqrt_mod(-1, P)
@@ -230,10 +245,23 @@ def _canonical_roots(P: OddPrime) -> tuple[int, int, int | None, int | None]:
     return i_img, sqrt_mod(i_img, P), sqrt_mod(1 + i_img, P), sqrt_mod(1 - i_img, P)
 
 
+def _primes_1_mod_8(digits: int, count: int, seed: int) -> list[int]:
+    """count primes p ≡ 1 (mod 8) of the given number of digits, each the
+    first one from its own seeded random start."""
+    rng, found = random.Random(seed), []
+    while len(found) < count:
+        n = rng.randrange(10 ** (digits - 1), 10**digits) // 8 * 8 + 1
+        while not (gcd(n, _PRIMORIAL) == 1 and sympy.isprime(n)):
+            n += 8
+        found.append(n)
+    return found
+
+
 @pytest.mark.parametrize("ps", [
     [p for p in primes_in_range(3, 20000) if p % 8 == 1],
     [10**200 + 16737, 10**200 + 28729],
-], ids=["below-2e4", "200-digit-anchors"])
+    _primes_1_mod_8(200, 8, seed=2),  # four split, four inert
+], ids=["below-2e4", "200-digit-anchors", "200-digit-seeded"])
 def test_split_roots_equal_the_canonical_roots(ps):
     split = 0
     for p in ps:

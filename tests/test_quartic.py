@@ -1,14 +1,16 @@
 import hashlib
 import random
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
+import sympy
 
 from congprimes import quartic
 from congprimes.errors import GeneratorNotFound, NotSplitError, PreconditionViolation
 from congprimes.gaussian import GaussianInt
 from congprimes.modmath import (
-    OddPrime, legendre, primes_in_range, quartic_roots, split_roots, sqrt_mod)
+    OddPrime, _PRIMORIAL, _certified, legendre, primes_in_range, quartic_roots, split_roots,
+    sqrt_mod)
 from congprimes.quartic import (
     ALPHA,
     DeltaSolution,
@@ -206,6 +208,64 @@ def test_ideal_basis_matches_the_gaussian_reduction():
     assert count == 273
 
 
+def _swapping_reduce(p, roots):
+    """_reduce as Lagrange's loop on ints from u = (p, 0), v = (-c, 1),
+    c's coordinates in [0, p): reduce v by u, and swap u and v (which
+    conjugates <v,u>) until H(v) >= H(u)."""
+    pv = p.value
+    r, s, i_img = roots.r, roots.s, roots.i_img
+    cr = (r + s) * (pv + 1) // 2 % pv
+    ci = (r - s) * pow(2 * i_img, -1, pv) % pv
+    k = pv.bit_length() + 32
+    one, root2 = 1 << k, isqrt(2 << 2 * k)
+    u0r, u0i, u1r, u1i = pv, 0, 0, 0
+    v0r, v0i, v1r, v1i = -cr, -ci, 1, 0
+    hu = pv * pv * one
+    hv = (cr * cr + ci * ci) * one + root2
+    gr, gi = -cr * pv * one, -ci * pv * one
+    while True:
+        h2 = 2 * hu
+        qr = (2 * gr + hu) // h2
+        qi = (2 * gi + hu) // h2
+        v0r, v0i = v0r - qr * u0r + qi * u0i, v0i - qr * u0i - qi * u0r
+        v1r, v1i = v1r - qr * u1r + qi * u1i, v1i - qr * u1i - qi * u1r
+        hv += (qr * qr + qi * qi) * hu - 2 * (qr * gr + qi * gi)
+        gr -= qr * hu
+        gi -= qi * hu
+        if hv >= hu:
+            return (u0r, u0i, u1r, u1i, v0r, v0i, v1r, v1i), (hu, hv, gr, gi)
+        u0r, u0i, u1r, u1i, v0r, v0i, v1r, v1i = v0r, v0i, v1r, v1i, u0r, u0i, u1r, u1i
+        hu, hv, gi = hv, hu, -gi
+
+
+def _split_primes(digits, count, seed):
+    """count completely split primes, each with a number of digits drawn
+    from digits and the first one from its own seeded random start."""
+    rng, found = random.Random(seed), []
+    while len(found) < count:
+        d = rng.choice(digits)
+        n = rng.randrange(10 ** (d - 1), 10**d) // 8 * 8 + 1
+        while not (gcd(n, _PRIMORIAL) == 1 and sympy.isprime(n)
+                   and split_roots(_certified(n)).r is not None):
+            n += 8
+        found.append(n)
+    return found
+
+
+def test_reduce_matches_the_swapping_loop():
+    # _reduce starts after the swapping loop's first step and alternates
+    # instead of swapping; basis and Gram entries must come out the same
+    ps = primes_in_range(3, 20000) + [10**200 + 16737, 10**200 + 28729]
+    count = 0
+    for p in ps + _split_primes(range(50, 301), 24, seed=13):
+        P = _certified(p)  # sieved, a known anchor, or passed sympy.isprime
+        if p % 8 != 1 or (roots := split_roots(P)).r is None:
+            continue
+        assert _reduce(P, roots) == _swapping_reduce(P, roots), p
+        count += 1
+    assert count == 273 + 24
+
+
 def test_delta_box_is_complete():
     # Every vector with H <= (1 + sqrt(2)) p among the coefficients
     # |re|, |im| <= 4 lies in the box |re|, |im| <= 2 that solve_delta
@@ -297,6 +357,9 @@ def test_delta_coordinates_are_pinned():
         if p % 8 == 1 and (roots := split_roots(P)).r is not None:
             sol = solve_delta(P, roots)
             assert _delta(P, roots) == (sol.a.re, sol.a.im, sol.b.re, sol.b.im)
+            # solve_delta skips the checks that the public constructor makes,
+            # and the public constructor accepts what it returns
+            assert DeltaSolution(p=P, delta=sol.delta, a=sol.a, b=sol.b) == sol
             text.append(f"{sol.a.re},{sol.a.im},{sol.b.re},{sol.b.im}\n")
     assert len(text) == 273
     assert hashlib.sha256("".join(text).encode()).hexdigest() == DELTA_SHA256
