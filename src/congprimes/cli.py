@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Subcommands: classify one prime, scan a range to CSV/JSONL with shard
-processes, run a verification suite, print a level-density table, or rerun
-the headline 200-digit reference computations.  A scan renders each row's
+Subcommands: classify one prime, scan a range to CSV/JSONL, run a
+verification suite, print a level-density table, or rerun the headline
+200-digit reference computations.  A scan with W workers runs every W-th
+window itself and the rest in W - 1 shard processes; it renders each row's
 tail, all of it but p, once per (p mod 16, symbols) class of a window.
 
 Exit codes: 0 success, 1 usage error, 2 compute failure, 3 verification
@@ -152,14 +153,15 @@ def _shard(render: tuple | None, windows: list[tuple[int, int]], writer) -> None
 
 @contextmanager
 def _shards(render: tuple | None, windows: list[tuple[int, int]], workers: int):
-    """Start shard w of `workers` on windows w, w + workers, ...; end them on exit."""
+    """Start shards 1, ..., workers - 1 of `workers`, shard w on windows w,
+    w + workers, ...; shard 0 is the calling process.  End them on exit."""
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:
         ctx = multiprocessing.get_context()
     shards = []
     try:
-        for w in range(workers):
+        for w in range(1, workers):
             reader, writer = ctx.Pipe(duplex=False)
             proc = ctx.Process(target=_shard, args=(render, windows[w::workers], writer),
                                name=f"worker {w + 1}", daemon=True)
@@ -175,17 +177,18 @@ def _shards(render: tuple | None, windows: list[tuple[int, int]], workers: int):
 
 
 def _scan_results(lo: int, hi: int, workers: int, render: tuple | None) -> Iterator[ChunkResult]:
-    """verify.classify_chunk over each window of [lo, hi], in order.  Given
-    W > 1 workers, CPUs and windows, window i is sieved and classified by
-    shard i mod W in its own process; else this process runs them all."""
-    windows = _windows(lo, hi, _pool_size(workers))
-    workers = min(_pool_size(workers), len(windows))
-    if workers <= 1:
-        yield from (classify_chunk(render, primes_in_range(a, b)) for a, b in windows)
-        return
+    """verify.classify_chunk over each window of [lo, hi], in order.  Given W
+    workers, CPUs and windows, this process runs window i when W divides i;
+    otherwise shard i mod W runs it in a process of its own."""
+    processes = _pool_size(workers)
+    windows = _windows(lo, hi, processes)
+    workers = min(processes, len(windows))
     with _shards(render, windows, workers) as shards:
-        for i in range(len(windows)):
-            proc, reader = shards[i % workers]
+        for i, (a, b) in enumerate(windows):
+            if i % workers == 0:
+                yield classify_chunk(render, primes_in_range(a, b))
+                continue
+            proc, reader = shards[i % workers - 1]
             wait([reader, proc.sentinel])  # no EOF if another process holds a write end
             result = None
             with suppress(EOFError, OSError):  # EOF: the shard died, maybe mid-message
@@ -227,10 +230,7 @@ def _span(args) -> tuple[int, int]:
         raise PreconditionViolation("--workers must be at least 1")
     if args.lo > args.hi:
         raise PreconditionViolation("--from must not exceed --to")
-    lo = max(args.lo, 3)
-    if args.hi - lo >= MAX_WINDOW:
-        raise PreconditionViolation("window wider than 10^7 is not supported")
-    return lo, args.hi
+    return max(args.lo, 3), args.hi
 
 
 def cmd_scan(args) -> int:

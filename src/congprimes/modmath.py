@@ -9,6 +9,7 @@ and deterministic.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import compress
 from math import gcd, isqrt, prod
@@ -146,6 +147,7 @@ def is_probable_prime(n: int) -> bool:
 
 
 MAX_WINDOW = 10_000_000  # the widest [lo, hi] that primes_in_range sieves
+_BASE_PRIMES: list[int] = []  # the primes below 10^5, sieved on first need past 1000
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
@@ -159,8 +161,11 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     if width > MAX_WINDOW:
         raise PreconditionViolation("window wider than 10^7 is not supported")
     base_limit = min(isqrt(hi), 100_000)
+    if base_limit > 1000 and not _BASE_PRIMES:
+        _BASE_PRIMES.extend(_sieve(100_000))
+    base = _BASE_PRIMES or _SMALL_PRIMES  # _SMALL_PRIMES: the primes up to 1000
     flags = bytearray([1]) * width
-    for q in _sieve(base_limit):
+    for q in base[:bisect_right(base, base_limit)]:
         start = max(q * q, ((lo + q - 1) // q) * q)
         if start <= hi:
             flags[start - lo :: q] = bytearray((hi - start) // q + 1)

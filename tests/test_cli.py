@@ -170,7 +170,7 @@ def test_scan_bytes_are_pinned(capsys, tmp_path, monkeypatch, pools, workers):
     assert run(capsys, "scan", "--from", "3", "--to", "200000", "--out", str(out_path),
                "--workers", workers)[0] == 0
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == SCAN_200000_CSV_SHA256
-    assert pools == ([] if workers == "1" else [2])
+    assert pools == ([0] if workers == "1" else [1])
 
 
 # a window past 10^200 with 5 primes, 10^200+16737 (split, v = 3, w = 2) among them
@@ -293,12 +293,14 @@ def test_scan_reports_a_failed_prime_from_every_worker_count(capsys, tmp_path, m
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The process count of every set of scan shards started."""
+    """The number of shard processes each scan started besides this one."""
     started = []
 
+    @contextmanager
     def shards(render, windows, workers, real=cli._shards):
-        started.append(workers)
-        return real(render, windows, workers)
+        with real(render, windows, workers) as procs:
+            started.append(len(procs))
+            yield procs
 
     monkeypatch.setattr(cli, "_shards", shards)
     return started
@@ -329,7 +331,7 @@ def test_chunked_scan_matches_across_worker_counts(capsys, tmp_path, monkeypatch
             f"compute failed at p={bad}: could not certify delta for p = {bad}"]
         assert out.splitlines()[0] == f"wrote 3243 rows to {out_path}"
         results.append((out_path.read_bytes(), out.splitlines()[1:]))
-    assert pools == [2]  # the one-worker run started none
+    assert pools == [0, 1]  # the one-worker run started none
     assert results[0] == results[1]
     assert str(bad).encode() not in results[0][0]
 
@@ -342,11 +344,11 @@ def test_scan_starts_at_most_one_process_per_worker_cpu_and_chunk(capsys, tmp_pa
 
     cpus(monkeypatch, 8)
     assert len(primes_in_range(3, 5000)) <= cli.SCAN_CHUNK
-    assert scan(5000) == 0 and pools == []  # one chunk runs in this process
+    assert scan(5000) == 0 and pools == [0]  # one chunk runs in this process
     assert -(-len(primes_in_range(3, 10000)) // cli.SCAN_CHUNK) == 2
-    assert scan(10000) == 0 and pools == [2]  # two chunks: two processes, not eight
+    assert scan(10000) == 0 and pools == [0, 1]  # two chunks: two processes, not eight
     cpus(monkeypatch, 1)
-    assert scan(10000) == 0 and pools == [2]  # one CPU: no pool
+    assert scan(10000) == 0 and pools == [0, 1, 0]  # one CPU: one process
 
 
 def test_windows_cover_the_range_and_are_capped(monkeypatch):
@@ -377,7 +379,7 @@ def test_scan_bytes_do_not_depend_on_the_window_size(capsys, tmp_path, monkeypat
         assert run(capsys, "scan", "--from", "3", "--to", "200000", "--out", str(out_path),
                    "--workers", workers)[0] == 0
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == SCAN_200000_CSV_SHA256
-    assert pools == [2]
+    assert pools == [0, 1]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -391,7 +393,7 @@ def test_window_scan_bytes_are_pinned_when_both_shards_certify(capsys, tmp_path,
     assert run(capsys, "scan", "--from", str(WINDOW[0]), "--to", str(WINDOW[1]),
                "--out", str(out_path), "--format", fmt, "--workers", "2")[0] == 0
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == WINDOW_SHA256[fmt]
-    assert pools == [2]
+    assert pools == [1]  # this process and one shard
 
 
 class Overran(Exception):
@@ -426,14 +428,14 @@ def _dying_chunk(render, ns):
 
 
 def _dying_in_send(render, ns):
-    """verify.classify_chunk, but the worker handed DEAD_WORKER_PRIME exits
-    with code 9 half a second later, while it is blocked sending that window:
-    the worker handed 3 holds the parent back for a second before it."""
-    if multiprocessing.parent_process() is not None:
-        if DEAD_WORKER_PRIME in ns:
-            threading.Timer(0.5, os._exit, (9,)).start()
-        elif 3 in ns:
-            time.sleep(1)
+    """verify.classify_chunk, but the worker process handed DEAD_WORKER_PRIME
+    exits with code 9 half a second later, while it is blocked sending that
+    window: the window holding 3 holds the scan back for a second before it,
+    in whichever process runs it."""
+    if 3 in ns:
+        time.sleep(1)
+    elif multiprocessing.parent_process() is not None and DEAD_WORKER_PRIME in ns:
+        threading.Timer(0.5, os._exit, (9,)).start()
     return verify.classify_chunk(render, ns)
 
 
@@ -480,12 +482,11 @@ def test_a_dead_worker_is_reported_not_waited_on(capsys, tmp_path, monkeypatch, 
         assert len(text) > 2 * 65536  # twice a Linux pipe's default buffer
 
 
-def test_an_exception_in_a_worker_is_raised_as_in_one_process(capsys, tmp_path, monkeypatch,
-                                                              pools):
-    """A worker that raises, a precondition check or a bug, makes scan end
-    as one process does: the same exit code, stderr and rows at 1 and 2
-    workers, and no traceback from the worker."""
-    bad = DEAD_WORKER_PRIME  # in window 1, so worker 2's
+def _raising_scans(capsys, tmp_path, monkeypatch, bad):
+    """Scan 3..30000 at 1 and 2 workers with classify raising at bad, first
+    a PreconditionViolation, then a KeyError (a bug); check that each ends
+    the same way at both worker counts, and return the rows written before
+    it and the KeyError raised at 2 workers."""
     error = PreconditionViolation
 
     def raising(p, real=verify.classify):
@@ -502,16 +503,59 @@ def test_an_exception_in_a_worker_is_raised_as_in_one_process(capsys, tmp_path, 
                    "--workers", workers) == (1, "", f"error: {bad} breaks a precondition\n")
         outputs.append(out_path.read_bytes())
     assert outputs[0] == outputs[1]
-    assert outputs[0].count(b"\n") == 1 + len(primes_in_range(*cli._windows(3, 30000)[0]))
     error = KeyError
     for workers in ("1", "2"):
         with pytest.raises(KeyError, match=f"{bad} breaks a precondition") as raised:
             main(["scan", "--from", "3", "--to", "30000", "--out", str(tmp_path / "bug.csv"),
                   "--workers", workers])
         assert capsys.readouterr().err == ""
-    assert "in raising" in str(raised.value.__cause__)  # the worker's traceback
-    assert pools == [2, 2]
     assert multiprocessing.active_children() == []
+    return outputs[0].count(b"\n") - 1, raised.value
+
+
+def test_an_exception_in_a_worker_is_raised_as_in_one_process(capsys, tmp_path, monkeypatch,
+                                                              pools):
+    """A worker that raises, a precondition check or a bug, makes scan end
+    as one process does: the same exit code, stderr and rows at 1 and 2
+    workers, and no traceback from the worker."""
+    bad = DEAD_WORKER_PRIME  # in window 1, so worker 2's
+    rows, raised = _raising_scans(capsys, tmp_path, monkeypatch, bad)
+    assert rows == len(primes_in_range(*cli._windows(3, 30000)[0]))
+    assert "in raising" in str(raised.__cause__)  # the worker's traceback
+    assert pools == [0, 1, 0, 1]
+
+
+def test_an_exception_in_this_process_ends_the_scan_as_at_one_worker(capsys, tmp_path,
+                                                                      monkeypatch, pools):
+    """At 2 workers this process runs window 2 of 3..30000 itself; what it
+    raises there ends the scan as at one worker, and stops the shard."""
+    windows = cli._windows(3, 30000)
+    bad = next(n for n in primes_in_range(*windows[2]) if n % 8 == 1)
+    rows, raised = _raising_scans(capsys, tmp_path, monkeypatch, bad)
+    assert rows == sum(len(primes_in_range(*w)) for w in windows[:2])
+    assert raised.__cause__ is None  # raised here, not sent by a worker
+    assert pools == [0, 1, 0, 1]
+
+
+def test_this_process_runs_every_other_window_at_two_workers(capsys, tmp_path, monkeypatch,
+                                                             pools):
+    log = tmp_path / "pids"
+
+    def logged(render, ns, real=cli.classify_chunk):
+        with open(log, "a") as fh:  # appends of a short line do not interleave
+            fh.write(f"{ns[0]} {os.getpid()}\n")
+        return real(render, ns)
+
+    monkeypatch.setattr(cli, "classify_chunk", logged)
+    cpus(monkeypatch, 2)
+    windows = cli._windows(3, 30000)
+    assert len(windows) == 3
+    assert run(capsys, "scan", "--from", "3", "--to", "30000", "--out",
+               str(tmp_path / "scan.csv"), "--workers", "2")[0] == 0
+    pid = dict(map(int, line.split()) for line in log.read_text().splitlines())
+    first, second, third = (pid.pop(primes_in_range(*w)[0]) for w in windows)
+    assert first == third == os.getpid() != second and pid == {}
+    assert pools == [1]
 
 
 def test_density_walks_its_windows_in_this_process(capsys, pools):
@@ -519,7 +563,7 @@ def test_density_walks_its_windows_in_this_process(capsys, pools):
     code, out, _ = run(capsys, "density", "--from", "3", "--to", "30000")
     assert code == 0
     assert out.splitlines() == density_lines(level_counts(3, 30000))
-    assert pools == []
+    assert pools == [0]
 
 
 def test_density_with_two_workers_prints_what_one_does(capsys, monkeypatch, pools):
@@ -540,7 +584,7 @@ def test_density_with_two_workers_prints_what_one_does(capsys, monkeypatch, pool
     assert err.splitlines() == [
         f"compute failed at p={bad}: could not certify delta for p = {bad}",
         "1 primes failed to classify"]
-    assert pools == [2]
+    assert pools == [0, 1]
 
 
 def test_scan_prints_density_summary(capsys, tmp_path):
@@ -581,13 +625,14 @@ def test_scan_rejects_fewer_than_one_worker(capsys, tmp_path, workers):
     assert not out_path.exists()
 
 
-def test_scan_rejects_too_wide_a_window_before_writing(capsys, tmp_path):
-    out_path = tmp_path / "x.csv"
-    code, _, err = run(capsys, "scan", "--from", str(10**12), "--to", str(10**12 + 10**7),
-                       "--out", str(out_path))
-    assert code == 1
-    assert "window wider than 10^7" in err
-    assert not out_path.exists()
+def test_scan_walks_a_range_wider_than_max_window(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_WINDOW", 5 * 10**4)
+    cpus(monkeypatch, 2)
+    for workers in ("1", "2"):
+        out_path = tmp_path / f"scan{workers}.csv"
+        assert run(capsys, "scan", "--from", "3", "--to", "200000", "--out", str(out_path),
+                   "--workers", workers)[0] == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == SCAN_200000_CSV_SHA256
 
 
 @pytest.mark.parametrize("target", ["missing/scan.csv", "."])

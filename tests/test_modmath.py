@@ -1,5 +1,9 @@
+import os
 import random
-from math import gcd, isqrt
+import subprocess
+import sys
+from math import gcd
+from pathlib import Path
 
 import pytest
 import sympy
@@ -104,7 +108,7 @@ def test_primes_in_range_random_windows_below_10_7():
         assert primes_in_range(lo, hi) == list(sympy.primerange(lo, hi + 1)), (lo, hi)
 
 
-def test_base_primes_are_sieved_only_to_the_square_root(monkeypatch):
+def test_base_primes_are_sieved_once_on_first_need(monkeypatch):
     limits = []
     sieve = modmath._sieve
 
@@ -113,10 +117,24 @@ def test_base_primes_are_sieved_only_to_the_square_root(monkeypatch):
         return sieve(limit)
 
     monkeypatch.setattr(modmath, "_sieve", spy)
-    for lo, hi in ((3, 100), (3, 10**6), (10**7 - 1000, 10**7), (10**12, 10**12 + 3000)):
-        limits.clear()
-        primes_in_range(lo, hi)
-        assert limits and max(limits) <= isqrt(hi), (lo, hi, limits)
+    monkeypatch.setattr(modmath, "_BASE_PRIMES", [])
+    windows = [(3, 100), (10**6 - 1000, 10**6), (10**7 - 1000, 10**7),
+               # on both sides of sqrt(hi) = 10^5, and across it
+               (10**10 - 2000, 10**10 - 1), (10**10 - 1000, 10**10 + 1000),
+               (10**10 + 1, 10**10 + 2000), (10**12, 10**12 + 3000)]
+    got = [primes_in_range(lo, hi) for lo, hi in windows[:2]]
+    assert limits == []  # below 1000 the primes sieved at import serve
+    got += [primes_in_range(lo, hi) for lo, hi in windows[2:]]
+    assert limits == [10**5]  # once, on first need
+    assert got == [list(sympy.primerange(lo, hi + 1)) for lo, hi in windows]
+
+
+def test_import_sieves_no_base_primes():
+    code = "import congprimes.modmath as m; print(len(m._BASE_PRIMES))"
+    env = dict(os.environ, PYTHONPATH=str(Path(modmath.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.strip() == "0"
 
 
 def test_odd_prime_accepts_and_rejects():
