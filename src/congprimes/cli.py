@@ -3,8 +3,8 @@
 Subcommands: classify one prime, scan a range to CSV/JSONL, run a
 verification suite, print a level-density table, or rerun the headline
 200-digit reference computations.  A scan with W workers runs every W-th
-window itself and the rest in W - 1 shard processes; it renders each row's
-tail, all of it but p, once per (p mod 16, symbols) class of a window.
+of its modmath.windows itself and the rest in W - 1 shard processes; it renders
+each row's tail, all of it but p, once per (p mod 16, symbols) class of a window.
 
 Exit codes: 0 success, 1 usage error, 2 compute failure, 3 verification
 mismatch.
@@ -19,14 +19,13 @@ import os
 import sys
 from collections import Counter
 from contextlib import closing, contextmanager, suppress
-from math import isqrt, log
 from multiprocessing.connection import wait
 from multiprocessing.pool import ExceptionWithTraceback
 from typing import Iterable, Iterator, NamedTuple
 
 from .criteria import Classification, classify
 from .errors import BoundExceeded, ComputeFailed, PreconditionViolation
-from .modmath import MAX_WINDOW, primes_in_range
+from .modmath import windows
 from .verify import (
     DEFAULT_LIMITS,
     SUITES,
@@ -40,12 +39,6 @@ from .verify import (
 
 V_CEILING = 4
 W_CEILING = 3
-
-# primes expected per scan window, the unit a shard sieves, classifies and renders
-SCAN_CHUNK = 1024
-# least scan window width over primes_in_range's base bound min(sqrt(hi), 10^5),
-# to amortize its loop over the base primes, run once per window (10 ms at 10^10)
-BASE_SPAN = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -132,27 +125,17 @@ def _json_line(c: Classification) -> str:
 _RENDERERS = {"csv": ("%d,", _csv_line), "jsonl": ('{"p": %d, ', _json_line)}
 
 
-def _windows(lo: int, hi: int, processes: int = 1) -> list[tuple[int, int]]:
-    """[lo, hi] cut into windows expected to hold SCAN_CHUNK primes (one number in
-    ln hi is prime), at most MAX_WINDOW wide, and at least BASE_SPAN base bounds
-    wide unless that would leave fewer than 4 windows per process."""
-    top = max(hi, 2)
-    least = min(BASE_SPAN * min(isqrt(top), 100_000), (hi - lo) // (4 * processes) + 1)
-    width = min(max(1 + int(SCAN_CHUNK * log(top)), least), MAX_WINDOW)
-    return [(a, min(a + width - 1, hi)) for a in range(lo, hi + 1, width)]
-
-
-def _shard(render: tuple | None, windows: list[tuple[int, int]], writer) -> None:
+def _shard(render: tuple | None, spans: list[tuple[int, int]], writer) -> None:
     """A shard process: send its windows' ChunkResults, or what stopped it, down its pipe."""
     try:
-        for lo, hi in windows:
-            writer.send(classify_chunk(render, primes_in_range(lo, hi)))
+        for lo, hi in spans:
+            writer.send(classify_chunk(render, lo, hi))
     except Exception as exc:  # raised in the parent, with this traceback as its cause
         writer.send(ExceptionWithTraceback(exc, exc.__traceback__))
 
 
 @contextmanager
-def _shards(render: tuple | None, windows: list[tuple[int, int]], workers: int):
+def _shards(render: tuple | None, spans: list[tuple[int, int]], workers: int):
     """Start shards 1, ..., workers - 1 of `workers`, shard w on windows w,
     w + workers, ...; shard 0 is the calling process.  End them on exit."""
     try:
@@ -163,7 +146,7 @@ def _shards(render: tuple | None, windows: list[tuple[int, int]], workers: int):
     try:
         for w in range(1, workers):
             reader, writer = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_shard, args=(render, windows[w::workers], writer),
+            proc = ctx.Process(target=_shard, args=(render, spans[w::workers], writer),
                                name=f"worker {w + 1}", daemon=True)
             proc.start()
             writer.close()  # the shard's is then the only write end
@@ -177,16 +160,16 @@ def _shards(render: tuple | None, windows: list[tuple[int, int]], workers: int):
 
 
 def _scan_results(lo: int, hi: int, workers: int, render: tuple | None) -> Iterator[ChunkResult]:
-    """verify.classify_chunk over each window of [lo, hi], in order.  Given W
-    workers, CPUs and windows, this process runs window i when W divides i;
-    otherwise shard i mod W runs it in a process of its own."""
+    """verify.classify_chunk over each of modmath.windows(lo, hi), in order.
+    Given W workers, CPUs and windows, this process runs window i when W
+    divides i; otherwise shard i mod W runs it in a process of its own."""
     processes = _pool_size(workers)
-    windows = _windows(lo, hi, processes)
-    workers = min(processes, len(windows))
-    with _shards(render, windows, workers) as shards:
-        for i, (a, b) in enumerate(windows):
+    spans = windows(lo, hi, processes)
+    workers = min(processes, len(spans))
+    with _shards(render, spans, workers) as shards:
+        for i, (a, b) in enumerate(spans):
             if i % workers == 0:
-                yield classify_chunk(render, primes_in_range(a, b))
+                yield classify_chunk(render, a, b)
                 continue
             proc, reader = shards[i % workers - 1]
             wait([reader, proc.sentinel])  # no EOF if another process holds a write end
@@ -224,13 +207,13 @@ def _report(results: Iterable[ChunkResult], write=None, out: str | None = None) 
 
 
 def _span(args) -> tuple[int, int]:
-    """The first and last number of --from..--to to sieve for odd primes,
-    after checking --workers, which scan and density share."""
+    """--from and --to, after checking them and --workers, which scan and
+    density share."""
     if args.workers < 1:
         raise PreconditionViolation("--workers must be at least 1")
     if args.lo > args.hi:
         raise PreconditionViolation("--from must not exceed --to")
-    return max(args.lo, 3), args.hi
+    return args.lo, args.hi
 
 
 def cmd_scan(args) -> int:
@@ -310,7 +293,8 @@ def build_parser() -> _Parser:
     p_ver.add_argument("--limit", type=int, default=None,
                        help="range bound or instance count "
                             f"(defaults: {DEFAULT_LIMITS})")
-    p_ver.add_argument("--seed", type=int, default=1)
+    p_ver.add_argument("--seed", type=int, default=1,
+                       help="random seed of the lemmas suite; the other suites ignore it")
     p_ver.set_defaults(func=cmd_verify)
 
     p_den = sub.add_parser("density", parents=[span], help="level histogram for a range")

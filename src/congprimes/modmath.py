@@ -12,7 +12,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import compress
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, log, prod
 from typing import NamedTuple
 
 from .errors import PreconditionViolation
@@ -147,22 +147,40 @@ def is_probable_prime(n: int) -> bool:
 
 
 MAX_WINDOW = 10_000_000  # the widest [lo, hi] that primes_in_range sieves
-_BASE_PRIMES: list[int] = []  # the primes below 10^5, sieved on first need past 1000
+BASE_BOUND = 100_000  # primes_in_range marks with the primes up to min(sqrt(hi), BASE_BOUND)
+_BASE_PRIMES: list[int] = []  # the primes below BASE_BOUND, sieved on first need past 1000
+
+# primes expected per window, the unit a range walk sieves (and a scan classifies and renders)
+SCAN_CHUNK = 1024
+# least window width over the base bound min(sqrt(hi), BASE_BOUND), to amortize
+# primes_in_range's loop over the base primes, run once per window (10 ms at 10^10)
+BASE_SPAN = 4
+
+
+def windows(lo: int, hi: int, processes: int = 1) -> list[tuple[int, int]]:
+    """[max(lo, 3), hi] cut into the windows that every range walk sieves: each
+    expected to hold SCAN_CHUNK primes (one number in ln hi is prime), at most
+    MAX_WINDOW wide, and at least BASE_SPAN base bounds wide unless that would
+    leave fewer than 4 windows per process."""
+    lo, top = max(lo, 3), max(hi, 2)
+    least = min(BASE_SPAN * min(isqrt(top), BASE_BOUND), (hi - lo) // (4 * processes) + 1)
+    width = min(max(1 + int(SCAN_CHUNK * log(top)), least), MAX_WINDOW)
+    return [(a, min(a + width - 1, hi)) for a in range(lo, hi + 1, width)]
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
     """All primes in [lo, hi], from one window sieve.  The window is marked
-    with the primes q up to min(sqrt(hi), 10^5), each from q^2 on, so q
-    itself survives; when sqrt(hi) > 10^5 each survivor is certified on its own."""
+    with the primes q up to min(sqrt(hi), BASE_BOUND), each from q^2 on, so q
+    itself survives; past that bound each survivor is certified on its own."""
     lo = max(lo, 2)
     if hi < lo:
         return []
     width = hi - lo + 1
     if width > MAX_WINDOW:
         raise PreconditionViolation("window wider than 10^7 is not supported")
-    base_limit = min(isqrt(hi), 100_000)
+    base_limit = min(isqrt(hi), BASE_BOUND)
     if base_limit > 1000 and not _BASE_PRIMES:
-        _BASE_PRIMES.extend(_sieve(100_000))
+        _BASE_PRIMES.extend(_sieve(BASE_BOUND))
     base = _BASE_PRIMES or _SMALL_PRIMES  # _SMALL_PRIMES: the primes up to 1000
     flags = bytearray([1]) * width
     for q in base[:bisect_right(base, base_limit)]:

@@ -4,16 +4,17 @@ against an independent route.
 Each suite walks a range (or a seeded random family), compares the
 symbol-based classification with brute-force oracles or with alternate
 derivations, and reports the first counterexample if any.  A range
-walk takes its primes certified from the sieve, window by window, and
-tests none again.  The engines here back the `verify` / `paper-check`
-CLI commands and the acceptance tests; classify_chunk is the one
-classify loop of `scan` and `density`, and renders each row's tail once
-per (p mod 16, symbols) class of its chunk.
+walk takes its primes certified from the sieve, in the scan's windows
+(modmath.windows), and tests none again.  The engines here back the
+`verify` / `paper-check` CLI commands and the acceptance tests;
+classify_chunk, the one classify loop of `scan` and `density`, sieves a
+window and renders each row's tail once per (p mod 16, symbols) class.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from math import isqrt, prod
@@ -24,7 +25,6 @@ from .els import cover, lemma_symbol_prediction, locally_solvable_at_p
 from .errors import ComputeFailed, PreconditionViolation
 from .gaussian import GaussianInt, ONE_PLUS_I, gi_symbol, primary_associate, two_squares
 from .modmath import (
-    MAX_WINDOW,
     OddPrime,
     _certified,
     eighth_root_of_unity,
@@ -32,6 +32,7 @@ from .modmath import (
     primes_in_range,
     split_roots,
     sqrt_mod,
+    windows,
 )
 from .oracles import class_number, delta_box_search, r3, rep_x2_32y2, tunnell_a
 from .quartic import DeltaSolution, PrimeAboveP, UNIT_NORM_ONE, embed, solve_delta
@@ -57,9 +58,9 @@ def _fail(suite: str, checked: int, counterexample: str) -> SuiteResult:
 def _certified_primes(lo: int, hi: int, m: int = 2, r: int = 1) -> Iterator[OddPrime]:
     """The odd primes of [lo, hi] that are r mod m, as OddPrimes that
     primes_in_range has certified, so no walk tests one again; [lo, hi]
-    is sieved in windows of at most MAX_WINDOW numbers."""
-    for start in range(max(lo, 3), hi + 1, MAX_WINDOW):
-        for p in primes_in_range(start, min(start + MAX_WINDOW - 1, hi)):
+    is sieved in modmath.windows(lo, hi), the windows of a one-worker scan."""
+    for a, b in windows(lo, hi):
+        for p in primes_in_range(a, b):
             if p % m == r:
                 yield _certified(p)
 
@@ -543,17 +544,17 @@ ChunkResult = tuple[str, Counts, list[tuple[int, str]]]
 
 
 def classify_chunk(render: tuple[str, Callable[[Classification], str]] | None,
-                   ns: list[int]) -> ChunkResult:
-    """Classify odd primes that primes_in_range has certified, given as
-    ints: their lines ("" when render is None), the count per (v_level,
+                   lo: int, hi: int) -> ChunkResult:
+    """Sieve the odd primes of the window [max(lo, 3), hi] and classify
+    them: their lines ("" when render is None), the count per (v_level,
     w_level), and the failed primes as (p, message).  render is (head,
     line): head % p starts line(c), and the rest of the line depends on p
     only through p mod 16 and the symbols, so it is rendered once per such
-    class of the chunk.  A prime p ≢ 1 (mod 8) is settled by p mod 16
+    class of the window.  A prime p ≢ 1 (mod 8) is settled by p mod 16
     alone, so only the first of each such class is classified."""
     lines, classes, failures = [], {}, []
     head, line = render or (None, None)
-    for n in ns:
+    for n in primes_in_range(max(lo, 3), hi):
         forced = n % 8 != 1
         cls = classes.get(n % 16) if forced else None
         if cls is None:
@@ -577,12 +578,9 @@ def classify_chunk(render: tuple[str, Callable[[Classification], str]] | None,
 
 
 def level_counts(lo: int, hi: int) -> Counts:
-    """(v_level, w_level) histogram over odd primes in [lo, hi]; raises
-    ComputeFailed if one of them fails to classify."""
-    _, counts, failures = classify_chunk(None, primes_in_range(max(lo, 3), hi))
-    if failures:
-        raise ComputeFailed(failures[0][1])
-    return counts
+    """(v_level, w_level) histogram over odd primes in [lo, hi], classified
+    one by one; raises ComputeFailed if one of them fails to classify."""
+    return Counter((c.v_level, c.w_level) for c in map(classify, _certified_primes(lo, hi)))
 
 
 def density_lines(counts: Counts) -> list[str]:

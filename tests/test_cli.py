@@ -21,11 +21,11 @@ from pathlib import Path
 import pytest
 
 import congprimes
-from congprimes import cli, criteria, verify
+from congprimes import cli, criteria, modmath, verify
 from congprimes.cli import CSV_HEADER, _pool_size, main
 from congprimes.criteria import SymbolSet, classify
 from congprimes.errors import ComputeFailed, PreconditionViolation
-from congprimes.modmath import _certified, primes_in_range
+from congprimes.modmath import _certified, primes_in_range, windows
 from congprimes.verify import SuiteResult, density_lines, level_counts
 
 
@@ -192,6 +192,26 @@ def test_window_scan_bytes_are_pinned(capsys, tmp_path, fmt):
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == WINDOW_SHA256[fmt]
 
 
+@pytest.mark.parametrize("lo, hi", [(3, 200000), WINDOW])
+def test_scan_and_verify_walks_sieve_the_same_windows(capsys, tmp_path, monkeypatch, lo, hi):
+    sieved = []
+
+    def spy(a, b):
+        sieved.append((a, b))
+        return _primes(a, b)
+
+    monkeypatch.setattr(verify, "primes_in_range", spy)
+    want = windows(lo, hi)
+    assert len(want) == (16 if lo == 3 else 1)  # the window past 10^200 is not cut
+    assert [P.value for P in verify._certified_primes(lo, hi)] == [
+        p for w in want for p in _primes(*w)]
+    assert sieved == want
+    sieved.clear()
+    assert run(capsys, "scan", "--from", str(lo), "--to", str(hi),
+               "--out", str(tmp_path / "scan.csv"))[0] == 0
+    assert sieved == want
+
+
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 @pytest.mark.parametrize("lo, hi", [(3, 30000), WINDOW])
 def test_classify_chunk_matches_the_per_prime_loop(monkeypatch, fmt, lo, hi):
@@ -220,8 +240,8 @@ def test_classify_chunk_matches_the_per_prime_loop(monkeypatch, fmt, lo, hi):
         lines.append(line(c) + "\n")
         counts[c.v_level, c.w_level] += 1
     want = ("".join(lines), counts, failures)
-    assert verify.classify_chunk((head, line), ns) == want
-    assert verify.classify_chunk(None, ns) == ("",) + want[1:]
+    assert verify.classify_chunk((head, line), lo, hi) == want
+    assert verify.classify_chunk(None, lo, hi) == ("",) + want[1:]
 
 
 def test_classify_runs_once_per_forced_class_and_per_split_prime(monkeypatch):
@@ -234,14 +254,14 @@ def test_classify_runs_once_per_forced_class_and_per_split_prime(monkeypatch):
         return real(p)
 
     monkeypatch.setattr(verify, "classify", spy)
-    for lo, hi in cli._windows(3, 30000):
+    for lo, hi in windows(3, 30000):
         ns, classes, want = primes_in_range(lo, hi), set(), []
         for n in ns:
             if n % 8 == 1 or n % 16 not in classes:
                 want.append(n)
                 classes.add(n % 16)
         seen.clear()
-        verify.classify_chunk(cli._RENDERERS["csv"], ns)
+        verify.classify_chunk(cli._RENDERERS["csv"], lo, hi)
         assert seen == want
         assert len(want) == 6 + sum(n % 8 == 1 for n in ns)
 
@@ -309,10 +329,10 @@ def pools(monkeypatch):
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_chunked_scan_matches_across_worker_counts(capsys, tmp_path, monkeypatch, pools, fmt):
     ns = primes_in_range(3, 30000)
-    chunks = -(-len(ns) // cli.SCAN_CHUNK)
+    chunks = -(-len(ns) // modmath.SCAN_CHUNK)
     bad = next(n for n in ns[len(ns) // 2:] if n % 8 == 1)
     assert len(ns) == 3244 and chunks >= 3
-    assert 0 < ns.index(bad) // cli.SCAN_CHUNK < chunks - 1  # a middle chunk
+    assert 0 < ns.index(bad) // modmath.SCAN_CHUNK < chunks - 1  # a middle chunk
 
     def failing(p, real=verify.classify):
         if int(p) == bad:
@@ -343,37 +363,37 @@ def test_scan_starts_at_most_one_process_per_worker_cpu_and_chunk(capsys, tmp_pa
                    str(tmp_path / "scan.csv"), "--workers", "8")[0]
 
     cpus(monkeypatch, 8)
-    assert len(primes_in_range(3, 5000)) <= cli.SCAN_CHUNK
+    assert len(primes_in_range(3, 5000)) <= modmath.SCAN_CHUNK
     assert scan(5000) == 0 and pools == [0]  # one chunk runs in this process
-    assert -(-len(primes_in_range(3, 10000)) // cli.SCAN_CHUNK) == 2
+    assert -(-len(primes_in_range(3, 10000)) // modmath.SCAN_CHUNK) == 2
     assert scan(10000) == 0 and pools == [0, 1]  # two chunks: two processes, not eight
     cpus(monkeypatch, 1)
     assert scan(10000) == 0 and pools == [0, 1, 0]  # one CPU: one process
 
 
 def test_windows_cover_the_range_and_are_capped(monkeypatch):
-    assert cli._windows(3, 2) == []
+    assert windows(3, 2) == []
     for lo, hi in [(3, 5000), (3, 200000), (10**12, 10**12 + 10**7 - 1), WINDOW]:
-        windows = cli._windows(lo, hi)
-        assert windows[0][0] == lo and windows[-1][1] == hi
-        assert all(b + 1 == c for (_, b), (c, _) in zip(windows, windows[1:]))
-    per_window = len(primes_in_range(3, 200000)) / len(cli._windows(3, 200000))
-    assert cli.SCAN_CHUNK <= per_window <= 1.2 * cli.SCAN_CHUNK
+        cut = windows(lo, hi)
+        assert cut[0][0] == lo and cut[-1][1] == hi
+        assert all(b + 1 == c for (_, b), (c, _) in zip(cut, cut[1:]))
+    per_window = len(primes_in_range(3, 200000)) / len(windows(3, 200000))
+    assert modmath.SCAN_CHUNK <= per_window <= 1.2 * modmath.SCAN_CHUNK
     # past about 2 * 10^7 the sieve's base loop sets the width: 4 * 10^5 at 10^10
-    assert [b - a + 1 for a, b in cli._windows(10**10 - 10**7 + 1, 10**10)] == [4 * 10**5] * 25
-    assert len(cli._windows(10**10 - 10**6 + 1, 10**10, 2)) == 8  # unless < 4 per process
-    monkeypatch.setattr(cli, "SCAN_CHUNK", 10**6)  # never wider than MAX_WINDOW
-    assert cli._windows(3, 3 * 10**7) == [(3, 10**7 + 2), (10**7 + 3, 2 * 10**7 + 2),
-                                          (2 * 10**7 + 3, 3 * 10**7)]
+    assert [b - a + 1 for a, b in windows(10**10 - 10**7 + 1, 10**10)] == [4 * 10**5] * 25
+    assert len(windows(10**10 - 10**6 + 1, 10**10, 2)) == 8  # unless < 4 per process
+    monkeypatch.setattr(modmath, "SCAN_CHUNK", 10**6)  # never wider than MAX_WINDOW
+    assert windows(3, 3 * 10**7) == [(3, 10**7 + 2), (10**7 + 3, 2 * 10**7 + 2),
+                                     (2 * 10**7 + 3, 3 * 10**7)]
 
 
 @pytest.mark.parametrize("chunk, span", [(16, 0), (100, 0), (1, 4)])
 def test_scan_bytes_do_not_depend_on_the_window_size(capsys, tmp_path, monkeypatch, pools,
                                                      chunk, span):
-    monkeypatch.setattr(cli, "SCAN_CHUNK", chunk)
-    monkeypatch.setattr(cli, "BASE_SPAN", span)
+    monkeypatch.setattr(modmath, "SCAN_CHUNK", chunk)
+    monkeypatch.setattr(modmath, "BASE_SPAN", span)
     cpus(monkeypatch, 2)
-    assert len(cli._windows(3, 200000)) > 100
+    assert len(windows(3, 200000)) > 100
     for workers in ("1", "2"):
         out_path = tmp_path / f"scan{workers}.csv"
         assert run(capsys, "scan", "--from", "3", "--to", "200000", "--out", str(out_path),
@@ -385,10 +405,10 @@ def test_scan_bytes_do_not_depend_on_the_window_size(capsys, tmp_path, monkeypat
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_window_scan_bytes_are_pinned_when_both_shards_certify(capsys, tmp_path, monkeypatch,
                                                                pools, fmt):
-    monkeypatch.setattr(cli, "SCAN_CHUNK", 1)  # windows of about 460 numbers
-    monkeypatch.setattr(cli, "BASE_SPAN", 0)
+    monkeypatch.setattr(modmath, "SCAN_CHUNK", 1)  # windows of about 460 numbers
+    monkeypatch.setattr(modmath, "BASE_SPAN", 0)
     cpus(monkeypatch, 2)
-    assert len(cli._windows(*WINDOW)) == 3
+    assert len(windows(*WINDOW)) == 3
     out_path = tmp_path / f"window.{fmt}"
     assert run(capsys, "scan", "--from", str(WINDOW[0]), "--to", str(WINDOW[1]),
                "--out", str(out_path), "--format", fmt, "--workers", "2")[0] == 0
@@ -419,24 +439,24 @@ def deadline(seconds):
 DEAD_WORKER_PRIME = 15017  # ≡ 1 (mod 8), in window 1 of 3..30000, so worker 2's
 
 
-def _dying_chunk(render, ns):
-    """verify.classify_chunk, but a worker process handed DEAD_WORKER_PRIME
-    exits with code 9; module-level, so a pool could pickle it too."""
-    if multiprocessing.parent_process() is not None and DEAD_WORKER_PRIME in ns:
+def _dying_chunk(render, lo, hi):
+    """verify.classify_chunk, but a worker process handed DEAD_WORKER_PRIME's
+    window exits with code 9; module-level, so a pool could pickle it too."""
+    if multiprocessing.parent_process() is not None and lo <= DEAD_WORKER_PRIME <= hi:
         os._exit(9)
-    return verify.classify_chunk(render, ns)
+    return verify.classify_chunk(render, lo, hi)
 
 
-def _dying_in_send(render, ns):
+def _dying_in_send(render, lo, hi):
     """verify.classify_chunk, but the worker process handed DEAD_WORKER_PRIME
     exits with code 9 half a second later, while it is blocked sending that
     window: the window holding 3 holds the scan back for a second before it,
     in whichever process runs it."""
-    if 3 in ns:
+    if lo <= 3 <= hi:
         time.sleep(1)
-    elif multiprocessing.parent_process() is not None and DEAD_WORKER_PRIME in ns:
+    elif multiprocessing.parent_process() is not None and lo <= DEAD_WORKER_PRIME <= hi:
         threading.Timer(0.5, os._exit, (9,)).start()
-    return verify.classify_chunk(render, ns)
+    return verify.classify_chunk(render, lo, hi)
 
 
 @pytest.mark.parametrize("fmt, how", [
@@ -469,16 +489,16 @@ def test_a_dead_worker_is_reported_not_waited_on(capsys, tmp_path, monkeypatch, 
     finally:
         for fd in held:
             os.close(fd)
-    windows = cli._windows(3, 30000)
-    assert len(windows) == 3 and windows[1][0] <= bad <= windows[1][1]
+    cut = windows(3, 30000)
+    assert len(cut) == 3 and cut[1][0] <= bad <= cut[1][1]
     assert code == 2
     assert out == ""
     assert err == "compute failed: worker 2 exited with code 9\n"
     assert multiprocessing.active_children() == []
     rows = out_path.read_text().splitlines()[fmt == "csv":]
-    assert len(rows) == len(primes_in_range(*windows[0]))
+    assert len(rows) == len(primes_in_range(*cut[0]))
     if how == "exit mid-send":
-        text = verify.classify_chunk(cli._RENDERERS[fmt], primes_in_range(*windows[1]))[0]
+        text = verify.classify_chunk(cli._RENDERERS[fmt], *cut[1])[0]
         assert len(text) > 2 * 65536  # twice a Linux pipe's default buffer
 
 
@@ -520,7 +540,7 @@ def test_an_exception_in_a_worker_is_raised_as_in_one_process(capsys, tmp_path, 
     workers, and no traceback from the worker."""
     bad = DEAD_WORKER_PRIME  # in window 1, so worker 2's
     rows, raised = _raising_scans(capsys, tmp_path, monkeypatch, bad)
-    assert rows == len(primes_in_range(*cli._windows(3, 30000)[0]))
+    assert rows == len(primes_in_range(*windows(3, 30000)[0]))
     assert "in raising" in str(raised.__cause__)  # the worker's traceback
     assert pools == [0, 1, 0, 1]
 
@@ -529,10 +549,10 @@ def test_an_exception_in_this_process_ends_the_scan_as_at_one_worker(capsys, tmp
                                                                       monkeypatch, pools):
     """At 2 workers this process runs window 2 of 3..30000 itself; what it
     raises there ends the scan as at one worker, and stops the shard."""
-    windows = cli._windows(3, 30000)
-    bad = next(n for n in primes_in_range(*windows[2]) if n % 8 == 1)
+    cut = windows(3, 30000)
+    bad = next(n for n in primes_in_range(*cut[2]) if n % 8 == 1)
     rows, raised = _raising_scans(capsys, tmp_path, monkeypatch, bad)
-    assert rows == sum(len(primes_in_range(*w)) for w in windows[:2])
+    assert rows == sum(len(primes_in_range(*w)) for w in cut[:2])
     assert raised.__cause__ is None  # raised here, not sent by a worker
     assert pools == [0, 1, 0, 1]
 
@@ -541,25 +561,25 @@ def test_this_process_runs_every_other_window_at_two_workers(capsys, tmp_path, m
                                                              pools):
     log = tmp_path / "pids"
 
-    def logged(render, ns, real=cli.classify_chunk):
+    def logged(render, lo, hi, real=cli.classify_chunk):
         with open(log, "a") as fh:  # appends of a short line do not interleave
-            fh.write(f"{ns[0]} {os.getpid()}\n")
-        return real(render, ns)
+            fh.write(f"{lo} {os.getpid()}\n")
+        return real(render, lo, hi)
 
     monkeypatch.setattr(cli, "classify_chunk", logged)
     cpus(monkeypatch, 2)
-    windows = cli._windows(3, 30000)
-    assert len(windows) == 3
+    cut = windows(3, 30000)
+    assert len(cut) == 3
     assert run(capsys, "scan", "--from", "3", "--to", "30000", "--out",
                str(tmp_path / "scan.csv"), "--workers", "2")[0] == 0
     pid = dict(map(int, line.split()) for line in log.read_text().splitlines())
-    first, second, third = (pid.pop(primes_in_range(*w)[0]) for w in windows)
+    first, second, third = (pid.pop(lo) for lo, _ in cut)
     assert first == third == os.getpid() != second and pid == {}
     assert pools == [1]
 
 
 def test_density_walks_its_windows_in_this_process(capsys, pools):
-    assert len(cli._windows(3, 30000)) == 3
+    assert len(windows(3, 30000)) == 3
     code, out, _ = run(capsys, "density", "--from", "3", "--to", "30000")
     assert code == 0
     assert out.splitlines() == density_lines(level_counts(3, 30000))
@@ -626,7 +646,7 @@ def test_scan_rejects_fewer_than_one_worker(capsys, tmp_path, workers):
 
 
 def test_scan_walks_a_range_wider_than_max_window(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "MAX_WINDOW", 5 * 10**4)
+    monkeypatch.setattr(modmath, "MAX_WINDOW", 5 * 10**4)
     cpus(monkeypatch, 2)
     for workers in ("1", "2"):
         out_path = tmp_path / f"scan{workers}.csv"

@@ -4,6 +4,8 @@ The acceptance tests run the same suites at their full limits; here we
 only pin the plumbing (dispatch, result shape, determinism, counting).
 """
 
+from collections import Counter
+
 import pytest
 import sympy
 
@@ -16,6 +18,7 @@ from congprimes.verify import (
     SUITES,
     SuiteResult,
     _certified_primes,
+    classify_chunk,
     density_lines,
     level_counts,
     run_delta,
@@ -81,12 +84,36 @@ def test_density_lines_fraction_present():
 @pytest.mark.parametrize("lo, hi", [(3, 50000), (17, 4017)])
 @pytest.mark.parametrize("m", [2, 8])
 def test_range_walks_cross_the_sieve_window(monkeypatch, lo, hi, m):
-    for module in (modmath, verify):
-        monkeypatch.setattr(module, "MAX_WINDOW", 1000)
+    monkeypatch.setattr(modmath, "MAX_WINDOW", 1000)
     with pytest.raises(PreconditionViolation):
         primes_in_range(3, 1003)  # the cap is in force
     walked = [P.value for P in _certified_primes(lo, hi, m, 1)]
     assert walked == [p for p in sympy.primerange(lo, hi + 1) if p % m == 1]
+
+
+def test_level_counts_walk_a_range_wider_than_the_sieve_window(monkeypatch):
+    monkeypatch.setattr(modmath, "MAX_WINDOW", 1000)
+    want = Counter((c.v_level, c.w_level) for c in map(classify, sympy.primerange(3, 50001)))
+    assert level_counts(3, 50000) == want
+
+
+def test_classify_chunk_sieves_its_own_window(monkeypatch):
+    """Only the odd primes of the window reach _certified: no 2, no composite."""
+    certified = []
+
+    def spy(n, real=modmath._certified):
+        certified.append(n)
+        return real(n)
+
+    monkeypatch.setattr(verify, "_certified", spy)
+    _, counts, failures = classify_chunk(None, 1, 30)
+    odd_primes = list(sympy.primerange(3, 31))
+    assert counts == Counter((c.v_level, c.w_level) for c in map(classify, odd_primes))
+    assert failures == [] and sum(counts.values()) == 9
+    assert certified and set(certified) <= set(odd_primes)
+    certified.clear()
+    assert classify_chunk(None, 15, 15) == ("", {}, [])
+    assert certified == []
 
 
 def test_run_delta_takes_the_roots_once_per_prime(monkeypatch):
