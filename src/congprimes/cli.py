@@ -2,9 +2,10 @@
 
 Subcommands: classify one prime, scan a range to CSV/JSONL, run a
 verification suite, print a level-density table, or rerun the headline
-200-digit reference computations.  A scan with W workers runs every W-th
-of its modmath.windows itself and the rest in W - 1 shard processes; it renders
-each row's tail, all of it but p, once per (p mod 16, symbols) class of a window.
+200-digit reference computations.  scan and density run
+verify.classify_chunk on each window of their range through verify.walk,
+which renders each row's tail, all of it but p, once per (p mod 16,
+symbols) class of a window; this module parses, renders and reports.
 
 Exit codes: 0 success, 1 usage error, 2 compute failure, 3 verification
 mismatch.
@@ -14,18 +15,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
-import os
 import sys
 from collections import Counter
-from contextlib import closing, contextmanager, suppress
-from multiprocessing.connection import wait
-from multiprocessing.pool import ExceptionWithTraceback
-from typing import Iterable, Iterator, NamedTuple
+from contextlib import closing
+from functools import partial
+from typing import Iterable, NamedTuple
 
-from .criteria import Classification, classify
+from .criteria import V_CEILING, W_CEILING, Classification, classify
 from .errors import BoundExceeded, ComputeFailed, PreconditionViolation
-from .modmath import windows
 from .verify import (
     DEFAULT_LIMITS,
     SUITES,
@@ -35,10 +32,8 @@ from .verify import (
     density_lines,
     run_reference_scan,
     run_suite,
+    walk,
 )
-
-V_CEILING = 4
-W_CEILING = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -106,12 +101,6 @@ def cmd_classify(args) -> int:
 
 # -------------------------------------------------------------------- scan
 
-def _pool_size(workers: int) -> int:
-    """Processes to start for a requested worker count: at most one per usable CPU."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(workers, cpus or 1)
-
-
 # the row renderers of a scan; module-level, so that they pickle where fork is missing
 def _csv_line(c: Classification) -> str:
     return ScanRow.from_classification(c).csv_line()
@@ -123,65 +112,6 @@ def _json_line(c: Classification) -> str:
 
 # (head, line) for verify.classify_chunk: head % p is the start of line(c)
 _RENDERERS = {"csv": ("%d,", _csv_line), "jsonl": ('{"p": %d, ', _json_line)}
-
-
-def _shard(render: tuple | None, spans: list[tuple[int, int]], writer) -> None:
-    """A shard process: send its windows' ChunkResults, or what stopped it, down its pipe."""
-    try:
-        for lo, hi in spans:
-            writer.send(classify_chunk(render, lo, hi))
-    except Exception as exc:  # raised in the parent, with this traceback as its cause
-        writer.send(ExceptionWithTraceback(exc, exc.__traceback__))
-
-
-@contextmanager
-def _shards(render: tuple | None, spans: list[tuple[int, int]], workers: int):
-    """Start shards 1, ..., workers - 1 of `workers`, shard w on windows w,
-    w + workers, ...; shard 0 is the calling process.  End them on exit."""
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        ctx = multiprocessing.get_context()
-    shards = []
-    try:
-        for w in range(1, workers):
-            reader, writer = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_shard, args=(render, spans[w::workers], writer),
-                               name=f"worker {w + 1}", daemon=True)
-            proc.start()
-            writer.close()  # the shard's is then the only write end
-            shards.append((proc, reader))
-        yield shards
-    finally:
-        for proc, reader in shards:
-            proc.terminate()
-            proc.join()
-            reader.close()
-
-
-def _scan_results(lo: int, hi: int, workers: int, render: tuple | None) -> Iterator[ChunkResult]:
-    """verify.classify_chunk over each of modmath.windows(lo, hi), in order.
-    Given W workers, CPUs and windows, this process runs window i when W
-    divides i; otherwise shard i mod W runs it in a process of its own."""
-    processes = _pool_size(workers)
-    spans = windows(lo, hi, processes)
-    workers = min(processes, len(spans))
-    with _shards(render, spans, workers) as shards:
-        for i, (a, b) in enumerate(spans):
-            if i % workers == 0:
-                yield classify_chunk(render, a, b)
-                continue
-            proc, reader = shards[i % workers - 1]
-            wait([reader, proc.sentinel])  # no EOF if another process holds a write end
-            result = None
-            with suppress(EOFError, OSError):  # EOF: the shard died, maybe mid-message
-                result = reader.recv() if reader.poll() else None
-            if result is None:
-                proc.join()
-                raise ComputeFailed(f"{proc.name} exited with code {proc.exitcode}")
-            if isinstance(result, Exception):
-                raise result  # as window i would raise in this process
-            yield result
 
 
 def _report(results: Iterable[ChunkResult], write=None, out: str | None = None) -> int:
@@ -222,7 +152,7 @@ def cmd_scan(args) -> int:
         fh = open(args.out, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise PreconditionViolation(f"cannot write {args.out}: {exc.strerror}") from None
-    results = _scan_results(lo, hi, args.workers, _RENDERERS[args.format])
+    results = walk(partial(classify_chunk, _RENDERERS[args.format]), lo, hi, args.workers)
     with fh, closing(results):
         if args.format == "csv":
             fh.write(CSV_HEADER + "\n")
@@ -252,7 +182,7 @@ def cmd_verify(args) -> int:
 # ----------------------------------------------------------------- density
 
 def cmd_density(args) -> int:
-    results = _scan_results(*_span(args), args.workers, None)
+    results = walk(partial(classify_chunk, None), *_span(args), args.workers)
     with closing(results):
         return _report(results)
 

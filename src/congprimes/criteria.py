@@ -66,6 +66,9 @@ class Classification(NamedTuple):
     sha_report: ShaReport
 
 
+V_CEILING = 4  # the deepest v_level and w_level certified: "at least" these
+W_CEILING = 3
+
 _NOT_SPLIT = SymbolSet()  # p ≢ 1 (mod 8)
 _INERT = SymbolSet(chi_1pi=-1)  # (1+i'/p) = -1
 
@@ -96,7 +99,7 @@ def _symbols(p: OddPrime) -> SymbolSet:
 
 
 def v_level(p: int | OddPrime) -> tuple[int, SymbolSet]:
-    """Certified 2-adic depth of h(-4p), capped at 4."""
+    """Certified 2-adic depth of h(-4p), capped at V_CEILING."""
     c = classify(p)
     return c.v_level, c.symbols
 
@@ -123,13 +126,13 @@ def _rule(m8: int, syms: SymbolSet) -> tuple:
     elif syms.chi_1pi != 1:
         v = 2
     else:
-        v = 4 if syms.chi_alpha_delta == 1 else 3
+        v = V_CEILING if syms.chi_alpha_delta == 1 else 3
     if m8 != 1:
         w = None
     elif syms.chi_1pi != 1:
         w = 1
     else:
-        w = 3 if syms.chi_zeta_alpha_delta == 1 else 2
+        w = W_CEILING if syms.chi_zeta_alpha_delta == 1 else 2
 
     if m8 in (5, 7):
         status, sha = CongruentStatus.CONGRUENT_MONSKY, ShaReport.SHA2_TRIVIAL_KNOWN

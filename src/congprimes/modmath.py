@@ -34,7 +34,6 @@ _PRIMORIAL = prod(_SMALL_PRIMES)
 
 # Deterministic Miller-Rabin witness tiers (each proven complete for its range).
 _MR_TIERS = (
-    (2_047, (2,)),
     (1_373_653, (2, 3)),
     (9_080_191, (31, 73)),
     (25_326_001, (2, 3, 5)),

@@ -1,26 +1,28 @@
 """Verification suites: every fast criterion in the package recomputed
-against an independent route.
+against an independent route, and walk, the package's one range walk.
 
 Each suite walks a range (or a seeded random family), compares the
 symbol-based classification with brute-force oracles or with alternate
-derivations, and reports the first counterexample if any.  A range
-walk takes its primes certified from the sieve, in the scan's windows
-(modmath.windows), and tests none again.  The engines here back the
-`verify` / `paper-check` CLI commands and the acceptance tests;
-classify_chunk, the one classify loop of `scan` and `density`, sieves a
-window and renders each row's tail once per (p mod 16, symbols) class.
+derivations, and reports the first counterexample if any.  walk runs a
+job on each of modmath.windows of a range, here or in shard processes:
+scan, density, level_counts, paper-check and the range suites all use
+it, and no suite tests a prime that the sieve certified again.
+classify_chunk, the job of `scan` and `density`, sieves a window and
+renders each row's tail once per (p mod 16, symbols) class.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import chain
 from math import isqrt, prod
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .criteria import Classification, CongruentStatus, ShaReport, classify
+from .criteria import V_CEILING, Classification, CongruentStatus, ShaReport, classify
 from .els import cover, lemma_symbol_prediction, locally_solvable_at_p
 from .errors import ComputeFailed, PreconditionViolation
 from .gaussian import GaussianInt, ONE_PLUS_I, gi_symbol, primary_associate, two_squares
@@ -35,7 +37,7 @@ from .modmath import (
     windows,
 )
 from .oracles import class_number, delta_box_search, r3, rep_x2_32y2, tunnell_a
-from .quartic import DeltaSolution, PrimeAboveP, UNIT_NORM_ONE, embed, solve_delta
+from .quartic import PrimeAboveP, UNIT_NORM_ONE, embed, solve_delta
 
 # The acceptance tests import this name.  It is classify itself, uncached:
 # no walk classifies a prime twice, and a cache would grow with the range.
@@ -55,45 +57,120 @@ def _fail(suite: str, checked: int, counterexample: str) -> SuiteResult:
     return SuiteResult(suite, False, checked, counterexample=counterexample)
 
 
+# ------------------------------------------------------------------ walk
+
+def _pool_size(workers: int) -> int:
+    """Processes to start for a requested worker count: at most one per usable CPU."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(workers, cpus or 1)
+
+
+def _shard(job: Callable[[int, int], object], spans: list[tuple[int, int]], writer) -> None:
+    """A shard process: send job(a, b) for each of its windows, or what stopped it, down its pipe."""
+    try:
+        for a, b in spans:
+            writer.send(job(a, b))
+    except Exception as exc:  # raised by the walk, with this traceback as its cause
+        from multiprocessing.pool import ExceptionWithTraceback
+        writer.send(ExceptionWithTraceback(exc, exc.__traceback__))
+
+
+def walk(job: Callable[[int, int], object], lo: int, hi: int, workers: int = 1) -> Iterator:
+    """job(a, b) on each window (a, b) of modmath.windows(lo, hi, processes), in
+    order.  Given W workers, CPUs and windows, this process runs window i when W
+    divides i; otherwise shard i mod W, one of W - 1 shard processes started by
+    the walk and ended with it, runs it and sends the result down its pipe.  A
+    shard that dies raises ComputeFailed; what a shard raises is raised here."""
+    processes = _pool_size(workers)
+    spans = windows(lo, hi, processes)
+    workers = min(processes, len(spans))
+    shards = []
+    try:
+        if workers > 1:  # imported here only: it would add a third to `import congprimes`
+            import multiprocessing
+            from multiprocessing.connection import wait
+            try:
+                ctx = multiprocessing.get_context("fork")
+            except ValueError:
+                ctx = multiprocessing.get_context()
+            for w in range(1, workers):
+                reader, writer = ctx.Pipe(duplex=False)
+                proc = ctx.Process(target=_shard, args=(job, spans[w::workers], writer),
+                                   name=f"worker {w + 1}", daemon=True)
+                proc.start()
+                writer.close()  # the shard's is then the only write end
+                shards.append((proc, reader))
+        for i, (a, b) in enumerate(spans):
+            if i % workers == 0:
+                yield job(a, b)
+                continue
+            proc, reader = shards[i % workers - 1]
+            wait([reader, proc.sentinel])  # no EOF if another process holds a write end
+            result = None
+            with suppress(EOFError, OSError):  # EOF: the shard died, maybe mid-message
+                result = reader.recv() if reader.poll() else None
+            if result is None:
+                proc.join()
+                raise ComputeFailed(f"{proc.name} exited with code {proc.exitcode}")
+            if isinstance(result, Exception):
+                raise result  # as window i would raise in this process
+            yield result
+    finally:
+        for proc, reader in shards:
+            proc.terminate()
+            proc.join()
+            reader.close()
+
+
 def _certified_primes(lo: int, hi: int, m: int = 2, r: int = 1) -> Iterator[OddPrime]:
     """The odd primes of [lo, hi] that are r mod m, as OddPrimes that
     primes_in_range has certified, so no walk tests one again; [lo, hi]
-    is sieved in modmath.windows(lo, hi), the windows of a one-worker scan."""
-    for a, b in windows(lo, hi):
-        for p in primes_in_range(a, b):
+    is sieved in the windows of a one-worker walk."""
+    for ps in walk(primes_in_range, lo, hi):
+        for p in ps:
             if p % m == r:
                 yield _certified(p)
+
+
+def _range_suite(name: str, primes: Iterable, check: Callable[..., str | None],
+                 line: str) -> SuiteResult:
+    """check each of primes in turn: the first counterexample check names,
+    with the number of primes that passed before it, or a pass whose line
+    is that number followed by line."""
+    checked = 0
+    for P in primes:
+        if err := check(P):
+            return _fail(name, checked, err)
+        checked += 1
+    return SuiteResult(name, True, checked, lines=[f"{checked} {line}"])
 
 
 # ---------------------------------------------------------------- suites
 
 def run_class_numbers(limit: int, seed: int = 0) -> SuiteResult:
     """v_level equals min(v2(h(-4p)), 4) for every p ≡ 1 mod 4 below limit."""
-    checked = 0
-    for P in _certified_primes(3, limit - 1, 4, 1):
-        fc = class_number(P, bound=max(limit, 10**6))
-        v = classify(P).v_level
-        checked += 1
-        if min(fc.v2, 4) != v:
-            return _fail("class-numbers", checked,
-                         f"p={P}: v_level={v} but h(-4p)={fc.h} has v2={fc.v2}")
-    return SuiteResult("class-numbers", True, checked,
-                       lines=[f"{checked} primes ≡ 1 mod 4 below {limit}: "
-                              "v_level matches the form-count 2-valuation"])
+    bound = max(limit, 10**6)
+
+    def check(P: OddPrime) -> str | None:
+        fc, v = class_number(P, bound=bound), classify(P).v_level
+        return (f"p={P}: v_level={v} but h(-4p)={fc.h} has v2={fc.v2}"
+                if min(fc.v2, V_CEILING) != v else None)
+
+    return _range_suite("class-numbers", _certified_primes(3, limit - 1, 4, 1), check,
+                        f"primes ≡ 1 mod 4 below {limit}: "
+                        "v_level matches the form-count 2-valuation")
 
 
 def run_three_squares(limit: int, seed: int = 0) -> SuiteResult:
     """r3(p) = 12 h(-4p) for every p ≡ 1 mod 4 below limit."""
-    checked = 0
     bound = max(limit, 10**6)
-    for P in _certified_primes(3, limit - 1, 4, 1):
-        r = r3(P.value, bound=bound)
-        h = class_number(P, bound=bound).h
-        checked += 1
-        if r != 12 * h:
-            return _fail("three-squares", checked, f"p={P}: r3={r}, 12h={12 * h}")
-    return SuiteResult("three-squares", True, checked,
-                       lines=[f"{checked} primes: r3(p) = 12 h(-4p)"])
+
+    def check(P: OddPrime) -> str | None:
+        r, h = r3(P.value, bound=bound), class_number(P, bound=bound).h
+        return f"p={P}: r3={r}, 12h={12 * h}" if r != 12 * h else None
+
+    return _range_suite("three-squares", _certified_primes(3, limit - 1, 4, 1), check,
+                        "primes: r3(p) = 12 h(-4p)")
 
 
 def run_tunnell(limit: int, seed: int = 0) -> SuiteResult:
@@ -106,7 +183,7 @@ def run_tunnell(limit: int, seed: int = 0) -> SuiteResult:
     """
     a41 = tunnell_a(41)
     if a41 != 0:
-        return _fail("tunnell", 1, f"a_41 = {a41}, expected 0")
+        return _fail("tunnell", 0, f"a_41 = {a41}, expected 0")
     stats = {1: [0, 0], 2: [0, 0]}
     bound = max(limit, 10**6)
     for P in _certified_primes(17, limit - 1, 8, 1):
@@ -130,27 +207,24 @@ def run_tunnell(limit: int, seed: int = 0) -> SuiteResult:
 def run_els(limit: int, seed: int = 0) -> SuiteResult:
     """Both quartic covers: root existence mod p, the symbol prediction,
     and chi_1pi all coincide; plus legendre(1+sqrt2) = legendre(1+i)."""
-    checked = 0
-    for P in _certified_primes(17, limit - 1, 8, 1):
+    def check(P: OddPrime) -> str | None:
         p = P.value
-        i2 = sqrt_mod(-1, P)
-        chi = legendre(1 + i2, P)
+        chi = legendre(1 + sqrt_mod(-1, P), P)
         expected = chi == 1
         for label in ("D1", "D2"):
             c = cover(label, P)
             root = locally_solvable_at_p(c)
             sym = lemma_symbol_prediction(c)
             if root != expected or sym != expected:
-                return _fail("els", checked,
-                             f"p={p} {label}: root={root}, symbol={sym}, "
-                             f"chi_1pi={chi}")
+                return f"p={p} {label}: root={root}, symbol={sym}, chi_1pi={chi}"
         s2 = sqrt_mod(2, P)
         if legendre(1 + s2, P) != chi or legendre(1 + (p - s2), P) != chi:
-            return _fail("els", checked, f"p={p}: (1+sqrt2 | p) != (1+i | p)")
-        checked += 1
-    return SuiteResult("els", True, checked,
-                       lines=[f"{checked} primes ≡ 1 mod 8 below {limit}: "
-                              "cover solvability = symbol prediction = chi_1pi"])
+            return f"p={p}: (1+sqrt2 | p) != (1+i | p)"
+        return None
+
+    return _range_suite("els", _certified_primes(17, limit - 1, 8, 1), check,
+                        f"primes ≡ 1 mod 8 below {limit}: "
+                        "cover solvability = symbol prediction = chi_1pi")
 
 
 def _delta_symbols(delta, P: OddPrime, above, z: int) -> set[tuple[int, int]]:
@@ -179,10 +253,8 @@ def run_delta(limit: int, seed: int = 0, extra: tuple[int, ...] = ()) -> SuiteRe
     admissible primes, both eighth-root signs, unit multiples of delta,
     -delta, and (below DELTA_BOX_LIMIT) the exhaustive box-search solution.
     """
-    checked = 0
-    for P in chain(_certified_primes(17, limit - 1, 8, 1), map(OddPrime, extra)):
-        if P.value % 8 != 1 or (roots := split_roots(P)).r is None:
-            continue
+    def check(split: tuple) -> str | None:
+        P, roots = split
         p = P.value
         sol = solve_delta(P, roots)
         above = [PrimeAboveP(P, r) for r in sorted(roots.quartic())]
@@ -194,27 +266,23 @@ def run_delta(limit: int, seed: int = 0, extra: tuple[int, ...] = ()) -> SuiteRe
         if p < DELTA_BOX_LIMIT:
             bs = delta_box_search(P, isqrt(4 * p) + 2)
             if bs is None:
-                return _fail("delta", checked, f"p={p}: box search found nothing")
+                return f"p={p}: box search found nothing"
             syms |= _delta_symbols(bs.delta, P, above, z)
-        checked += 1
-        if len(syms) != 1:
-            return _fail("delta", checked, f"p={p}: symbol sets differ: {syms}")
-    return SuiteResult("delta", True, checked,
-                       lines=[f"{checked} split primes below {limit}: symbols "
-                              "independent of every admissible choice"])
+        return f"p={p}: symbol sets differ: {syms}" if len(syms) != 1 else None
+
+    primes = chain(_certified_primes(17, limit - 1, 8, 1), map(OddPrime, extra))
+    split = ((P, roots) for P in primes
+             if P.value % 8 == 1 and (roots := split_roots(P)).r is not None)
+    return _range_suite("delta", split, check, f"split primes below {limit}: "
+                        "symbols independent of every admissible choice")
 
 
 def run_invariants(limit: int, seed: int = 0) -> SuiteResult:
     """Structural laws tying the two level functions together."""
-    checked = 0
-    for P in _certified_primes(3, limit - 1):
-        err = _check_one_invariant(P, classify(P))
-        if err:
-            return _fail("invariants", checked, err)
-        checked += 1
-    return SuiteResult("invariants", True, checked,
-                       lines=[f"{checked} primes below {limit}: level chain, "
-                              "V(3)=W(2), XOR law, symbol product, x^2+32y^2"])
+    return _range_suite("invariants", _certified_primes(3, limit - 1),
+                        lambda P: _check_one_invariant(P, classify(P)),
+                        f"primes below {limit}: level chain, "
+                        "V(3)=W(2), XOR law, symbol product, x^2+32y^2")
 
 
 def _check_one_invariant(P: OddPrime, c: Classification) -> str | None:

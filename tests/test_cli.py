@@ -8,6 +8,7 @@ import functools
 import hashlib
 import json
 import multiprocessing.connection
+import multiprocessing.process
 import os
 import signal
 import subprocess
@@ -22,11 +23,11 @@ import pytest
 
 import congprimes
 from congprimes import cli, criteria, modmath, verify
-from congprimes.cli import CSV_HEADER, _pool_size, main
+from congprimes.cli import CSV_HEADER, main
 from congprimes.criteria import SymbolSet, classify
 from congprimes.errors import ComputeFailed, PreconditionViolation
 from congprimes.modmath import _certified, primes_in_range, windows
-from congprimes.verify import SuiteResult, density_lines, level_counts
+from congprimes.verify import SuiteResult, _pool_size, density_lines, level_counts
 
 
 def run(capsys, *argv):
@@ -316,13 +317,16 @@ def pools(monkeypatch):
     """The number of shard processes each scan started besides this one."""
     started = []
 
-    @contextmanager
-    def shards(render, windows, workers, real=cli._shards):
-        with real(render, windows, workers) as procs:
-            started.append(len(procs))
-            yield procs
+    def walk(*args, real=cli.walk):
+        started.append(0)
+        return real(*args)
 
-    monkeypatch.setattr(cli, "_shards", shards)
+    def start(self, real=multiprocessing.process.BaseProcess.start):
+        started[-1] += 1
+        real(self)
+
+    monkeypatch.setattr(cli, "walk", walk)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
     return started
 
 
@@ -792,9 +796,12 @@ def test_unknown_command(capsys):
 # ---------------------------------------------------------------- library
 
 def test_import_does_not_load_the_cli():
-    code = ("import sys, congprimes; "
+    """Nor do one-worker library walks start a process or import multiprocessing."""
+    code = ("import sys, congprimes; print(sorted(m for m in ('argparse', 'multiprocessing') "
+            "if m in sys.modules)); from congprimes.verify import level_counts, run_suite; "
+            "level_counts(3, 10**5); assert run_suite('invariants', 10**4).passed; "
             "print(sorted(m for m in ('argparse', 'multiprocessing') if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=str(Path(congprimes.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines() == ["[]", "[]"]

@@ -128,3 +128,39 @@ def test_run_delta_takes_the_roots_once_per_prime(monkeypatch):
     result = run_delta(10000)
     assert result.passed and result.checked == 146
     assert calls == [p for p in primes_in_range(17, 9999) if p % 8 == 1]
+
+
+def _split(p):
+    return p % 8 == 1 and modmath.split_roots(modmath.OddPrime(p)).r is not None
+
+
+BAD = next(p for p in primes_in_range(1000, 2000) if _split(p))  # box-searched by delta
+
+# suite, the name in verify whose result turns wrong at the prime under test,
+# that prime given the call's arguments, the wrong result, and the suite's primes
+WRONG = [
+    ("class-numbers", "classify", lambda P: P, lambda c: c._replace(v_level=5),
+     lambda p: p % 4 == 1),
+    ("three-squares", "r3", lambda n, **_: n, lambda r: r + 1, lambda p: p % 4 == 1),
+    ("tunnell", "tunnell_a", lambda n, **_: n, lambda a: a + 8, lambda p: False),
+    ("els", "lemma_symbol_prediction", lambda c: c.p, lambda b: not b, lambda p: p % 8 == 1),
+    ("delta", "delta_box_search", lambda P, *_: P, lambda bs: None, _split),
+    ("delta", "_delta_symbols", lambda d, P, *_: P, lambda s: s | {(0, 0)}, _split),
+    ("invariants", "rep_x2_32y2", lambda P: P, lambda b: not b, lambda p: True),
+]
+
+
+@pytest.mark.parametrize("suite, name, prime_of, wrong, counted", WRONG,
+                         ids=[f"{suite}-{name}" for suite, name, *_ in WRONG])
+def test_checked_counts_the_primes_that_passed_before_the_counterexample(
+        monkeypatch, suite, name, prime_of, wrong, counted):
+    bad = 41 if suite == "tunnell" else BAD  # tunnell's one hard check is at 41
+
+    def injected(*args, real=getattr(verify, name), **kwargs):
+        out = real(*args, **kwargs)
+        return wrong(out) if int(prime_of(*args, **kwargs)) == bad else out
+
+    monkeypatch.setattr(verify, name, injected)
+    result = run_suite(suite, 2000)
+    assert not result.passed and str(bad) in result.counterexample
+    assert result.checked == sum(map(counted, primes_in_range(3, bad - 1)))
