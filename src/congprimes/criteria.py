@@ -74,28 +74,27 @@ _INERT = SymbolSet(chi_1pi=-1)  # (1+i'/p) = -1
 
 
 def _symbols(p: OddPrime) -> SymbolSet:
-    """Compute every applicable symbol at p, taking the roots and solving
-    for delta once, and evaluating delta on plain ints."""
+    """Every applicable symbol at p, from the roots and delta taken once, on
+    plain ints.  With A, B the images of delta's a, b under i -> i', delta
+    vanishes at r (A + B*r ≡ 0), so at the admissible root p - r it is 2A;
+    2 and -1 are squares mod p, so the symbols are (r*A/p) and (zeta*r*A/p)."""
     pv = p.value
     if pv % 8 != 1:
         return _NOT_SPLIT
     roots = split_roots(p)
-    if roots.r is None:  # 1 + i' is never 0 mod p
+    r, i_img = roots.r, roots.i_img
+    if r is None:  # 1 + i' is never 0 mod p
         return _INERT
     try:
         sol = solve_delta(p, roots)
     except GeneratorNotFound as exc:
         raise ComputeFailed(f"could not certify delta for p = {pv}") from exc
-    # delta vanishes at exactly two of the four roots; evaluate it by Horner at
-    # the smallest root where it does not (any admissible choice agrees)
-    c0, c1, c2, c3 = sol.delta.coeffs()
-    for r in sorted(roots.quartic()):
-        e = (((c3 * r + c2) * r + c1) * r + c0) % pv
-        if e:
-            break
-    if not e or (r**4 - 2 * r * r + 2) % pv:
-        raise ComputeFailed(f"no admissible root of x^4 - 2x^2 + 2 for p = {pv}")
-    return SymbolSet(1, legendre(r * e, p), legendre(roots.zeta * r * e, p))
+    A = (sol.a.re + sol.a.im * i_img) % pv
+    B = sol.b.re + sol.b.im * i_img
+    r2 = r * r % pv
+    if (r2 * r2 - 2 * r2 + 2) % pv or (r2 - 1 - i_img) % pv or (A + B * r) % pv or not A:
+        raise ComputeFailed(f"delta does not certify the symbols at r for p = {pv}")
+    return SymbolSet(1, legendre(r * A, p), legendre(roots.zeta * r * A, p))
 
 
 def v_level(p: int | OddPrime) -> tuple[int, SymbolSet]:

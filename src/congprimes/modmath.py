@@ -161,6 +161,8 @@ def windows(lo: int, hi: int, processes: int = 1) -> list[tuple[int, int]]:
     expected to hold SCAN_CHUNK primes (one number in ln hi is prime), at most
     MAX_WINDOW wide, and at least BASE_SPAN base bounds wide unless that would
     leave fewer than 4 windows per process."""
+    if processes < 1:
+        raise PreconditionViolation(f"worker count must be at least 1, got {processes}")
     lo, top = max(lo, 3), max(hi, 2)
     least = min(BASE_SPAN * min(isqrt(top), BASE_BOUND), (hi - lo) // (4 * processes) + 1)
     width = min(max(1 + int(SCAN_CHUNK * log(top)), least), MAX_WINDOW)

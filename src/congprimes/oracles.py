@@ -17,7 +17,7 @@ from math import isqrt
 from .errors import BoundExceeded, ComputeFailed, PreconditionViolation
 from .gaussian import GaussianInt, ONE_PLUS_I
 from .modmath import OddPrime, _SMALL_PRIMES, _sqrt_mod_int
-from .quartic import DeltaSolution, QuarticInt
+from .quartic import DeltaSolution
 
 DEFAULT_BOUND = 10**6
 
@@ -199,7 +199,5 @@ def delta_box_search(p: OddPrime, bound: int) -> DeltaSolution | None:
                 continue
             if a.re < 0 or (a.re == 0 and a.im < 0):
                 a = -a
-            return DeltaSolution(
-                p=p, delta=QuarticInt.from_relative(a, b), a=a, b=b
-            )
+            return DeltaSolution(p=p, a=a, b=b)
     return None

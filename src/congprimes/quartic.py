@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from math import isqrt
 
 from .errors import GeneratorNotFound, NotSplitError, PreconditionViolation
-from .gaussian import ONE_PLUS_I, GaussianInt
+from .gaussian import GaussianInt
 from .modmath import OddPrime, SplitRoots, split_roots
 
 
@@ -120,7 +120,7 @@ class QuarticInt:
     def relative_norm(self) -> GaussianInt:
         """Norm to Z[i] under alpha -> -alpha: a^2 - (1+i) b^2."""
         a, b = self.to_relative()
-        return a * a - ONE_PLUS_I * (b * b)
+        return GaussianInt(*_relative_norm(a.re, a.im, b.re, b.im))
 
     def absolute_norm(self) -> int:
         return self.relative_norm().norm()
@@ -247,22 +247,23 @@ def _reduce(p: OddPrime, roots: SplitRoots | None) -> tuple[tuple[int, ...], tup
 class DeltaSolution:
     """A certified solution a^2 - (1+i) b^2 = p: delta = a + b*alpha has
     relative norm exactly p, hence absolute norm p^2.  Construction checks
-    delta against (a, b) and the relative norm, so a DeltaSolution never
-    holds a wrong answer.  solve_delta alone skips both checks, for the
-    (a, b) whose relative norm _delta has just checked to be exactly p."""
+    the relative norm, so a DeltaSolution never holds a wrong answer.
+    solve_delta alone skips the check, for the (a, b) whose relative norm
+    _delta has just checked to be exactly p."""
 
     p: OddPrime
-    delta: QuarticInt
     a: GaussianInt
     b: GaussianInt
 
     def __post_init__(self):
-        a, b, pv = self.a, self.b, self.p.value
-        if self.delta.coeffs() != (a.re - a.im, b.re - b.im, a.im, b.im):
-            raise PreconditionViolation("delta does not match its relative form")
-        nr, ni = _relative_norm(a.re, a.im, b.re, b.im)
-        if (nr, ni) != (pv, 0):
+        a, b = self.a, self.b
+        if _relative_norm(a.re, a.im, b.re, b.im) != (self.p.value, 0):
             raise PreconditionViolation("relative norm is not exactly p")
+
+    @property
+    def delta(self) -> QuarticInt:
+        """a + b*alpha as an element of the quartic ring."""
+        return QuarticInt.from_relative(self.a, self.b)
 
 
 _BOX = [(re, im) for re in range(-2, 3) for im in range(-2, 3)]
@@ -285,8 +286,9 @@ def solve_delta(p: OddPrime, roots: SplitRoots | None = None) -> DeltaSolution:
     a*u + b*v, with a, b in the Gaussian box |re|, |im| <= 2 and u tried
     first, whose absolute norm is p^2.  Its relative norm w*p (w a unit of
     Z[i]) is rotated to exactly p by (alpha+1)^m, and the sign is fixed
-    by a.re > 0.  Las Vegas: raises GeneratorNotFound, never returns an
-    unverified answer.
+    by a.re > 0.  delta = a + b*alpha lies in the primes at r and s, so
+    a + b*r ≡ 0 (mod p) under i -> i'.  Las Vegas: raises GeneratorNotFound,
+    never returns an unverified answer.
 
     The box is complete.  Write x = a + b*alpha and, at the two complex
     places, x(beta) = a + b*beta and x(-beta) = a - b*beta with
@@ -312,9 +314,8 @@ def solve_delta(p: OddPrime, roots: SplitRoots | None = None) -> DeltaSolution:
     by ideal_basis.
     """
     ar, ai, br, bi = _delta(p, roots)
-    a, b = GaussianInt(ar, ai), GaussianInt(br, bi)
     sol = object.__new__(DeltaSolution)  # trusted: _delta has checked the norm
-    sol.__dict__.update(p=p, delta=QuarticInt.from_relative(a, b), a=a, b=b)
+    sol.__dict__.update(p=p, a=GaussianInt(ar, ai), b=GaussianInt(br, bi))
     return sol
 
 

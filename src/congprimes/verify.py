@@ -16,7 +16,6 @@ from __future__ import annotations
 import os
 import random
 from collections import Counter
-from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import chain
 from math import isqrt, prod
@@ -106,12 +105,13 @@ def walk(job: Callable[[int, int], object], lo: int, hi: int, workers: int = 1) 
                 continue
             proc, reader = shards[i % workers - 1]
             wait([reader, proc.sentinel])  # no EOF if another process holds a write end
-            result = None
-            with suppress(EOFError, OSError):  # EOF: the shard died, maybe mid-message
-                result = reader.recv() if reader.poll() else None
-            if result is None:
+            try:  # nothing to read, or EOF: the shard died, maybe mid-message
+                if not reader.poll():
+                    raise EOFError
+                result = reader.recv()
+            except (EOFError, OSError):
                 proc.join()
-                raise ComputeFailed(f"{proc.name} exited with code {proc.exitcode}")
+                raise ComputeFailed(f"{proc.name} exited with code {proc.exitcode}") from None
             if isinstance(result, Exception):
                 raise result  # as window i would raise in this process
             yield result
@@ -228,17 +228,13 @@ def run_els(limit: int, seed: int = 0) -> SuiteResult:
 
 
 def _delta_symbols(delta, P: OddPrime, above, z: int) -> set[tuple[int, int]]:
-    """Both symbols from every admissible evaluation choice for delta."""
+    """Both symbols from every admissible evaluation choice for delta;
+    ComputeFailed unless delta has exactly two admissible primes."""
     p = P.value
-    admissible = [q for q in above if embed(delta, q) % p != 0]
-    if len(admissible) != 2:
-        raise AssertionError(f"p={p}: {len(admissible)} admissible primes")
-    out = set()
-    for q in admissible:
-        e = embed(delta, q)
-        for zz in (z, p - z):
-            out.add((legendre(q.r * e, P), legendre(zz * q.r * e, P)))
-    return out
+    values = [(q.r, e) for q in above if (e := embed(delta, q))]
+    if len(values) != 2:
+        raise ComputeFailed(f"p={p}: {len(values)} admissible primes")
+    return {(legendre(r * e, P), legendre(zz * r * e, P)) for r, e in values for zz in (z, p - z)}
 
 
 DELTA_BOX_LIMIT = 2000  # run_delta box-searches delta below this p
@@ -256,18 +252,18 @@ def run_delta(limit: int, seed: int = 0, extra: tuple[int, ...] = ()) -> SuiteRe
     def check(split: tuple) -> str | None:
         P, roots = split
         p = P.value
-        sol = solve_delta(P, roots)
-        above = [PrimeAboveP(P, r) for r in sorted(roots.quartic())]
-        z = roots.zeta
-        syms = _delta_symbols(sol.delta, P, above, z)
-        for d in (sol.delta * UNIT_NORM_ONE, -sol.delta,
-                  sol.delta * UNIT_NORM_ONE * UNIT_NORM_ONE):
-            syms |= _delta_symbols(d, P, above, z)
+        delta = solve_delta(P, roots).delta
+        deltas = [delta, delta * UNIT_NORM_ONE, -delta, delta * UNIT_NORM_ONE * UNIT_NORM_ONE]
         if p < DELTA_BOX_LIMIT:
             bs = delta_box_search(P, isqrt(4 * p) + 2)
             if bs is None:
                 return f"p={p}: box search found nothing"
-            syms |= _delta_symbols(bs.delta, P, above, z)
+            deltas.append(bs.delta)
+        above = [PrimeAboveP(P, r) for r in sorted(roots.quartic())]
+        try:
+            syms = set().union(*(_delta_symbols(d, P, above, roots.zeta) for d in deltas))
+        except ComputeFailed as exc:  # a delta without two admissible primes
+            return str(exc)
         return f"p={p}: symbol sets differ: {syms}" if len(syms) != 1 else None
 
     primes = chain(_certified_primes(17, limit - 1, 8, 1), map(OddPrime, extra))

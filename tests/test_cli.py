@@ -27,7 +27,7 @@ from congprimes.cli import CSV_HEADER, main
 from congprimes.criteria import SymbolSet, classify
 from congprimes.errors import ComputeFailed, PreconditionViolation
 from congprimes.modmath import _certified, primes_in_range, windows
-from congprimes.verify import SuiteResult, _pool_size, density_lines, level_counts
+from congprimes.verify import SuiteResult, _pool_size, density_lines, level_counts, walk
 
 
 def run(capsys, *argv):
@@ -389,6 +389,30 @@ def test_windows_cover_the_range_and_are_capped(monkeypatch):
     monkeypatch.setattr(modmath, "SCAN_CHUNK", 10**6)  # never wider than MAX_WINDOW
     assert windows(3, 3 * 10**7) == [(3, 10**7 + 2), (10**7 + 3, 2 * 10**7 + 2),
                                      (2 * 10**7 + 3, 3 * 10**7)]
+
+
+def _nothing(lo, hi):
+    """A job whose result is None in every window."""
+    return None
+
+
+def test_a_none_result_is_yielded_at_every_worker_count(monkeypatch):
+    """A shard that sends None is alive: walk tells a dead shard by the
+    state of its pipe, not by the value received."""
+    cpus(monkeypatch, 2)
+    with deadline(20):
+        for workers in (1, 2):
+            assert list(walk(_nothing, 3, 10**6, workers)) == [None] * len(
+                windows(3, 10**6, workers))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_a_worker_count_below_one_is_refused(workers):
+    with pytest.raises(PreconditionViolation, match="at least 1"):
+        windows(3, 10**6, workers)
+    with pytest.raises(PreconditionViolation, match="at least 1"):
+        list(walk(_nothing, 3, 10**6, workers))
 
 
 @pytest.mark.parametrize("chunk, span", [(16, 0), (100, 0), (1, 4)])

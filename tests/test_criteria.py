@@ -12,9 +12,9 @@ from congprimes.criteria import (
 )
 from congprimes.errors import ComputeFailed, PreconditionViolation
 from congprimes.modmath import (
-    OddPrime, SplitRoots, eighth_root_of_unity, legendre, primes_in_range, quartic_roots,
+    OddPrime, eighth_root_of_unity, legendre, primes_in_range, quartic_roots,
     split_roots, sqrt_mod)
-from congprimes.quartic import primes_above, solve_delta
+from congprimes.quartic import DeltaSolution, primes_above, solve_delta
 from congprimes.verify import _delta_symbols
 
 
@@ -170,12 +170,18 @@ def test_chi_1pi_is_the_legendre_symbol_of_1_plus_i():
 
 
 def test_a_root_that_fails_its_check_raises_compute_failed(monkeypatch):
-    # the true r, s and zeta still reach solve_delta; only the roots that
-    # delta is evaluated at are off by one
-    class ShiftedRoots(SplitRoots):
-        def quartic(self):
-            return [x + 1 for x in super().quartic()]
-
-    monkeypatch.setattr(criteria, "split_roots", lambda P: ShiftedRoots(*tuple(split_roots(P))))
-    with pytest.raises(ComputeFailed, match="no admissible root"):
+    P = OddPrime(41)
+    true = split_roots(P)
+    sol = solve_delta(P, true)
+    # a shifted r reaches the symbol step, while solve_delta gets the true roots
+    monkeypatch.setattr(criteria, "split_roots", lambda P: true._replace(r=true.r + 1))
+    monkeypatch.setattr(criteria, "solve_delta", lambda P, roots: solve_delta(P, true))
+    with pytest.raises(ComputeFailed, match="delta does not certify the symbols at r"):
+        classify(41)
+    # the conjugate a - b*alpha has relative norm p too, but lies in the other
+    # pair of primes, so it does not vanish at r
+    monkeypatch.setattr(criteria, "split_roots", lambda P: true)
+    monkeypatch.setattr(criteria, "solve_delta",
+                        lambda P, roots: DeltaSolution(p=P, a=sol.a, b=-sol.b))
+    with pytest.raises(ComputeFailed, match="delta does not certify the symbols at r"):
         classify(41)

@@ -3,7 +3,9 @@
 The verify suites walk ranges that end near 10^5; these checks draw split
 primes p ≡ 1 (mod 8) far beyond, and run the same routes on each:
 run_delta checks the delta certificate and that both symbols are
-independent of every admissible choice, and _check_one_invariant checks
+independent of every admissible choice, classify's two deep symbols
+are checked to be the one pair that every admissible prime above p and
+both signs of zeta give, and _check_one_invariant checks
 the level chain V(3) = W(2), the mod-16 XOR law linking v = 4 to w = 3,
 x^2 + 32y^2 representability and the status table.
 """
@@ -16,8 +18,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from congprimes.criteria import classify
-from congprimes.modmath import _certified, quartic_roots
-from congprimes.verify import _check_one_invariant, run_delta
+from congprimes.modmath import _certified, quartic_roots, split_roots
+from congprimes.quartic import primes_above, solve_delta
+from congprimes.verify import _check_one_invariant, _delta_symbols, run_delta
 
 _PRIMES_BELOW_10_4 = sympy.primorial(1229)  # 1229 primes lie below 10^4
 
@@ -39,6 +42,10 @@ def test_large_split_prime_passes_the_delta_and_level_checks(digits, seed):
     p = _split_prime(digits, seed)
     result = run_delta(limit=0, extra=(p,))
     assert result.passed and result.checked == 1, result.counterexample
-    c = classify(_certified(p))  # sympy.isprime has certified p
+    P = _certified(p)  # sympy.isprime has certified p
+    c = classify(P)
     assert c.v_level in (3, 4) and c.w_level in (2, 3)
-    assert _check_one_invariant(_certified(p), c) is None
+    # _delta_symbols takes every admissible prime above p and both signs of zeta
+    want = _delta_symbols(solve_delta(P).delta, P, primes_above(P), split_roots(P).zeta)
+    assert want == {(c.symbols.chi_alpha_delta, c.symbols.chi_zeta_alpha_delta)}
+    assert _check_one_invariant(P, c) is None

@@ -359,7 +359,7 @@ def test_delta_coordinates_are_pinned():
             assert _delta(P, roots) == (sol.a.re, sol.a.im, sol.b.re, sol.b.im)
             # solve_delta skips the checks that the public constructor makes,
             # and the public constructor accepts what it returns
-            assert DeltaSolution(p=P, delta=sol.delta, a=sol.a, b=sol.b) == sol
+            assert DeltaSolution(p=P, a=sol.a, b=sol.b) == sol
             text.append(f"{sol.a.re},{sol.a.im},{sol.b.re},{sol.b.im}\n")
     assert len(text) == 273
     assert hashlib.sha256("".join(text).encode()).hexdigest() == DELTA_SHA256
@@ -405,22 +405,13 @@ def test_delta_solution_validates():
     P = OddPrime(41)
     good = solve_delta(P)
     with pytest.raises(PreconditionViolation):
-        DeltaSolution(p=P, delta=good.delta, a=good.a + GaussianInt(1), b=good.b)
-
-
-def test_delta_solution_rejects_a_delta_that_does_not_match_its_relative_form():
-    P = OddPrime(41)
-    good = solve_delta(P)
-    DeltaSolution(p=P, delta=good.delta, a=good.a, b=good.b)
-    for wrong in (good.delta + 1, -good.delta, good.delta * UNIT_NORM_ONE):
-        with pytest.raises(PreconditionViolation, match="delta does not match"):
-            DeltaSolution(p=P, delta=wrong, a=good.a, b=good.b)
+        DeltaSolution(p=P, a=good.a + GaussianInt(1), b=good.b)
 
 
 def test_delta_solution_rejects_a_consistent_solution_for_another_prime():
     good = solve_delta(OddPrime(41))
     with pytest.raises(PreconditionViolation, match="relative norm is not exactly p"):
-        DeltaSolution(p=OddPrime(73), delta=good.delta, a=good.a, b=good.b)
+        DeltaSolution(p=OddPrime(73), a=good.a, b=good.b)
 
 
 def test_delta_sign_canonical():

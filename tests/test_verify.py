@@ -10,6 +10,7 @@ import pytest
 import sympy
 
 from congprimes import criteria, modmath, quartic, verify
+from congprimes.cli import main
 from congprimes.criteria import classify
 from congprimes.errors import PreconditionViolation
 from congprimes.modmath import primes_in_range
@@ -128,6 +129,15 @@ def test_run_delta_takes_the_roots_once_per_prime(monkeypatch):
     result = run_delta(10000)
     assert result.passed and result.checked == 146
     assert calls == [p for p in primes_in_range(17, 9999) if p % 8 == 1]
+
+
+def test_a_delta_without_two_admissible_primes_is_a_counterexample(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "embed", lambda delta, at: 0)
+    result = run_delta(100)
+    assert not result.passed
+    assert (result.checked, result.counterexample) == (0, "p=41: 0 admissible primes")
+    assert main(["verify", "delta", "--limit", "100"]) == 3
+    assert "p=41: 0 admissible primes" in capsys.readouterr().out
 
 
 def _split(p):
