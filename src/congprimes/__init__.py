@@ -52,7 +52,6 @@ from .oracles import (
 from .quartic import (
     DeltaSolution,
     PrimeAboveP,
-    QuarticInt,
     embed,
     primes_above,
     solve_delta,
@@ -76,7 +75,6 @@ __all__ = [
     "PreconditionViolation",
     "PrimeAboveP",
     "QuarticCover",
-    "QuarticInt",
     "ShaReport",
     "SuiteResult",
     "SymbolSet",

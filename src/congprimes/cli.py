@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 from collections import Counter
-from contextlib import closing
+from contextlib import closing, contextmanager, suppress
 from functools import partial
 from typing import Iterable, NamedTuple
 
@@ -146,17 +146,34 @@ def _span(args) -> tuple[int, int]:
     return args.lo, args.hi
 
 
+@contextmanager
+def _out_file(path: str):
+    """A write function for path that flushes each write, so that the rows a
+    scan reports are written.  An OSError from opening, writing or closing
+    path, not from stdout, is PreconditionViolation "cannot write path: reason"."""
+    def attempt(step):
+        try:
+            return step()
+        except OSError as exc:
+            raise PreconditionViolation(f"cannot write {path}: {exc.strerror}") from None
+
+    fh = attempt(lambda: open(path, "w", encoding="utf-8", newline=""))
+    try:
+        yield lambda text: attempt(lambda: (fh.write(text), fh.flush()))
+    except BaseException:
+        with suppress(OSError):  # a buffer that failed to flush fails again
+            fh.close()
+        raise
+    attempt(fh.close)
+
+
 def cmd_scan(args) -> int:
     lo, hi = _span(args)
-    try:
-        fh = open(args.out, "w", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise PreconditionViolation(f"cannot write {args.out}: {exc.strerror}") from None
     results = walk(partial(classify_chunk, _RENDERERS[args.format]), lo, hi, args.workers)
-    with fh, closing(results):
+    with _out_file(args.out) as write, closing(results):
         if args.format == "csv":
-            fh.write(CSV_HEADER + "\n")
-        return _report(results, fh.write, args.out)
+            write(CSV_HEADER + "\n")
+        return _report(results, write, args.out)
 
 
 # ------------------------------------------------------------------ verify

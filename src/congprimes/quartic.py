@@ -1,18 +1,21 @@
-"""Arithmetic in Z[x]/(x^4 - 2x^2 + 2) and the rank-2 Z[i]-lattice
-reduction that certifies a relative-norm-p element for completely split
-primes.
+"""The ring Z[x]/(x^4 - 2x^2 + 2), its primes above a completely split p,
+and the rank-2 Z[i]-lattice reduction that certifies a relative-norm-p
+element for such p.
 
 Write alpha for the class of x, and i := alpha^2 - 1 (so i^2 = -1 and
-alpha^2 = 1 + i).  Every element is a + b*alpha with a, b in Z[i]; the
-conjugation alpha -> -alpha fixes Z[i] and gives the relative norm
-N(a + b*alpha) = a^2 - (1+i) b^2.  The absolute norm is the Z[i]-norm of
-that Gaussian integer, hence always >= 0.
+alpha^2 = 1 + i).  Every element is x = a + b*alpha with a, b in Z[i],
+and this module writes it as its four integer coordinates
+(a.re, a.im, b.re, b.im).  The conjugation alpha -> -alpha fixes Z[i] and
+gives the relative norm N(a + b*alpha) = a^2 - (1+i) b^2
+(_relative_norm).  The absolute norm is the Z[i]-norm of that Gaussian
+integer, hence always >= 0.
 
-The unit group is generated by i and alpha + 1, with relative norms
-N(i) = -1 and N(alpha+1) = -i (direct expansion: (1+alpha)(1-alpha) =
-1 - alpha^2 = -i).  Multiplying by (alpha+1)^m therefore rotates a
-relative norm w*p through the fourth roots of unity, which is how
-solve_delta lands exactly on p.
+The unit group is generated by i and 1 + alpha, with relative norms
+N(i) = -1 and N(1+alpha) = -i (direct expansion: (1+alpha)(1-alpha) =
+1 - alpha^2 = -i).  _times_unit multiplies by 1 + alpha:
+(a + b*alpha)(1 + alpha) = (a + (1+i) b) + (a + b)*alpha.  Multiplying by
+(1+alpha)^m therefore rotates a relative norm w*p through the fourth
+roots of unity, which is how solve_delta lands exactly on p.
 """
 
 from __future__ import annotations
@@ -23,113 +26,6 @@ from math import isqrt
 from .errors import GeneratorNotFound, NotSplitError, PreconditionViolation
 from .gaussian import GaussianInt
 from .modmath import OddPrime, SplitRoots, split_roots
-
-
-class QuarticInt:
-    """Element c0 + c1*alpha + c2*alpha^2 + c3*alpha^3 with integer
-    coefficients, reduced by alpha^4 = 2*alpha^2 - 2."""
-
-    __slots__ = ("c0", "c1", "c2", "c3")
-
-    def __init__(self, c0: int, c1: int = 0, c2: int = 0, c3: int = 0):
-        object.__setattr__(self, "c0", c0)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
-        object.__setattr__(self, "c3", c3)
-
-    def __setattr__(self, *_):
-        raise AttributeError("QuarticInt is immutable")
-
-    def coeffs(self) -> tuple[int, int, int, int]:
-        return (self.c0, self.c1, self.c2, self.c3)
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, QuarticInt):
-            return other
-        if isinstance(other, int):
-            return QuarticInt(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return QuarticInt(self.c0 + o.c0, self.c1 + o.c1, self.c2 + o.c2, self.c3 + o.c3)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return QuarticInt(self.c0 - o.c0, self.c1 - o.c1, self.c2 - o.c2, self.c3 - o.c3)
-
-    def __neg__(self):
-        return QuarticInt(-self.c0, -self.c1, -self.c2, -self.c3)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        a = self.coeffs()
-        b = o.coeffs()
-        e = [0] * 7
-        for i in range(4):
-            ai = a[i]
-            if ai:
-                for j in range(4):
-                    e[i + j] += ai * b[j]
-        # alpha^4 = 2a^2 - 2, alpha^5 = 2a^3 - 2a, alpha^6 = 2a^2 - 4
-        return QuarticInt(
-            e[0] - 2 * e[4] - 4 * e[6],
-            e[1] - 2 * e[5],
-            e[2] + 2 * e[4] + 2 * e[6],
-            e[3] + 2 * e[5],
-        )
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self.coeffs() == o.coeffs()
-
-    def __hash__(self):
-        return hash(self.coeffs())
-
-    def __bool__(self):
-        return any(self.coeffs())
-
-    def __repr__(self):
-        return f"QuarticInt{self.coeffs()}"
-
-    @classmethod
-    def from_relative(cls, a: GaussianInt, b: GaussianInt) -> "QuarticInt":
-        """Inverse of to_relative: a + b*alpha with a, b in Z[i]."""
-        return cls(a.re - a.im, b.re - b.im, a.im, b.im)
-
-    def to_relative(self) -> tuple[GaussianInt, GaussianInt]:
-        """Write self = a + b*alpha over Z[i], using alpha^2 = 1 + i."""
-        return (
-            GaussianInt(self.c0 + self.c2, self.c2),
-            GaussianInt(self.c1 + self.c3, self.c3),
-        )
-
-    def relative_norm(self) -> GaussianInt:
-        """Norm to Z[i] under alpha -> -alpha: a^2 - (1+i) b^2."""
-        a, b = self.to_relative()
-        return GaussianInt(*_relative_norm(a.re, a.im, b.re, b.im))
-
-    def absolute_norm(self) -> int:
-        return self.relative_norm().norm()
-
-
-ALPHA = QuarticInt(0, 1)
-I_ALG = QuarticInt(-1, 0, 1)          # alpha^2 - 1
-UNIT_ALPHA_PLUS_1 = QuarticInt(1, 1)  # fundamental unit, relative norm -i
-UNIT_NORM_ONE = I_ALG * UNIT_ALPHA_PLUS_1 * UNIT_ALPHA_PLUS_1  # relative norm +1
 
 
 @dataclass(frozen=True)
@@ -149,11 +45,12 @@ class PrimeAboveP:
         object.__setattr__(self, "i_image", (self.r * self.r - 1) % pv)
 
 
-def embed(x: QuarticInt, at: PrimeAboveP) -> int:
-    """Reduction of x in the residue field F_p of the given prime."""
-    pv = at.p.value
-    r = at.r
-    return (((x.c3 * r + x.c2) * r + x.c1) * r + x.c0) % pv
+def embed(x: tuple[int, int, int, int], at: PrimeAboveP) -> int:
+    """Reduction of x = a + b*alpha, given as (a.re, a.im, b.re, b.im), in
+    the residue field F_p of the given prime: a + b*r with i -> i_image."""
+    ar, ai, br, bi = x
+    i = at.i_image
+    return (ar + ai * i + (br + bi * i) * at.r) % at.p.value
 
 
 def _split(p: OddPrime, roots: SplitRoots | None) -> SplitRoots:
@@ -172,12 +69,12 @@ def primes_above(p: OddPrime) -> list[PrimeAboveP]:
     return [PrimeAboveP(p, r) for r in sorted(_split(p, None).quartic())]
 
 
-Vector = tuple[GaussianInt, GaussianInt]  # (a, b) stands for a + b*alpha
-
-
-def ideal_basis(p: OddPrime, roots: SplitRoots | None = None) -> tuple[Vector, Vector]:
+def _reduce(p: OddPrime, roots: SplitRoots | None) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Reduced Z[i]-basis (u, v) of the product of the two primes over p
-    with roots r and s of split_roots(p) (roots, if given, must be that).
+    with roots r and s of split_roots(p) (roots, if given, must be that):
+    the coordinates (u0, u1, v0, v1), each as re, im, and the Gram entries
+    (H(u), H(v), Re <v,u>, Im <v,u>) of the returned basis, in the form
+    scaled by 2^k.
 
     Those primes send i to i' = r^2 - 1 and to -i' respectively, so
     a + b*alpha lies in their product iff a + b*c ≡ 0 (mod p) for the
@@ -193,16 +90,6 @@ def ideal_basis(p: OddPrime, roots: SplitRoots | None = None) -> tuple[Vector, V
     to spare.  The reduction is exact for this form: on return
     H(u) <= H(v), and mu = <v, u> / H(u) has real and imaginary parts in
     [-1/2, 1/2].
-    """
-    (u0r, u0i, u1r, u1i, v0r, v0i, v1r, v1i), _ = _reduce(p, roots)
-    return ((GaussianInt(u0r, u0i), GaussianInt(u1r, u1i)),
-            (GaussianInt(v0r, v0i), GaussianInt(v1r, v1i)))
-
-
-def _reduce(p: OddPrime, roots: SplitRoots | None) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """ideal_basis on plain ints: the coordinates (u0, u1, v0, v1), each
-    as re, im, and the Gram entries (H(u), H(v), Re <v,u>, Im <v,u>) of
-    the returned basis, in the form scaled by 2^k.
 
     <x, y> = x0 conj(y0) 2^k + x1 conj(y1) isqrt(2 * 4^k) is exact, so
     the entries are updated in place rather than recomputed (integral
@@ -260,16 +147,11 @@ class DeltaSolution:
         if _relative_norm(a.re, a.im, b.re, b.im) != (self.p.value, 0):
             raise PreconditionViolation("relative norm is not exactly p")
 
-    @property
-    def delta(self) -> QuarticInt:
-        """a + b*alpha as an element of the quartic ring."""
-        return QuarticInt.from_relative(self.a, self.b)
-
 
 _BOX = [(re, im) for re in range(-2, 3) for im in range(-2, 3)]
 # (a.re, a.im, b.re, b.im), u alone first
 _COEFFS = [(1, 0, 0, 0)] + [a + b for b in _BOX for a in _BOX if any(a + b)]
-# multiplications by alpha + 1 (relative norm -i) that take w*p to p
+# multiplications by 1 + alpha (relative norm -i) that take w*p to p
 _ROTATIONS = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
 
 
@@ -279,13 +161,19 @@ def _relative_norm(x0r: int, x0i: int, x1r: int, x1i: int) -> tuple[int, int]:
     return x0r * x0r - x0i * x0i - sr + si, 2 * x0r * x0i - sr - si
 
 
+def _times_unit(x0r: int, x0i: int, x1r: int, x1i: int) -> tuple[int, int, int, int]:
+    """x * (1 + alpha) = (x0 + (1+i) x1) + (x0 + x1) alpha, for x = x0 + x1*alpha;
+    it multiplies the relative norm by -i."""
+    return x0r + x1r - x1i, x0i + x1r + x1i, x0r + x1r, x0i + x1i
+
+
 def solve_delta(p: OddPrime, roots: SplitRoots | None = None) -> DeltaSolution:
     """Certified element of relative norm p for a completely split prime.
 
-    Takes the reduced basis (u, v) of ideal_basis(p, roots) and returns the first
+    Takes the reduced basis (u, v) of _reduce(p, roots) and returns the first
     a*u + b*v, with a, b in the Gaussian box |re|, |im| <= 2 and u tried
     first, whose absolute norm is p^2.  Its relative norm w*p (w a unit of
-    Z[i]) is rotated to exactly p by (alpha+1)^m, and the sign is fixed
+    Z[i]) is rotated to exactly p by (1+alpha)^m, and the sign is fixed
     by a.re > 0.  delta = a + b*alpha lies in the primes at r and s, so
     a + b*r ≡ 0 (mod p) under i -> i'.  Las Vegas: raises GeneratorNotFound,
     never returns an unverified answer.
@@ -311,7 +199,7 @@ def solve_delta(p: OddPrime, roots: SplitRoots | None = None) -> DeltaSolution:
       |a| <= sqrt(1 + sqrt(2)) + 2 / sqrt(2) < 2.97, so |a|^2 <= 8.
 
     Both bounds leave far more slack than the 2^-k error of the form used
-    by ideal_basis.
+    by _reduce.
     """
     ar, ai, br, bi = _delta(p, roots)
     sol = object.__new__(DeltaSolution)  # trusted: _delta has checked the norm
@@ -340,9 +228,8 @@ def _delta(p: OddPrime, roots: SplitRoots | None) -> tuple[int, int, int, int]:
     wi, ri = divmod(ni, pv)
     if rr or ri or wr * wr + wi * wi != 1:
         raise GeneratorNotFound("candidate norm is not a unit multiple of p")
-    # x * (1 + alpha) = (x0 + (1+i) x1) + (x0 + x1) alpha
     for _ in range(_ROTATIONS[wr, wi]):
-        x0r, x0i, x1r, x1i = x0r + x1r - x1i, x0i + x1r + x1i, x0r + x1r, x0i + x1i
+        x0r, x0i, x1r, x1i = _times_unit(x0r, x0i, x1r, x1i)
     # a.re != 0: for a = k*i, Im(a^2 - (1+i) b^2) = 2 b.im^2 - (b.re + b.im)^2
     # vanishes only at b = 0, and -k^2 != p
     if x0r < 0:

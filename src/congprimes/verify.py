@@ -36,7 +36,7 @@ from .modmath import (
     windows,
 )
 from .oracles import class_number, delta_box_search, r3, rep_x2_32y2, tunnell_a
-from .quartic import PrimeAboveP, UNIT_NORM_ONE, embed, solve_delta
+from .quartic import PrimeAboveP, _relative_norm, _times_unit, embed, solve_delta
 
 # The acceptance tests import this name.  It is classify itself, uncached:
 # no walk classifies a prime twice, and a cache would grow with the range.
@@ -228,8 +228,8 @@ def run_els(limit: int, seed: int = 0) -> SuiteResult:
 
 
 def _delta_symbols(delta, P: OddPrime, above, z: int) -> set[tuple[int, int]]:
-    """Both symbols from every admissible evaluation choice for delta;
-    ComputeFailed unless delta has exactly two admissible primes."""
+    """Both symbols from every admissible evaluation choice for delta, as
+    (a.re, a.im, b.re, b.im); ComputeFailed unless it has two admissible primes."""
     p = P.value
     values = [(q.r, e) for q in above if (e := embed(delta, q))]
     if len(values) != 2:
@@ -240,25 +240,39 @@ def _delta_symbols(delta, P: OddPrime, above, z: int) -> set[tuple[int, int]]:
 DELTA_BOX_LIMIT = 2000  # run_delta box-searches delta below this p
 
 
+def _times_epsilon(x: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """x * epsilon, epsilon = i (1 + alpha)^2, a unit of relative norm
+    -(-i)^2 = 1: each coordinate pair (re, im) goes to (-im, re) under i."""
+    x0r, x0i, x1r, x1i = _times_unit(*_times_unit(*x))
+    return -x0i, x0r, -x1i, x1r
+
+
 def run_delta(limit: int, seed: int = 0, extra: tuple[int, ...] = ()) -> SuiteResult:
     """solve_delta certificates and choice-independence of the symbols.
 
     For every completely split p below limit (plus any extra split primes
     given, each certified by OddPrime), with the roots at p taken once: the
     solver's certificate validates, and the two symbols agree across both
-    admissible primes, both eighth-root signs, unit multiples of delta,
-    -delta, and (below DELTA_BOX_LIMIT) the exhaustive box-search solution.
+    admissible primes, both eighth-root signs, the multiples of delta by
+    epsilon and epsilon^2 (epsilon = i (1 + alpha)^2), -delta, and (below
+    DELTA_BOX_LIMIT) the exhaustive box-search solution; each of these must
+    have relative norm exactly p before any symbol is taken.
     """
     def check(split: tuple) -> str | None:
         P, roots = split
         p = P.value
-        delta = solve_delta(P, roots).delta
-        deltas = [delta, delta * UNIT_NORM_ONE, -delta, delta * UNIT_NORM_ONE * UNIT_NORM_ONE]
+        sol = solve_delta(P, roots)
+        delta = sol.a.re, sol.a.im, sol.b.re, sol.b.im
+        delta_eps = _times_epsilon(delta)
+        deltas = [delta, delta_eps, tuple(-c for c in delta), _times_epsilon(delta_eps)]
         if p < DELTA_BOX_LIMIT:
             bs = delta_box_search(P, isqrt(4 * p) + 2)
             if bs is None:
                 return f"p={p}: box search found nothing"
-            deltas.append(bs.delta)
+            deltas.append((bs.a.re, bs.a.im, bs.b.re, bs.b.im))
+        for x in deltas:
+            if (norm := _relative_norm(*x)) != (p, 0):
+                return f"p={p}: {x} has relative norm {norm}, not ({p}, 0)"
         above = [PrimeAboveP(P, r) for r in sorted(roots.quartic())]
         try:
             syms = set().union(*(_delta_symbols(d, P, above, roots.zeta) for d in deltas))
@@ -407,11 +421,7 @@ def _gaussian_instance(rng: random.Random, pool: list[int], aux: list[int]):
     pi ≡ 1 mod 2Z[i] of norm ≡ 1 mod 8 with (1+i | pi) = 1."""
     while True:
         p = rng.choice(pool)
-        ts = two_squares(OddPrime(p))
-        pi = GaussianInt(ts.u, ts.v)
-        if rng.getrandbits(1):
-            pi = pi.conj()
-        pi = primary_associate(pi)
+        pi = _gaussian_prime(p, rng)
         if rng.getrandbits(1):
             pi = -pi  # still ≡ 1 mod 2Z[i]
         nfactors = rng.choice((0, 1, 1, 2))

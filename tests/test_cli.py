@@ -4,8 +4,10 @@ Everything drives ``main(argv)`` in-process so exit codes and output can
 be asserted without spawning a shell.
 """
 
+import errno
 import functools
 import hashlib
+import io
 import json
 import multiprocessing.connection
 import multiprocessing.process
@@ -692,6 +694,32 @@ def test_scan_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path, target):
     assert err.startswith(f"error: cannot write {out_path}: ")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_scan_to_a_full_device_is_a_usage_error(capsys, monkeypatch, workers):
+    # /dev/full opens, but every write to it fails with ENOSPC
+    cpus(monkeypatch, 2)
+    with deadline(20):
+        code, _, err = run(capsys, "scan", "--from", "3", "--to", "100000",
+                           "--out", "/dev/full", "--workers", workers)
+    assert code == 1
+    assert err.startswith("error: cannot write /dev/full: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert multiprocessing.active_children() == []
+
+
+def test_scan_reports_a_failed_close_of_out(capsys, monkeypatch):
+    class ClosesBadly(io.StringIO):
+        def close(self):
+            super().close()
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: ClosesBadly(), raising=False)
+    code, _, err = run(capsys, "scan", "--from", "3", "--to", "100", "--out", "rows.csv")
+    assert code == 1
+    assert err == f"error: cannot write rows.csv: {os.strerror(errno.EIO)}\n"
 
 
 def test_pool_size_is_capped_at_the_cpu_count(monkeypatch):

@@ -156,7 +156,8 @@ def test_integer_symbols_match_the_quartic_objects(ps, n_split):
             continue
         split += 1
         sol = solve_delta(P)
-        want = _delta_symbols(sol.delta, P, primes_above(P), eighth_root_of_unity(P))
+        delta = sol.a.re, sol.a.im, sol.b.re, sol.b.im
+        want = _delta_symbols(delta, P, primes_above(P), eighth_root_of_unity(P))
         c = classify(P)
         assert want == {(c.symbols.chi_alpha_delta, c.symbols.chi_zeta_alpha_delta)}, p
         assert c.symbols.chi_1pi == 1

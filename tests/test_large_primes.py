@@ -46,6 +46,8 @@ def test_large_split_prime_passes_the_delta_and_level_checks(digits, seed):
     c = classify(P)
     assert c.v_level in (3, 4) and c.w_level in (2, 3)
     # _delta_symbols takes every admissible prime above p and both signs of zeta
-    want = _delta_symbols(solve_delta(P).delta, P, primes_above(P), split_roots(P).zeta)
+    sol = solve_delta(P)
+    delta = sol.a.re, sol.a.im, sol.b.re, sol.b.im
+    want = _delta_symbols(delta, P, primes_above(P), split_roots(P).zeta)
     assert want == {(c.symbols.chi_alpha_delta, c.symbols.chi_zeta_alpha_delta)}
     assert _check_one_invariant(P, c) is None

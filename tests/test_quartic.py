@@ -5,24 +5,20 @@ from math import gcd, isqrt
 import pytest
 import sympy
 
-from congprimes import quartic
+from congprimes import quartic, verify
 from congprimes.errors import GeneratorNotFound, NotSplitError, PreconditionViolation
 from congprimes.gaussian import GaussianInt
 from congprimes.modmath import (
     OddPrime, _PRIMORIAL, _certified, legendre, primes_in_range, quartic_roots, split_roots,
     sqrt_mod)
 from congprimes.quartic import (
-    ALPHA,
     DeltaSolution,
-    I_ALG,
     PrimeAboveP,
-    QuarticInt,
-    UNIT_ALPHA_PLUS_1,
-    UNIT_NORM_ONE,
     _delta,
     _reduce,
+    _relative_norm,
+    _times_unit,
     embed,
-    ideal_basis,
     primes_above,
     solve_delta,
 )
@@ -41,66 +37,57 @@ def _poly_mul(a, b):
     return prod[:4]
 
 
+def _power(x):
+    """Power-basis coefficients c0..c3 of x = a + b*alpha, x = (a.re, a.im,
+    b.re, b.im): i = alpha^2 - 1 gives c = (a.re - a.im, b.re - b.im, a.im, b.im)."""
+    ar, ai, br, bi = x
+    return [ar - ai, br - bi, ai, bi]
+
+
+def _coords(c):
+    """Inverse of _power, using alpha^2 = 1 + i."""
+    return (c[0] + c[2], c[2], c[1] + c[3], c[3])
+
+
+ONE_PLUS_ALPHA = [1, 1, 0, 0]
+EPSILON = _poly_mul([-1, 0, 1, 0], _poly_mul(ONE_PLUS_ALPHA, ONE_PLUS_ALPHA))  # i (1+alpha)^2
+
+
 def _rand(rng, bound=10**5):
-    return QuarticInt(*(rng.randrange(-bound, bound) for _ in range(4)))
-
-
-def test_multiplication_matches_polynomial_reduction():
-    rng = random.Random(2)
-    for _ in range(300):
-        x, y = _rand(rng), _rand(rng)
-        want = _poly_mul([x.c0, x.c1, x.c2, x.c3], [y.c0, y.c1, y.c2, y.c3])
-        z = x * y
-        assert [z.c0, z.c1, z.c2, z.c3] == want
-
-
-def test_defining_relation_and_i():
-    a2 = ALPHA * ALPHA
-    assert ALPHA * ALPHA * ALPHA * ALPHA == a2 + a2 - QuarticInt(2)
-    assert I_ALG == a2 - QuarticInt(1)
-    assert I_ALG * I_ALG == QuarticInt(-1)
-
-
-def test_relative_form_round_trip():
-    rng = random.Random(4)
-    for _ in range(200):
-        a = GaussianInt(rng.randrange(-999, 999), rng.randrange(-999, 999))
-        b = GaussianInt(rng.randrange(-999, 999), rng.randrange(-999, 999))
-        x = QuarticInt.from_relative(a, b)
-        assert x.to_relative() == (a, b)
-        # a + b*alpha with i = alpha^2 - 1, rebuilt the long way
-        rebuilt = (QuarticInt(a.re) + I_ALG * a.im
-                   + (QuarticInt(b.re) + I_ALG * b.im) * ALPHA)
-        assert x == rebuilt
-
-
-def test_norms_multiplicative():
-    rng = random.Random(6)
-    for _ in range(200):
-        x, y = _rand(rng, 100), _rand(rng, 100)
-        assert (x * y).absolute_norm() == x.absolute_norm() * y.absolute_norm()
-        nx, ny, nxy = x.relative_norm(), y.relative_norm(), (x * y).relative_norm()
-        assert nxy == nx * ny
+    return tuple(rng.randrange(-bound, bound) for _ in range(4))
 
 
 def test_unit_norms():
-    assert I_ALG.relative_norm() == GaussianInt(-1)
-    assert UNIT_ALPHA_PLUS_1.relative_norm() == GaussianInt(0, -1)
-    assert UNIT_NORM_ONE.relative_norm() == GaussianInt(1)
-    assert UNIT_NORM_ONE.absolute_norm() == 1
+    # _times_unit multiplies by 1 + alpha, so the relative norm by -i, and
+    # verify's epsilon = i (1+alpha)^2 leaves it unchanged; both as _poly_mul
+    rng = random.Random(6)
+    for _ in range(200):
+        x = _rand(rng, 10**4)
+        n = GaussianInt(*_relative_norm(*x))
+        assert _times_unit(*x) == _coords(_poly_mul(_power(x), ONE_PLUS_ALPHA))
+        assert GaussianInt(*_relative_norm(*_times_unit(*x))) == n * GaussianInt(0, -1)
+        assert verify._times_epsilon(x) == _coords(_poly_mul(_power(x), EPSILON))
+        assert _relative_norm(*verify._times_epsilon(x)) == _relative_norm(*x)
 
 
 def test_embed_is_ring_map():
+    # embed(a + b*alpha) is the power-basis value c0 + c1 r + c2 r^2 + c3 r^3
+    # at every root r, and embed(x * (1+alpha)) = embed(x) * (1 + r)
     rng = random.Random(8)
     for p in (41, 113, 257):
         P = OddPrime(p)
-        for at in primes_above(P):
+        above = primes_above(P)
+        assert len(above) == 4
+        for at in above:
+            r = at.r
             for _ in range(20):
-                x, y = _rand(rng, 50), _rand(rng, 50)
-                assert embed(x + y, at) % p == (embed(x, at) + embed(y, at)) % p
-                assert embed(x * y, at) % p == (embed(x, at) * embed(y, at)) % p
-            assert embed(ALPHA, at) == at.r % p
-            assert embed(I_ALG, at) == at.i_image
+                x = _rand(rng, 50)
+                c = _power(x)
+                assert embed(x, at) == (c[0] + c[1] * r + c[2] * r * r + c[3] * r**3) % p
+                y = _coords(_poly_mul(c, ONE_PLUS_ALPHA))
+                assert embed(y, at) == embed(x, at) * (1 + r) % p
+            assert embed((0, 0, 1, 0), at) == r  # alpha
+            assert embed((0, 1, 0, 0), at) == at.i_image
 
 
 def test_primes_above_structure():
@@ -136,6 +123,13 @@ def _at_most_zero(m, n):
     return m * m >= 2 * n * n if m <= 0 else 2 * n * n >= m * m
 
 
+def _basis(P, roots=None):
+    """_reduce's basis (u, v) as pairs of GaussianInts."""
+    (u0r, u0i, u1r, u1i, v0r, v0i, v1r, v1i), _ = _reduce(P, roots)
+    return ((GaussianInt(u0r, u0i), GaussianInt(u1r, u1i)),
+            (GaussianInt(v0r, v0i), GaussianInt(v1r, v1i)))
+
+
 def test_ideal_basis_spans_the_ideal():
     count = 0
     for p in (41, 113, 257, 1153, 10009, 104729, 10**200 + 16737):
@@ -144,10 +138,10 @@ def test_ideal_basis_spans_the_ideal():
         if not roots:
             continue
         count += 1
-        u, v = ideal_basis(P)
+        u, v = _basis(P)
         # both vectors vanish exactly at the primes with roots r and s
         for x in (u, v):
-            g = QuarticInt.from_relative(*x)
+            g = (x[0].re, x[0].im, x[1].re, x[1].im)
             vanishing = {q.r for q in primes_above(P) if embed(g, q) == 0}
             assert vanishing == {roots[0], roots[2]}
         # the Z[i]-determinant has norm p^2, the index of the ideal
@@ -164,7 +158,7 @@ def test_ideal_basis_spans_the_ideal():
 
 
 def _gaussian_lagrange(p, roots):
-    """The Lagrange loop of ideal_basis written on GaussianInt vectors,
+    """The Lagrange loop of _reduce written on GaussianInt vectors,
     recomputing both inner products at every step; returns the basis and
     the inner product it reduces for."""
     pv = p.value
@@ -199,7 +193,6 @@ def test_ideal_basis_matches_the_gaussian_reduction():
         if roots.r is None:
             continue
         (u, v), dot = _gaussian_lagrange(P, roots)
-        assert ideal_basis(P, roots) == (u, v), p
         coords, gram = _reduce(P, roots)
         assert coords == tuple(n for g in u + v for n in (g.re, g.im))
         uv = dot(v, u)
@@ -280,7 +273,7 @@ def test_delta_box_is_complete():
         P = OddPrime(p)
         if p % 8 != 1 or not quartic_roots(P):
             continue
-        u, v = ideal_basis(P)
+        u, v = _basis(P)
         bs = [(c, times(c, v)) for c in span]
         generators = 0
         for ca, ((a1r, a1i), (a2r, a2i)) in ((c, times(c, u)) for c in span):
@@ -301,34 +294,35 @@ def test_delta_box_is_complete():
 
 
 def _quartic_rotation(P, roots):
-    """solve_delta as it ran on QuarticInt: the first generator of the
-    box, rotated by (alpha+1)^m to relative norm p, then the sign fixed
-    (a.re > 0, ties broken lexicographically)."""
+    """solve_delta on GaussianInt and power-basis records: the first
+    generator of the box, rotated by (1+alpha)^m with _poly_mul to relative
+    norm p, then the sign fixed (a.re > 0, ties broken lexicographically)."""
     pv = P.value
-    u, v = ideal_basis(P, roots)
+    u, v = _basis(P, roots)
     box = [GaussianInt(re, im) for re in range(-2, 3) for im in range(-2, 3)]
     pairs = [(GaussianInt(1), GaussianInt(0))] + [(a, b) for b in box for a in box if a or b]
     for a, b in pairs:
-        g = QuarticInt.from_relative(a * u[0] + b * v[0], a * u[1] + b * v[1])
-        nr = g.relative_norm()
+        x0, x1 = a * u[0] + b * v[0], a * u[1] + b * v[1]
+        nr = x0 * x0 - GaussianInt(1, 1) * x1 * x1
         if nr.norm() == pv * pv:
             break
     w, rem = divmod(nr, GaussianInt(pv))
     assert not rem and w.norm() == 1
     m = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}[(w.re, w.im)]
+    g = _power((x0.re, x0.im, x1.re, x1.im))
     for _ in range(m):
-        g = g * UNIT_ALPHA_PLUS_1
-    assert g.relative_norm() == GaussianInt(pv)
-    a, b = g.to_relative()
-    t = (a.re, a.im, b.re, b.im)
+        g = _poly_mul(g, ONE_PLUS_ALPHA)
+    t = _coords(g)
+    a, b = GaussianInt(t[0], t[1]), GaussianInt(t[2], t[3])
+    assert a * a - GaussianInt(1, 1) * b * b == GaussianInt(pv)
     if a.re < 0 or (a.re == 0 and tuple(-c for c in t) < t):
-        g = -g
-    return g, m
+        a, b = -a, -b
+    return (a, b), m
 
 
 def test_solve_delta_matches_the_quartic_rotation():
     # the integer rotation and sign of solve_delta give the delta that
-    # the QuarticInt multiplications gave, for every rotation count
+    # the power-basis multiplications give, for every rotation count
     rotations = set()
     for p in primes_in_range(3, 20000) + [10**200 + 16737, 10**200 + 28729]:
         if p % 8 != 1:
@@ -339,7 +333,7 @@ def test_solve_delta_matches_the_quartic_rotation():
             continue
         want, m = _quartic_rotation(P, roots)
         sol = solve_delta(P, roots)
-        assert (sol.delta, (sol.a, sol.b)) == (want, want.to_relative()), p
+        assert (sol.a, sol.b) == want, p
         rotations.add(m)
     assert rotations == {0, 1, 2, 3}
 
@@ -390,8 +384,7 @@ def test_solve_delta_certificates_small_range():
             continue
         sol = solve_delta(P)
         assert sol.a * sol.a - GaussianInt(1, 1) * sol.b * sol.b == GaussianInt(p)
-        assert sol.delta.absolute_norm() == p * p
-        assert sol.delta == QuarticInt.from_relative(sol.a, sol.b)
+        assert GaussianInt(*_relative_norm(sol.a.re, sol.a.im, sol.b.re, sol.b.im)).norm() == p * p
         count += 1
     assert count > 30
 

@@ -140,6 +140,22 @@ def test_a_delta_without_two_admissible_primes_is_a_counterexample(monkeypatch, 
     assert "p=41: 0 admissible primes" in capsys.readouterr().out
 
 
+def test_a_unit_multiple_without_relative_norm_p_is_a_counterexample(monkeypatch, capsys):
+    # one sign flipped in verify's multiplication by 1 + alpha only, so
+    # solve_delta is untouched and delta * epsilon fails the norm check
+    def flipped(*x, real=quartic._times_unit):
+        y0r, y0i, y1r, y1i = real(*x)
+        return y0r, y0i, y1r, -y1i
+
+    monkeypatch.setattr(verify, "_times_unit", flipped)
+    result = run_delta(100)
+    assert not result.passed and result.checked == 0
+    assert result.counterexample.startswith("p=41: (")
+    assert result.counterexample.endswith("not (41, 0)")
+    assert main(["verify", "delta", "--limit", "100"]) == 3
+    assert f"counterexample: {result.counterexample}\n" in capsys.readouterr().out
+
+
 def _split(p):
     return p % 8 == 1 and modmath.split_roots(modmath.OddPrime(p)).r is not None
 
