@@ -4,8 +4,9 @@ quadratic symbols at p.
 
 The public surface: classify / v_level / w_level grade a prime, the
 quartic module solves the norm equation a^2 - (1+i) b^2 = p that feeds
-the deeper symbols, the oracles module recounts everything by brute
-force, and verify wires the two against each other.
+the deeper symbols, as delta's four integer coordinates (a.re, a.im,
+b.re, b.im), the oracles module recounts everything by brute force, and
+verify wires the two against each other.
 """
 
 from .criteria import (
@@ -38,7 +39,6 @@ from .modmath import (
     is_probable_prime,
     legendre,
     primes_in_range,
-    quartic_roots,
     sqrt_mod,
 )
 from .oracles import (
@@ -49,13 +49,7 @@ from .oracles import (
     rep_x2_32y2,
     tunnell_a,
 )
-from .quartic import (
-    DeltaSolution,
-    PrimeAboveP,
-    embed,
-    primes_above,
-    solve_delta,
-)
+from .quartic import embed, solve_delta
 from .verify import SuiteResult, run_reference_scan, run_suite
 
 __version__ = "0.1.0"
@@ -66,14 +60,12 @@ __all__ = [
     "Classification",
     "ComputeFailed",
     "CongruentStatus",
-    "DeltaSolution",
     "FormCount",
     "GaussianInt",
     "GeneratorNotFound",
     "NotSplitError",
     "OddPrime",
     "PreconditionViolation",
-    "PrimeAboveP",
     "QuarticCover",
     "ShaReport",
     "SuiteResult",
@@ -91,9 +83,7 @@ __all__ = [
     "lemma_symbol_prediction",
     "locally_solvable_at_p",
     "primary_associate",
-    "primes_above",
     "primes_in_range",
-    "quartic_roots",
     "r3",
     "rep_x2_32y2",
     "run_reference_scan",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from contextlib import closing, contextmanager, suppress
@@ -71,6 +72,21 @@ class ScanRow(NamedTuple):
 CSV_HEADER = ",".join(ScanRow._fields)
 
 
+def _print(*lines: str) -> None:
+    """Print and flush each line.  An OSError is PreconditionViolation "cannot
+    write standard output: reason", and stdout's descriptor then becomes
+    os.devnull, so that the interpreter's flush at exit cannot fail again."""
+    try:
+        for line in lines:
+            print(line, flush=True)
+    except OSError as exc:
+        with suppress(OSError, ValueError):  # a stream without a descriptor
+            fd, null = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
+        raise PreconditionViolation(f"cannot write standard output: {exc.strerror}") from None
+
+
 def _level_text(level: int | None, ceiling: int) -> str:
     return "NA" if level is None else f"≥ {level}" if level == ceiling else str(level)
 
@@ -85,17 +101,13 @@ def cmd_classify(args) -> int:
     c = classify(args.p)
     if args.format == "json":
         row = ScanRow.from_classification(c)._asdict()
-        print(json.dumps(row | {"sha_report": c.sha_report.value}))
+        _print(json.dumps(row | {"sha_report": c.sha_report.value}))
         return 0
-    print(f"p: {c.p}")
-    print(f"p mod 16: {c.p_mod_16}")
-    print(f"v_level: {_level_text(c.v_level, V_CEILING)}")
-    print(f"w_level: {_level_text(c.w_level, W_CEILING)}")
-    print(f"chi_1pi: {_chi_text(c.symbols.chi_1pi)}")
-    print(f"chi_alpha_delta: {_chi_text(c.symbols.chi_alpha_delta)}")
-    print(f"chi_zeta_alpha_delta: {_chi_text(c.symbols.chi_zeta_alpha_delta)}")
-    print(f"congruent_status: {c.congruent_status.value}")
-    print(f"sha_report: {c.sha_report.value}")
+    _print(f"p: {c.p}", f"p mod 16: {c.p_mod_16}",
+           f"v_level: {_level_text(c.v_level, V_CEILING)}",
+           f"w_level: {_level_text(c.w_level, W_CEILING)}",
+           *(f"{name}: {_chi_text(value)}" for name, value in c.symbols._asdict().items()),
+           f"congruent_status: {c.congruent_status.value}", f"sha_report: {c.sha_report.value}")
     return 0
 
 
@@ -127,9 +139,8 @@ def _report(results: Iterable[ChunkResult], write=None, out: str | None = None) 
             print(f"compute failed at p={p}: {message}", file=sys.stderr)
         failed += len(failures)
     if out is not None:
-        print(f"wrote {sum(counts.values())} rows to {out}")
-    for line in density_lines(counts):
-        print(line)
+        _print(f"wrote {sum(counts.values())} rows to {out}")
+    _print(*density_lines(counts))
     if failed:
         print(f"{failed} primes failed to classify", file=sys.stderr)
         return 2
@@ -180,13 +191,11 @@ def cmd_scan(args) -> int:
 
 def _verdict(result: SuiteResult, name: str, checked: str) -> int:
     """Print a suite's lines and verdict; 3 on a counterexample."""
-    for line in result.lines:
-        print(line)
+    _print(*result.lines)
     if result.passed:
-        print(f"{name}: PASS ({result.checked} {checked})")
+        _print(f"{name}: PASS ({result.checked} {checked})")
         return 0
-    print(f"counterexample: {result.counterexample}")
-    print(f"{name}: FAIL")
+    _print(f"counterexample: {result.counterexample}", f"{name}: FAIL")
     return 3
 
 

@@ -86,11 +86,11 @@ def _symbols(p: OddPrime) -> SymbolSet:
     if r is None:  # 1 + i' is never 0 mod p
         return _INERT
     try:
-        sol = solve_delta(p, roots)
+        ar, ai, br, bi = solve_delta(p, roots)
     except GeneratorNotFound as exc:
         raise ComputeFailed(f"could not certify delta for p = {pv}") from exc
-    A = (sol.a.re + sol.a.im * i_img) % pv
-    B = sol.b.re + sol.b.im * i_img
+    A = (ar + ai * i_img) % pv
+    B = br + bi * i_img
     r2 = r * r % pv
     if (r2 * r2 - 2 * r2 + 2) % pv or (r2 - 1 - i_img) % pv or (A + B * r) % pv or not A:
         raise ComputeFailed(f"delta does not certify the symbols at r for p = {pv}")

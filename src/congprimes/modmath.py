@@ -334,7 +334,8 @@ class SplitRoots(NamedTuple):
     s: int | None
 
     def quartic(self) -> list[int]:
-        """The roots of x^4 - 2x^2 + 2 mod p as quartic_roots lists them."""
+        """The roots of x^4 - 2x^2 + 2 mod p, one per prime above p: [r, p - r,
+        s, p - s], or [] when (1+i'/p) = -1 and so (1-i'/p) = -1, as 2 is a square."""
         if self.r is None:
             return []
         return [self.r, self.p - self.r, self.s, self.p - self.s]
@@ -355,17 +356,3 @@ def split_roots(p: OddPrime) -> SplitRoots:
         return SplitRoots(pv, i_img, zeta, None, None)
     s = (zeta - pow(zeta, 3, pv)) * pow(r, -1, pv) % pv
     return SplitRoots(pv, i_img, zeta, r, min(s, pv - s))
-
-
-def quartic_roots(p: OddPrime) -> list[int]:
-    """Roots of x^4 - 2x^2 + 2 mod p in the completely-split case.
-
-    Returns the four roots [r, p-r, s, p-s] with r^2 = 1 + i', s^2 = 1 - i'
-    (i' the canonical sqrt(-1)) when the quartic splits into linear factors,
-    and [] otherwise.  The list is nonempty iff p ≡ 1 (mod 8) and
-    (1+i'/p) = +1; a partial split (two roots, possible for p ≡ 5 mod 8)
-    does not produce embeddings of the full quartic ring and yields [].
-    """
-    if p.value % 8 != 1:
-        return []
-    return split_roots(p).quartic()

@@ -17,7 +17,7 @@ from math import isqrt
 from .errors import BoundExceeded, ComputeFailed, PreconditionViolation
 from .gaussian import GaussianInt, ONE_PLUS_I
 from .modmath import OddPrime, _SMALL_PRIMES, _sqrt_mod_int
-from .quartic import DeltaSolution
+from .quartic import _relative_norm
 
 DEFAULT_BOUND = 10**6
 
@@ -178,9 +178,10 @@ def _gaussian_sqrt(w: GaussianInt) -> GaussianInt | None:
     return cand if cand * cand == w else None
 
 
-def delta_box_search(p: OddPrime, bound: int) -> DeltaSolution | None:
-    """Exhaustive solution of a^2 - (1+i) b^2 = p over the box
-    max(|re|, |im|) <= bound for both a and b; None if the box is empty.
+def delta_box_search(p: OddPrime, bound: int) -> tuple[int, int, int, int] | None:
+    """Exhaustive solution of a^2 - (1+i) b^2 = p, as (a.re, a.im, b.re, b.im),
+    over the box max(|re|, |im|) <= bound for both a and b; None if the box
+    is empty, ComputeFailed if the solution found fails that equation.
 
     Scans every b in the box and derives the only possible a by exact
     Gaussian square root, which visits the same solution set as the naive
@@ -199,5 +200,8 @@ def delta_box_search(p: OddPrime, bound: int) -> DeltaSolution | None:
                 continue
             if a.re < 0 or (a.re == 0 and a.im < 0):
                 a = -a
-            return DeltaSolution(p=p, a=a, b=b)
+            x = a.re, a.im, bre, bim
+            if _relative_norm(*x) != (pv, 0):
+                raise ComputeFailed(f"box-search solution {x} does not have relative norm {pv}")
+            return x
     return None

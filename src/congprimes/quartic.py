@@ -1,14 +1,15 @@
-"""The ring Z[x]/(x^4 - 2x^2 + 2), its primes above a completely split p,
-and the rank-2 Z[i]-lattice reduction that certifies a relative-norm-p
-element for such p.
+"""The ring Z[x]/(x^4 - 2x^2 + 2), its reduction at the primes above a
+completely split p, and the rank-2 Z[i]-lattice reduction that certifies
+a relative-norm-p element for such p.
 
 Write alpha for the class of x, and i := alpha^2 - 1 (so i^2 = -1 and
 alpha^2 = 1 + i).  Every element is x = a + b*alpha with a, b in Z[i],
 and this module writes it as its four integer coordinates
-(a.re, a.im, b.re, b.im).  The conjugation alpha -> -alpha fixes Z[i] and
-gives the relative norm N(a + b*alpha) = a^2 - (1+i) b^2
-(_relative_norm).  The absolute norm is the Z[i]-norm of that Gaussian
-integer, hence always >= 0.
+(a.re, a.im, b.re, b.im).  A prime above a completely split p is the
+root r of x^4 - 2x^2 + 2 mod p that it sends alpha to (embed).  The
+conjugation alpha -> -alpha fixes Z[i] and gives the relative norm
+N(a + b*alpha) = a^2 - (1+i) b^2 (_relative_norm).  The absolute norm is
+the Z[i]-norm of that Gaussian integer, hence always >= 0.
 
 The unit group is generated by i and 1 + alpha, with relative norms
 N(i) = -1 and N(1+alpha) = -i (direct expansion: (1+alpha)(1-alpha) =
@@ -20,58 +21,28 @@ roots of unity, which is how solve_delta lands exactly on p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import isqrt
 
 from .errors import GeneratorNotFound, NotSplitError, PreconditionViolation
-from .gaussian import GaussianInt
 from .modmath import OddPrime, SplitRoots, split_roots
 
 
-@dataclass(frozen=True)
-class PrimeAboveP:
-    """A degree-one prime of Z[alpha] over p, recorded by the root r of
-    x^4 - 2x^2 + 2 mod p it reduces alpha to.  i_image = r^2 - 1 is where
-    i lands in F_p."""
-
-    p: OddPrime
-    r: int
-    i_image: int = field(init=False)
-
-    def __post_init__(self):
-        pv = self.p.value
-        if not 0 <= self.r < pv or (pow(self.r, 4, pv) - 2 * self.r * self.r + 2) % pv:
-            raise PreconditionViolation("r is not a root of x^4 - 2x^2 + 2 mod p")
-        object.__setattr__(self, "i_image", (self.r * self.r - 1) % pv)
-
-
-def embed(x: tuple[int, int, int, int], at: PrimeAboveP) -> int:
-    """Reduction of x = a + b*alpha, given as (a.re, a.im, b.re, b.im), in
-    the residue field F_p of the given prime: a + b*r with i -> i_image."""
+def embed(x: tuple[int, int, int, int], p: OddPrime, r: int) -> int:
+    """x = a + b*alpha, given as (a.re, a.im, b.re, b.im), reduced at the prime
+    above p where alpha -> r and i -> r^2 - 1; raises PreconditionViolation
+    unless r is a root of x^4 - 2x^2 + 2 mod p."""
+    pv = p.value
+    i = r * r % pv - 1
+    if not 0 <= r < pv or (i * i + 1) % pv:  # r^4 - 2r^2 + 2 = (r^2 - 1)^2 + 1
+        raise PreconditionViolation("r is not a root of x^4 - 2x^2 + 2 mod p")
     ar, ai, br, bi = x
-    i = at.i_image
-    return (ar + ai * i + (br + bi * i) * at.r) % at.p.value
-
-
-def _split(p: OddPrime, roots: SplitRoots | None) -> SplitRoots:
-    """split_roots(p) unless the caller already has it; raises
-    NotSplitError unless p ≡ 1 (mod 8) and (1+i'/p) = +1."""
-    if roots is None and p.value % 8 == 1:
-        roots = split_roots(p)
-    if roots is None or roots.r is None:
-        raise NotSplitError(f"{p} does not split completely in the quartic field")
-    return roots
-
-
-def primes_above(p: OddPrime) -> list[PrimeAboveP]:
-    """The four degree-one primes over a completely split p, sorted by
-    root.  Raises NotSplitError unless p ≡ 1 (mod 8) and (1+i'/p) = +1."""
-    return [PrimeAboveP(p, r) for r in sorted(_split(p, None).quartic())]
+    return (ar + ai * i + (br + bi * i) * r) % pv
 
 
 def _reduce(p: OddPrime, roots: SplitRoots | None) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Reduced Z[i]-basis (u, v) of the product of the two primes over p
-    with roots r and s of split_roots(p) (roots, if given, must be that):
+    with roots r and s of split_roots(p) (roots, if given, must be that);
+    raises NotSplitError unless p ≡ 1 (mod 8) and (1+i'/p) = +1.  It returns
     the coordinates (u0, u1, v0, v1), each as re, im, and the Gram entries
     (H(u), H(v), Re <v,u>, Im <v,u>) of the returned basis, in the form
     scaled by 2^k.
@@ -99,7 +70,10 @@ def _reduce(p: OddPrime, roots: SplitRoots | None) -> tuple[tuple[int, ...], tup
     loop from (p, 0), (-c, 1) always first moves c's coordinates into
     (-p/2, p/2] and swaps, so this starts at u = (-c, 1), v = (p, 0) and
     then reduces v by u and u by v in turn instead of swapping."""
-    roots = _split(p, roots)
+    if roots is None and p.value % 8 == 1:
+        roots = split_roots(p)
+    if roots is None or roots.r is None:
+        raise NotSplitError(f"{p} does not split completely in the quartic field")
     pv = p.value
     r, s, i_img, h = roots.r, roots.s, roots.i_img, pv // 2
     cr = ((r + s) * (h + 1) + h) % pv - h  # h + 1 = 1/2 mod p
@@ -130,24 +104,6 @@ def _reduce(p: OddPrime, roots: SplitRoots | None) -> tuple[tuple[int, ...], tup
             return (v0r, v0i, v1r, v1i, u0r, u0i, u1r, u1i), (hv, hu, gr, -gi)
 
 
-@dataclass(frozen=True)
-class DeltaSolution:
-    """A certified solution a^2 - (1+i) b^2 = p: delta = a + b*alpha has
-    relative norm exactly p, hence absolute norm p^2.  Construction checks
-    the relative norm, so a DeltaSolution never holds a wrong answer.
-    solve_delta alone skips the check, for the (a, b) whose relative norm
-    _delta has just checked to be exactly p."""
-
-    p: OddPrime
-    a: GaussianInt
-    b: GaussianInt
-
-    def __post_init__(self):
-        a, b = self.a, self.b
-        if _relative_norm(a.re, a.im, b.re, b.im) != (self.p.value, 0):
-            raise PreconditionViolation("relative norm is not exactly p")
-
-
 _BOX = [(re, im) for re in range(-2, 3) for im in range(-2, 3)]
 # (a.re, a.im, b.re, b.im), u alone first
 _COEFFS = [(1, 0, 0, 0)] + [a + b for b in _BOX for a in _BOX if any(a + b)]
@@ -167,8 +123,10 @@ def _times_unit(x0r: int, x0i: int, x1r: int, x1i: int) -> tuple[int, int, int, 
     return x0r + x1r - x1i, x0i + x1r + x1i, x0r + x1r, x0i + x1i
 
 
-def solve_delta(p: OddPrime, roots: SplitRoots | None = None) -> DeltaSolution:
-    """Certified element of relative norm p for a completely split prime.
+def solve_delta(p: OddPrime, roots: SplitRoots | None = None) -> tuple[int, int, int, int]:
+    """Certified delta = a + b*alpha with a^2 - (1+i) b^2 = p exactly, as
+    (a.re, a.im, b.re, b.im), for a completely split p (else NotSplitError);
+    roots, if given, must be split_roots(p).
 
     Takes the reduced basis (u, v) of _reduce(p, roots) and returns the first
     a*u + b*v, with a, b in the Gaussian box |re|, |im| <= 2 and u tried
@@ -201,15 +159,6 @@ def solve_delta(p: OddPrime, roots: SplitRoots | None = None) -> DeltaSolution:
     Both bounds leave far more slack than the 2^-k error of the form used
     by _reduce.
     """
-    ar, ai, br, bi = _delta(p, roots)
-    sol = object.__new__(DeltaSolution)  # trusted: _delta has checked the norm
-    sol.__dict__.update(p=p, a=GaussianInt(ar, ai), b=GaussianInt(br, bi))
-    return sol
-
-
-def _delta(p: OddPrime, roots: SplitRoots | None) -> tuple[int, int, int, int]:
-    """solve_delta on plain ints: (a.re, a.im, b.re, b.im) of delta = a + b*alpha,
-    checked to satisfy a^2 - (1+i) b^2 = p exactly (else GeneratorNotFound)."""
     (u0r, u0i, u1r, u1i, v0r, v0i, v1r, v1i), _ = _reduce(p, roots)
     pv = p.value
     target = pv * pv

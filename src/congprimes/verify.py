@@ -36,7 +36,7 @@ from .modmath import (
     windows,
 )
 from .oracles import class_number, delta_box_search, r3, rep_x2_32y2, tunnell_a
-from .quartic import PrimeAboveP, _relative_norm, _times_unit, embed, solve_delta
+from .quartic import _relative_norm, _times_unit, embed, solve_delta
 
 # The acceptance tests import this name.  It is classify itself, uncached:
 # no walk classifies a prime twice, and a cache would grow with the range.
@@ -227,11 +227,11 @@ def run_els(limit: int, seed: int = 0) -> SuiteResult:
                         "cover solvability = symbol prediction = chi_1pi")
 
 
-def _delta_symbols(delta, P: OddPrime, above, z: int) -> set[tuple[int, int]]:
-    """Both symbols from every admissible evaluation choice for delta, as
-    (a.re, a.im, b.re, b.im); ComputeFailed unless it has two admissible primes."""
+def _delta_symbols(delta, P: OddPrime, roots: list[int], z: int) -> set[tuple[int, int]]:
+    """Both symbols of delta = (a.re, a.im, b.re, b.im) at each admissible root
+    (delta nonzero there) and both signs of z; ComputeFailed unless two roots are."""
     p = P.value
-    values = [(q.r, e) for q in above if (e := embed(delta, q))]
+    values = [(r, e) for r in roots if (e := embed(delta, P, r))]
     if len(values) != 2:
         raise ComputeFailed(f"p={p}: {len(values)} admissible primes")
     return {(legendre(r * e, P), legendre(zz * r * e, P)) for r, e in values for zz in (z, p - z)}
@@ -261,21 +261,19 @@ def run_delta(limit: int, seed: int = 0, extra: tuple[int, ...] = ()) -> SuiteRe
     def check(split: tuple) -> str | None:
         P, roots = split
         p = P.value
-        sol = solve_delta(P, roots)
-        delta = sol.a.re, sol.a.im, sol.b.re, sol.b.im
+        delta = solve_delta(P, roots)
         delta_eps = _times_epsilon(delta)
         deltas = [delta, delta_eps, tuple(-c for c in delta), _times_epsilon(delta_eps)]
         if p < DELTA_BOX_LIMIT:
             bs = delta_box_search(P, isqrt(4 * p) + 2)
             if bs is None:
                 return f"p={p}: box search found nothing"
-            deltas.append((bs.a.re, bs.a.im, bs.b.re, bs.b.im))
+            deltas.append(bs)
         for x in deltas:
             if (norm := _relative_norm(*x)) != (p, 0):
                 return f"p={p}: {x} has relative norm {norm}, not ({p}, 0)"
-        above = [PrimeAboveP(P, r) for r in sorted(roots.quartic())]
         try:
-            syms = set().union(*(_delta_symbols(d, P, above, roots.zeta) for d in deltas))
+            syms = set().union(*(_delta_symbols(d, P, roots.quartic(), roots.zeta) for d in deltas))
         except ComputeFailed as exc:  # a delta without two admissible primes
             return str(exc)
         return f"p={p}: symbol sets differ: {syms}" if len(syms) != 1 else None
@@ -459,9 +457,7 @@ def _gaussian_instance(rng: random.Random, pool: list[int], aux: list[int]):
             if len(qs) < nfactors:
                 continue
             x0, m = _crt(residues)
-            y = unit
-            for lam in lams:
-                y = y * lam
+            y = prod(lams, start=unit)
             yy = y * y
             t = GaussianInt(rng.randrange(-3, 4), rng.randrange(-3, 4))
             x = x0 + t * yy
@@ -510,9 +506,9 @@ def run_lemmas(limit: int, seed: int = 1) -> SuiteResult:
         P = OddPrime(p)
         if gi_symbol(ONE_PLUS_I, pi) != 1:
             return _fail("lemmas", checked, f"pi={pi}: (1+i | pi) != 1 in pool")
-        i_img = _i_image(pi, p) if pi.im % p else None
-        if i_img is None:
+        if not pi.im % p:
             return _fail("lemmas", checked, f"pi={pi}: degenerate embedding")
+        i_img = _i_image(pi, p)
         d_res = (D.re + D.im * i_img) % p
         a0 = sqrt_mod(d_res, P)
         if a0 is None:
@@ -569,9 +565,7 @@ def run_suite(suite: str, limit: int | None = None, seed: int = 1) -> SuiteResul
     if suite not in SUITES:
         raise PreconditionViolation(f"unknown suite {suite!r}; "
                                     f"choose from {sorted(SUITES)}")
-    if limit is None:
-        limit = DEFAULT_LIMITS[suite]
-    return SUITES[suite](limit, seed)
+    return SUITES[suite](DEFAULT_LIMITS[suite] if limit is None else limit, seed)
 
 
 # ---------------------------------------------------------- paper checks
@@ -665,8 +659,6 @@ def density_lines(counts: Counts) -> list[str]:
         lines.append(f"  v_level {v}  w_level {wtxt:>2}: {n}")
     v4 = sum(n for (v, _), n in counts.items() if v == 4)
     v3 = sum(n for (v, _), n in counts.items() if v >= 3)
-    if v3:
-        lines.append(f"V(4)/V(3) fraction: {v4}/{v3} = {v4 / v3:.4f}")
-    else:
-        lines.append("V(4)/V(3) fraction: NA (no V(3) primes in range)")
+    lines.append(f"V(4)/V(3) fraction: {v4}/{v3} = {v4 / v3:.4f}" if v3
+                 else "V(4)/V(3) fraction: NA (no V(3) primes in range)")
     return lines

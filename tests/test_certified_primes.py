@@ -19,7 +19,7 @@ from congprimes import modmath
 from congprimes.cli import CSV_HEADER, ScanRow, main
 from congprimes.criteria import classify
 from congprimes.errors import PreconditionViolation
-from congprimes.modmath import OddPrime, _certified, primes_in_range, quartic_roots
+from congprimes.modmath import OddPrime, _certified, primes_in_range, split_roots
 from congprimes.verify import (
     _check_one_invariant,
     run_class_numbers,
@@ -111,7 +111,7 @@ def test_range_suites_test_no_prime_again(suite, limit, primality_calls):
 
 def test_invariant_check_tests_no_prime_again(primality_calls):
     p = 10**99 + 1  # ≡ 1 mod 8
-    while not (sympy.isprime(p) and quartic_roots(_certified(p))):
+    while not (sympy.isprime(p) and p % 8 == 1 and split_roots(_certified(p)).r is not None):
         p += 8
     c = classify(_certified(p))
     assert c.v_level >= 3  # completely split, so the zeta checks run

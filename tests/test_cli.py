@@ -710,6 +710,55 @@ def test_scan_to_a_full_device_is_a_usage_error(capsys, monkeypatch, workers):
     assert multiprocessing.active_children() == []
 
 
+# a fresh interpreter on the n CPUs of the cpus helper, running main(argv)
+_MAIN_ON_CPUS = """import os, sys
+os.sched_getaffinity = lambda pid: set(range({n}))
+os.cpu_count = lambda: {n}
+from congprimes.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+STDOUT_COMMANDS = {
+    "classify": ["classify", "41"],
+    "classify-json": ["classify", "113", "--json"],
+    "verify": ["verify", "invariants", "--limit", "1000"],
+    **{f"scan-{w}w": ["scan", "--from", "3", "--to", "100000", "--out", "{out}", "--workers", w]
+       for w in "12"},
+    **{f"density-{w}w": ["density", "--from", "3", "--to", "100000", "--workers", w] for w in "12"},
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", STDOUT_COMMANDS.values(), ids=STDOUT_COMMANDS)
+def test_a_full_standard_output_is_a_usage_error(tmp_path, argv, buffered):
+    # every write to /dev/full fails with ENOSPC: buffered, at main's flush
+    # or at the interpreter's exit; unbuffered, at the first print
+    env = dict(os.environ, PYTHONPATH=str(Path(congprimes.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [a.format(out=tmp_path / "rows.csv") for a in argv]
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-c", _MAIN_ON_CPUS.format(n=2), *argv], env=env,
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert done.returncode == 1
+    # this one line only: no traceback, and no "Exception ignored" from the exit's flush
+    assert done.stderr == f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_an_os_error_elsewhere_is_not_a_standard_output_error(capsys, monkeypatch):
+    def fails(p):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(cli, "classify", fails)
+    with pytest.raises(OSError) as info:
+        main(["classify", "41"])
+    assert info.value.errno == errno.EIO
+    assert capsys.readouterr() == ("", "")
+
+
 def test_scan_reports_a_failed_close_of_out(capsys, monkeypatch):
     class ClosesBadly(io.StringIO):
         def close(self):

@@ -12,9 +12,8 @@ from congprimes.criteria import (
 )
 from congprimes.errors import ComputeFailed, PreconditionViolation
 from congprimes.modmath import (
-    OddPrime, eighth_root_of_unity, legendre, primes_in_range, quartic_roots,
-    split_roots, sqrt_mod)
-from congprimes.quartic import DeltaSolution, primes_above, solve_delta
+    OddPrime, eighth_root_of_unity, legendre, primes_in_range, split_roots, sqrt_mod)
+from congprimes.quartic import solve_delta
 from congprimes.verify import _delta_symbols
 
 
@@ -147,17 +146,15 @@ ANCHORS = [10**200 + 16737, 10**200 + 28729]
 @pytest.mark.parametrize("ps,n_split", [(SPLIT_CHECK_PRIMES, 2220), (ANCHORS, 2)],
                          ids=["below-2e5", "200-digit-anchors"])
 def test_integer_symbols_match_the_quartic_objects(ps, n_split):
-    # classify evaluates delta on ints; verify._delta_symbols takes every
-    # admissible PrimeAboveP, embed and both eighth roots of unity
+    # classify reads delta's coordinate a at r; verify._delta_symbols takes
+    # every admissible root, embed and both eighth roots of unity
     split = 0
     for p in ps:
         P = OddPrime(p)
-        if not quartic_roots(P):
+        if p % 8 != 1 or (roots := split_roots(P)).r is None:
             continue
         split += 1
-        sol = solve_delta(P)
-        delta = sol.a.re, sol.a.im, sol.b.re, sol.b.im
-        want = _delta_symbols(delta, P, primes_above(P), eighth_root_of_unity(P))
+        want = _delta_symbols(solve_delta(P), P, roots.quartic(), eighth_root_of_unity(P))
         c = classify(P)
         assert want == {(c.symbols.chi_alpha_delta, c.symbols.chi_zeta_alpha_delta)}, p
         assert c.symbols.chi_1pi == 1
@@ -173,7 +170,7 @@ def test_chi_1pi_is_the_legendre_symbol_of_1_plus_i():
 def test_a_root_that_fails_its_check_raises_compute_failed(monkeypatch):
     P = OddPrime(41)
     true = split_roots(P)
-    sol = solve_delta(P, true)
+    ar, ai, br, bi = solve_delta(P, true)
     # a shifted r reaches the symbol step, while solve_delta gets the true roots
     monkeypatch.setattr(criteria, "split_roots", lambda P: true._replace(r=true.r + 1))
     monkeypatch.setattr(criteria, "solve_delta", lambda P, roots: solve_delta(P, true))
@@ -182,7 +179,6 @@ def test_a_root_that_fails_its_check_raises_compute_failed(monkeypatch):
     # the conjugate a - b*alpha has relative norm p too, but lies in the other
     # pair of primes, so it does not vanish at r
     monkeypatch.setattr(criteria, "split_roots", lambda P: true)
-    monkeypatch.setattr(criteria, "solve_delta",
-                        lambda P, roots: DeltaSolution(p=P, a=sol.a, b=-sol.b))
+    monkeypatch.setattr(criteria, "solve_delta", lambda P, roots: (ar, ai, -br, -bi))
     with pytest.raises(ComputeFailed, match="delta does not certify the symbols at r"):
         classify(41)

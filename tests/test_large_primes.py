@@ -18,8 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from congprimes.criteria import classify
-from congprimes.modmath import _certified, quartic_roots, split_roots
-from congprimes.quartic import primes_above, solve_delta
+from congprimes.modmath import _certified, split_roots
+from congprimes.quartic import solve_delta
 from congprimes.verify import _check_one_invariant, _delta_symbols, run_delta
 
 _PRIMES_BELOW_10_4 = sympy.primorial(1229)  # 1229 primes lie below 10^4
@@ -30,7 +30,7 @@ def _split_prime(digits: int, seed: int) -> int:
     random start with the given number of digits."""
     n = random.Random(seed).randrange(10 ** (digits - 1), 10**digits) // 8 * 8 + 1
     while not (gcd(n, _PRIMES_BELOW_10_4) == 1 and sympy.isprime(n)
-               and quartic_roots(_certified(n))):
+               and n % 8 == 1 and split_roots(_certified(n)).r is not None):
         n += 8
     return n
 
@@ -46,8 +46,7 @@ def test_large_split_prime_passes_the_delta_and_level_checks(digits, seed):
     c = classify(P)
     assert c.v_level in (3, 4) and c.w_level in (2, 3)
     # _delta_symbols takes every admissible prime above p and both signs of zeta
-    sol = solve_delta(P)
-    delta = sol.a.re, sol.a.im, sol.b.re, sol.b.im
-    want = _delta_symbols(delta, P, primes_above(P), split_roots(P).zeta)
+    roots = split_roots(P)
+    want = _delta_symbols(solve_delta(P), P, roots.quartic(), roots.zeta)
     assert want == {(c.symbols.chi_alpha_delta, c.symbols.chi_zeta_alpha_delta)}
     assert _check_one_invariant(P, c) is None

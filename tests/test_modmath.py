@@ -19,7 +19,6 @@ from congprimes.modmath import (
     is_probable_prime,
     legendre,
     primes_in_range,
-    quartic_roots,
     split_roots,
     sqrt_mod,
 )
@@ -230,31 +229,23 @@ def test_eighth_root_of_unity():
 
 
 def test_quartic_roots_all_or_nothing():
+    # x^4 - 2x^2 + 2 has four roots mod p exactly when p ≡ 1 (mod 8) and
+    # (1+i'/p) = +1, and they are then SplitRoots.quartic()'s four; so its []
+    # never hides a full split, while p ≡ 5 (mod 8) may have two roots
     for p in primes_in_range(3, 3000):
         P = OddPrime(p)
-        roots = quartic_roots(P)
-        exhaustive = [x for x in range(p) if (x**4 - 2 * x * x + 2) % p == 0]
-        if roots:
-            assert sorted(roots) == sorted(exhaustive)
-            assert len(roots) == 4
-            i_img = sqrt_mod(-1, P)
+        exhaustive = {x for x in range(p) if (x**4 - 2 * x * x + 2) % p == 0}
+        i_img = sqrt_mod(-1, P) if p % 4 == 1 else None
+        split = p % 8 == 1 and legendre(1 + i_img, P) == 1
+        assert (len(exhaustive) == 4) == split, p
+        if p % 8 != 1:
+            continue
+        roots = split_roots(P).quartic()
+        assert set(roots) == exhaustive and len(roots) == len(exhaustive), p
+        if split:
             r, s = roots[0], roots[2]
             assert r * r % p == (1 + i_img) % p
             assert s * s % p == (1 - i_img) % p
-        else:
-            # never a full split hiding behind an empty answer
-            assert len(exhaustive) < 4
-
-
-def test_quartic_roots_split_iff_symbol_condition():
-    for p in primes_in_range(3, 3000):
-        P = OddPrime(p)
-        split = bool(quartic_roots(P))
-        if p % 8 != 1:
-            assert not split
-        else:
-            chi = legendre(1 + sqrt_mod(-1, P), P)
-            assert split == (chi == 1)
 
 
 def _canonical_roots(P: OddPrime) -> tuple[int, int, int | None, int | None]:
@@ -291,10 +282,10 @@ def test_split_roots_equal_the_canonical_roots(ps):
         if legendre(1 + i_img, P) == 1:
             split += 1
             assert (roots.r, roots.s) == (r, s), p
-            assert quartic_roots(P) == roots.quartic() == [r, p - r, s, p - s]
+            assert roots.quartic() == [r, p - r, s, p - s]
         else:
             assert (roots.r, roots.s) == (None, None), p
-            assert quartic_roots(P) == roots.quartic() == []
+            assert roots.quartic() == []
     assert split >= 2
 
 

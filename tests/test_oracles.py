@@ -136,8 +136,17 @@ def test_rep_x2_32y2_rejects_a_wrong_square_root(monkeypatch):
 def test_box_search_finds_certified_solution():
     sol = delta_box_search(OddPrime(41), 16)
     assert sol is not None
-    assert sol.a * sol.a - GaussianInt(1, 1) * sol.b * sol.b == GaussianInt(41)
-    assert sol.a.re > 0
+    ar, ai, br, bi = sol
+    a, b = GaussianInt(ar, ai), GaussianInt(br, bi)
+    assert a * a - GaussianInt(1, 1) * b * b == GaussianInt(41)
+    assert ar > 0
+
+
+def test_box_search_refuses_a_solution_without_relative_norm_p(monkeypatch):
+    # a wrong square root gives an a with a^2 - (1+i) b^2 != p
+    monkeypatch.setattr(oracles, "_gaussian_sqrt", lambda w: GaussianInt(1))
+    with pytest.raises(ComputeFailed, match="relative norm 41"):
+        delta_box_search(OddPrime(41), 16)
 
 
 def test_box_search_empty_when_not_split():

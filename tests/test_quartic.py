@@ -8,20 +8,8 @@ import sympy
 from congprimes import quartic, verify
 from congprimes.errors import GeneratorNotFound, NotSplitError, PreconditionViolation
 from congprimes.gaussian import GaussianInt
-from congprimes.modmath import (
-    OddPrime, _PRIMORIAL, _certified, legendre, primes_in_range, quartic_roots, split_roots,
-    sqrt_mod)
-from congprimes.quartic import (
-    DeltaSolution,
-    PrimeAboveP,
-    _delta,
-    _reduce,
-    _relative_norm,
-    _times_unit,
-    embed,
-    primes_above,
-    solve_delta,
-)
+from congprimes.modmath import OddPrime, _PRIMORIAL, _certified, primes_in_range, split_roots
+from congprimes.quartic import _reduce, _relative_norm, _times_unit, embed, solve_delta
 
 # reduction rule oracle: alpha^4 = 2 alpha^2 - 2
 def _poly_mul(a, b):
@@ -76,42 +64,25 @@ def test_embed_is_ring_map():
     rng = random.Random(8)
     for p in (41, 113, 257):
         P = OddPrime(p)
-        above = primes_above(P)
-        assert len(above) == 4
-        for at in above:
-            r = at.r
+        roots = split_roots(P).quartic()
+        assert len(roots) == 4
+        for r in roots:
             for _ in range(20):
                 x = _rand(rng, 50)
                 c = _power(x)
-                assert embed(x, at) == (c[0] + c[1] * r + c[2] * r * r + c[3] * r**3) % p
+                assert embed(x, P, r) == (c[0] + c[1] * r + c[2] * r * r + c[3] * r**3) % p
                 y = _coords(_poly_mul(c, ONE_PLUS_ALPHA))
-                assert embed(y, at) == embed(x, at) * (1 + r) % p
-            assert embed((0, 0, 1, 0), at) == r  # alpha
-            assert embed((0, 1, 0, 0), at) == at.i_image
+                assert embed(y, P, r) == embed(x, P, r) * (1 + r) % p
+            assert embed((0, 0, 1, 0), P, r) == r  # alpha
+            assert embed((0, 1, 0, 0), P, r) == (r * r - 1) % p  # i
 
 
-def test_primes_above_structure():
-    for p in (41, 113, 257, 337):
-        P = OddPrime(p)
-        above = primes_above(P)
-        assert len(above) == 4
-        roots = [q.r for q in above]
-        assert roots == sorted(roots)
-        assert set(roots) == set(quartic_roots(P))
-        for q in above:
-            assert (q.r**4 - 2 * q.r**2 + 2) % p == 0
-            assert q.i_image == (q.r * q.r - 1) % p
-
-
-def test_primes_above_requires_split():
-    for p in (7, 13, 17):
-        with pytest.raises(NotSplitError):
-            primes_above(OddPrime(p))
-
-
-def test_prime_above_validates_root():
-    with pytest.raises(PreconditionViolation):
-        PrimeAboveP(p=OddPrime(41), r=5)
+def test_embed_refuses_a_value_that_is_not_a_root():
+    P = OddPrime(41)
+    r = split_roots(P).r
+    for bad in (5, r + 41, -r):  # not a root, and a root outside [0, p)
+        with pytest.raises(PreconditionViolation, match="not a root"):
+            embed((1, 0, 0, 0), P, bad)
 
 
 def _at_most_zero(m, n):
@@ -134,7 +105,7 @@ def test_ideal_basis_spans_the_ideal():
     count = 0
     for p in (41, 113, 257, 1153, 10009, 104729, 10**200 + 16737):
         P = OddPrime(p)
-        roots = quartic_roots(P)
+        roots = split_roots(P).quartic() if p % 8 == 1 else []
         if not roots:
             continue
         count += 1
@@ -142,7 +113,7 @@ def test_ideal_basis_spans_the_ideal():
         # both vectors vanish exactly at the primes with roots r and s
         for x in (u, v):
             g = (x[0].re, x[0].im, x[1].re, x[1].im)
-            vanishing = {q.r for q in primes_above(P) if embed(g, q) == 0}
+            vanishing = {r for r in roots if embed(g, P, r) == 0}
             assert vanishing == {roots[0], roots[2]}
         # the Z[i]-determinant has norm p^2, the index of the ideal
         assert (u[0] * v[1] - u[1] * v[0]).norm() == p * p
@@ -271,7 +242,7 @@ def test_delta_box_is_complete():
     count = 0
     for p in primes_in_range(3, 20000):
         P = OddPrime(p)
-        if p % 8 != 1 or not quartic_roots(P):
+        if p % 8 != 1 or split_roots(P).r is None:
             continue
         u, v = _basis(P)
         bs = [(c, times(c, v)) for c in span]
@@ -331,9 +302,8 @@ def test_solve_delta_matches_the_quartic_rotation():
         roots = split_roots(P)
         if roots.r is None:
             continue
-        want, m = _quartic_rotation(P, roots)
-        sol = solve_delta(P, roots)
-        assert (sol.a, sol.b) == want, p
+        (a, b), m = _quartic_rotation(P, roots)
+        assert solve_delta(P, roots) == (a.re, a.im, b.re, b.im), p
         rotations.add(m)
     assert rotations == {0, 1, 2, 3}
 
@@ -349,30 +319,27 @@ def test_delta_coordinates_are_pinned():
     for p in primes_in_range(3, 20000) + [10**200 + 16737, 10**200 + 28729]:
         P = OddPrime(p)
         if p % 8 == 1 and (roots := split_roots(P)).r is not None:
-            sol = solve_delta(P, roots)
-            assert _delta(P, roots) == (sol.a.re, sol.a.im, sol.b.re, sol.b.im)
-            # solve_delta skips the checks that the public constructor makes,
-            # and the public constructor accepts what it returns
-            assert DeltaSolution(p=P, a=sol.a, b=sol.b) == sol
-            text.append(f"{sol.a.re},{sol.a.im},{sol.b.re},{sol.b.im}\n")
+            delta = solve_delta(P, roots)
+            assert type(delta) is tuple and _relative_norm(*delta) == (p, 0)
+            text.append(",".join(map(str, delta)) + "\n")
     assert len(text) == 273
     assert hashlib.sha256("".join(text).encode()).hexdigest() == DELTA_SHA256
 
 
 def test_delta_refuses_a_candidate_whose_norm_is_not_exactly_p(monkeypatch):
     # with the unit rotation skipped, a generator of relative norm w*p, w != 1,
-    # is refused by _delta itself, before any DeltaSolution checks it
-    split = [P for P in map(OddPrime, primes_in_range(3, 3000)) if quartic_roots(P)]
-    want = {P: _delta(P, None) for P in split}
+    # is refused by solve_delta's own check of the relative norm
+    split = [P for P in map(OddPrime, primes_in_range(3, 3000))
+             if P.value % 8 == 1 and split_roots(P).r is not None]
+    want = {P: solve_delta(P) for P in split}
     monkeypatch.setattr(quartic, "_ROTATIONS", dict.fromkeys(quartic._ROTATIONS, 0))
     refused = 0
     for P in split:
         try:
-            assert _delta(P, None) == want[P], P
-        except GeneratorNotFound:
+            assert solve_delta(P) == want[P], P
+        except GeneratorNotFound as exc:
             refused += 1
-            with pytest.raises(GeneratorNotFound, match="relative norm"):
-                solve_delta(P)
+            assert "relative norm" in str(exc)
     assert 0 < refused < len(split)
 
 
@@ -380,11 +347,12 @@ def test_solve_delta_certificates_small_range():
     count = 0
     for p in primes_in_range(3, 3000):
         P = OddPrime(p)
-        if not quartic_roots(P):
+        if p % 8 != 1 or split_roots(P).r is None:
             continue
-        sol = solve_delta(P)
-        assert sol.a * sol.a - GaussianInt(1, 1) * sol.b * sol.b == GaussianInt(p)
-        assert GaussianInt(*_relative_norm(sol.a.re, sol.a.im, sol.b.re, sol.b.im)).norm() == p * p
+        ar, ai, br, bi = solve_delta(P)
+        a, b = GaussianInt(ar, ai), GaussianInt(br, bi)
+        assert a * a - GaussianInt(1, 1) * b * b == GaussianInt(p)
+        assert GaussianInt(*_relative_norm(ar, ai, br, bi)).norm() == p * p
         count += 1
     assert count > 30
 
@@ -394,25 +362,17 @@ def test_solve_delta_requires_split():
         solve_delta(OddPrime(17))
 
 
-def test_delta_solution_validates():
-    P = OddPrime(41)
-    good = solve_delta(P)
-    with pytest.raises(PreconditionViolation):
-        DeltaSolution(p=P, a=good.a + GaussianInt(1), b=good.b)
-
-
-def test_delta_solution_rejects_a_consistent_solution_for_another_prime():
-    good = solve_delta(OddPrime(41))
-    with pytest.raises(PreconditionViolation, match="relative norm is not exactly p"):
-        DeltaSolution(p=OddPrime(73), a=good.a, b=good.b)
+def test_solve_delta_returns_the_four_coordinates():
+    # delta = (7 + 2i) + (-4 - 6i) alpha: (7 + 2i)^2 - (1+i)(-4 - 6i)^2 = 113
+    assert solve_delta(OddPrime(113)) == (7, 2, -4, -6)
 
 
 def test_delta_sign_canonical():
     for p in (41, 113, 257, 353):
-        sol = solve_delta(OddPrime(p))
-        assert sol.a.re > 0
+        assert solve_delta(OddPrime(p))[0] > 0  # a.re
 
 
 def test_solve_delta_200_digit():
-    sol = solve_delta(OddPrime(10**200 + 28729))
-    assert sol.a * sol.a - GaussianInt(1, 1) * sol.b * sol.b == GaussianInt(10**200 + 28729)
+    ar, ai, br, bi = solve_delta(OddPrime(10**200 + 28729))
+    a, b = GaussianInt(ar, ai), GaussianInt(br, bi)
+    assert a * a - GaussianInt(1, 1) * b * b == GaussianInt(10**200 + 28729)

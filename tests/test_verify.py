@@ -132,7 +132,7 @@ def test_run_delta_takes_the_roots_once_per_prime(monkeypatch):
 
 
 def test_a_delta_without_two_admissible_primes_is_a_counterexample(monkeypatch, capsys):
-    monkeypatch.setattr(verify, "embed", lambda delta, at: 0)
+    monkeypatch.setattr(verify, "embed", lambda delta, p, r: 0)
     result = run_delta(100)
     assert not result.passed
     assert (result.checked, result.counterexample) == (0, "p=41: 0 admissible primes")
