@@ -248,6 +248,20 @@ def test_quartic_roots_all_or_nothing():
             assert s * s % p == (1 - i_img) % p
 
 
+def test_quartic_roots_split_iff_symbol_condition():
+    # p ≢ 1 (mod 8) has no SplitRoots at all; p ≡ 1 (mod 8) has four
+    # quartic roots exactly when (1+i'/p) = +1
+    for p in primes_in_range(3, 3000):
+        P = OddPrime(p)
+        if p % 8 != 1:
+            with pytest.raises(PreconditionViolation):
+                split_roots(P)
+            continue
+        split = bool(split_roots(P).quartic())
+        chi = legendre(1 + sqrt_mod(-1, P), P)
+        assert split == (chi == 1), p
+
+
 def _canonical_roots(P: OddPrime) -> tuple[int, int, int | None, int | None]:
     """i', zeta, r, s each by its own Tonelli-Shanks square root."""
     i_img = sqrt_mod(-1, P)
