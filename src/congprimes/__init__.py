@@ -7,7 +7,13 @@ quartic module solves the norm equation a^2 - (1+i) b^2 = p that feeds
 the deeper symbols, as delta's four integer coordinates (a.re, a.im,
 b.re, b.im), the oracles module recounts everything by brute force, and
 verify wires the two against each other.
+
+`import congprimes` loads only what classify needs: errors, modmath,
+quartic and criteria.  The names from els, gaussian, oracles and verify,
+and those four modules themselves, load on first use.
 """
+
+from importlib import import_module
 
 from .criteria import (
     Classification,
@@ -18,20 +24,12 @@ from .criteria import (
     v_level,
     w_level,
 )
-from .els import COVERS, QuarticCover, cover, lemma_symbol_prediction, locally_solvable_at_p
 from .errors import (
     BoundExceeded,
     ComputeFailed,
     GeneratorNotFound,
     NotSplitError,
     PreconditionViolation,
-)
-from .gaussian import (
-    GaussianInt,
-    TwoSquares,
-    gi_symbol,
-    primary_associate,
-    two_squares,
 )
 from .modmath import (
     OddPrime,
@@ -41,16 +39,29 @@ from .modmath import (
     primes_in_range,
     sqrt_mod,
 )
-from .oracles import (
-    FormCount,
-    class_number,
-    delta_box_search,
-    r3,
-    rep_x2_32y2,
-    tunnell_a,
-)
 from .quartic import embed, solve_delta
-from .verify import SuiteResult, run_reference_scan, run_suite
+
+# public name -> the submodule that defines it, imported on first access
+_LAZY = {name: module for module, names in [
+    ("els", "COVERS QuarticCover cover lemma_symbol_prediction locally_solvable_at_p"),
+    ("gaussian", "GaussianInt TwoSquares gi_symbol primary_associate two_squares"),
+    ("oracles", "FormCount class_number delta_box_search r3 rep_x2_32y2 tunnell_a"),
+    ("verify", "SuiteResult run_reference_scan run_suite"),
+] for name in names.split()}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name) or (name if name in _LAZY.values() else None)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    home = import_module(f".{module}", __name__)
+    value = globals()[name] = home if name == module else getattr(home, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
 
 __version__ = "0.1.0"
 

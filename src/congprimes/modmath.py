@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import compress
 from math import gcd, isqrt, log, prod
+from operator import index
 from typing import NamedTuple
 
 from .errors import PreconditionViolation
@@ -194,25 +194,43 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     return [n for n in survivors if is_probable_prime(n)]
 
 
-@dataclass(frozen=True, slots=True)
 class OddPrime:
     """A certified odd prime.  OddPrime(n) runs is_probable_prime on n and
     raises unless n is an odd prime, so every downstream function may
     assume its argument really is one.  The one other way in is the
     package-internal _certified, for primes that primes_in_range has
-    already certified."""
+    already certified.  An OddPrime is immutable and equal only to an
+    OddPrime of the same value; copies and pickles are not tested again."""
 
-    value: int
-    residue_mod_16: int = field(init=False)
+    __slots__ = ("value", "residue_mod_16")
 
-    def __post_init__(self):
-        if self.value == 2:
+    def __init__(self, value: int) -> None:
+        value = index(value)  # any integer type is stored as an int
+        if value == 2:
             raise PreconditionViolation(
                 "p = 2 is excluded: both classification questions are about odd primes"
             )
-        if self.value < 3 or self.value % 2 == 0 or not is_probable_prime(self.value):
-            raise PreconditionViolation(f"{self.value} is not an odd prime")
-        object.__setattr__(self, "residue_mod_16", self.value % 16)
+        if value < 3 or value % 2 == 0 or not is_probable_prime(value):
+            raise PreconditionViolation(f"{value} is not an odd prime")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "residue_mod_16", value % 16)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"OddPrime is immutable: {name!r} cannot change")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.value == other.value if type(other) is OddPrime else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.value)
+
+    def __reduce__(self):
+        return _certified, (self.value,)
+
+    def __repr__(self) -> str:
+        return f"OddPrime(value={self.value}, residue_mod_16={self.residue_mod_16})"
 
     def __int__(self) -> int:
         return self.value

@@ -906,3 +906,52 @@ def test_import_does_not_load_the_cli():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout
     assert out.splitlines() == ["[]", "[]"]
+
+
+# each public name by the submodule that defines it
+PUBLIC_HOMES = {
+    "criteria": "Classification CongruentStatus ShaReport SymbolSet classify v_level w_level",
+    "errors": "BoundExceeded ComputeFailed GeneratorNotFound NotSplitError PreconditionViolation",
+    "modmath": "OddPrime eighth_root_of_unity is_probable_prime legendre primes_in_range sqrt_mod",
+    "quartic": "embed solve_delta",
+    "els": "COVERS QuarticCover cover lemma_symbol_prediction locally_solvable_at_p",
+    "gaussian": "GaussianInt TwoSquares gi_symbol primary_associate two_squares",
+    "oracles": "FormCount class_number delta_box_search r3 rep_x2_32y2 tunnell_a",
+    "verify": "SuiteResult run_reference_scan run_suite",
+}
+
+IMPORT_SURFACE = """
+import json, sys
+import congprimes
+seen = {"loaded": sorted(m for m in sys.modules
+                         if m.partition(".")[0] in ("congprimes", "dataclasses", "inspect"))}
+seen["verify"] = congprimes.verify is sys.modules["congprimes.verify"]
+star = {}
+exec("from congprimes import *", star)
+seen["star"] = sorted(set(star) - {"__builtins__"})
+seen["homes"] = {name: getattr(congprimes, name) is getattr(sys.modules["congprimes." + home], name)
+                 for home, names in json.loads(sys.argv[1]).items() for name in names.split()}
+seen["dir"] = set(congprimes.__all__) <= set(dir(congprimes))
+try:
+    congprimes.no_such_name
+except AttributeError as exc:
+    seen["unknown"] = str(exc)
+print(json.dumps(seen))
+"""
+
+
+def test_import_loads_only_what_classify_needs():
+    """The other public names, and their modules, load on first use."""
+    env = dict(os.environ, PYTHONPATH=str(Path(congprimes.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", IMPORT_SURFACE, json.dumps(PUBLIC_HOMES)],
+                         env=env, capture_output=True, text=True, timeout=60, check=True).stdout
+    seen = json.loads(out)
+    assert seen["loaded"] == ["congprimes", "congprimes.criteria", "congprimes.errors",
+                              "congprimes.modmath", "congprimes.quartic"]
+    assert seen["verify"] is True
+    public = sorted(name for names in PUBLIC_HOMES.values() for name in names.split())
+    assert sorted(congprimes.__all__) == public
+    assert seen["star"] == public
+    assert seen["homes"] == dict.fromkeys(public, True)
+    assert seen["dir"] is True
+    assert seen["unknown"] == "module 'congprimes' has no attribute 'no_such_name'"

@@ -58,6 +58,27 @@ def test_accepts_odd_prime_wrapper():
     assert classify(OddPrime(41)) == classify(41)
 
 
+class Index:
+    """An integer that is not an int: it only defines __index__, as the
+    integer scalars of array libraries do."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __index__(self):
+        return self.n
+
+
+def test_any_integer_type_classifies_as_its_int():
+    for p in (41, 43, 113):  # split, non-split, split with deep symbols
+        c = classify(Index(p))
+        assert c == classify(p) and type(c.p) is int
+        assert type(OddPrime(Index(p)).value) is int
+    for bad in (41.0, "41", None):
+        with pytest.raises(TypeError):
+            classify(bad)
+
+
 def test_rejects_non_primes():
     for bad in (1, 2, 4, 9, 15, -11):
         with pytest.raises(PreconditionViolation):

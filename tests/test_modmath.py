@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -13,6 +15,7 @@ from congprimes.errors import PreconditionViolation
 from congprimes.modmath import (
     OddPrime,
     _PRIMORIAL,
+    _certified,
     _jacobi,
     _sqrt_mod_int,
     eighth_root_of_unity,
@@ -148,6 +151,34 @@ def test_odd_prime_accepts_and_rejects():
 def test_odd_prime_two_has_its_own_message():
     with pytest.raises(PreconditionViolation, match="p = 2 is excluded"):
         OddPrime(2)
+
+
+def test_odd_prime_is_a_frozen_value():
+    p = OddPrime(41)
+    assert repr(p) == "OddPrime(value=41, residue_mod_16=9)" and str(p) == "41"
+    for name in ("value", "residue_mod_16", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 43)
+    with pytest.raises(AttributeError):
+        del p.value
+    assert p.value == 41
+    assert p == OddPrime(41) and hash(p) == hash(OddPrime(41))
+    assert p != OddPrime(43) and p != 41 and 41 != p
+    for n in (3, 41, 10**12 + 39):
+        assert _certified(n) == OddPrime(n) and type(_certified(n)) is OddPrime
+
+
+def test_odd_prime_copies_and_pickles_without_a_primality_test(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"{n} tested again")
+
+    p = OddPrime(10**12 + 39)
+    monkeypatch.setattr(modmath, "is_probable_prime", refuse)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        q = pickle.loads(pickle.dumps(p, protocol))
+        assert q == p and type(q) is OddPrime and q.residue_mod_16 == p.residue_mod_16
+    for q in (copy.copy(p), copy.deepcopy(p), copy.deepcopy([p])[0]):
+        assert q == p and repr(q) == repr(p)
 
 
 def test_legendre_matches_sympy():
