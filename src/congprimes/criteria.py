@@ -18,6 +18,10 @@ classes of y^2 = x^3 - p^2 x, defined only for p ≡ 1 (mod 8):
 
 Levels 4 and 3 are ceilings: deeper divisibility is not decided here.
 
+The first symbol needs no square root: (1+i')^2 = 2i' and i'^2 = -1, so
+(1+i'/p) = (1+i')^((p-1)/2) = 2^((p-1)/4) (-1)^((p-1)/8), Gauss's quartic
+character of 2 up to sign (2 is a quartic residue iff p = x^2 + 64y^2).
+
 congruent_status is what the levels settle about the congruent number
 question: p ≡ 5, 7 (mod 8) are congruent (Monsky), p ≡ 3 (mod 8) are not,
 and for p ≡ 1 (mod 8) levels w = 1, 2 certify NOT congruent (with
@@ -77,14 +81,21 @@ def _symbols(p: OddPrime) -> SymbolSet:
     """Every applicable symbol at p, from the roots and delta taken once, on
     plain ints.  With A, B the images of delta's a, b under i -> i', delta
     vanishes at r (A + B*r ≡ 0), so at the admissible root p - r it is 2A;
-    2 and -1 are squares mod p, so the symbols are (r*A/p) and (zeta*r*A/p)."""
+    2 and -1 are squares mod p, so the symbols are (r*A/p) and (zeta*r*A/p).
+    (1+i'/p) = 2^((p-1)/4) (-1)^((p-1)/8) comes first: an inert p costs one
+    pow, and a split p must also get its root r from split_roots."""
     pv = p.value
     if pv % 8 != 1:
         return _NOT_SPLIT
+    t = pow(2, pv >> 2, pv)  # 2^((p-1)/4): ±1, as 2 is a square mod p
+    if t != 1 and t != pv - 1:
+        raise ComputeFailed(f"2^((p-1)/4) is not ±1 mod p, so p = {pv} is not prime")
+    if (t == 1) != (pv % 16 == 1):
+        return _INERT
     roots = split_roots(p)
     r, i_img = roots.r, roots.i_img
-    if r is None:  # 1 + i' is never 0 mod p
-        return _INERT
+    if r is None:
+        raise ComputeFailed(f"split_roots and 2^((p-1)/4) disagree on (1+i'/p) at p = {pv}")
     try:
         ar, ai, br, bi = solve_delta(p, roots)
     except GeneratorNotFound as exc:

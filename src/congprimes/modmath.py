@@ -362,15 +362,16 @@ class SplitRoots(NamedTuple):
 def split_roots(p: OddPrime) -> SplitRoots:
     """Every root the classification of p ≡ 1 (mod 8) needs, from one
     quadratic non-residue g: zeta is a power of c = g^q (_eighth_root), and
-    the same c drives the one Tonelli-Shanks square root r.
+    the same c drives the one Tonelli-Shanks square root r.  classify calls
+    it only once (1+i'/p) = +1 is known; the delta suite, on every p.
 
     (zeta - zeta^3)^2 = i' + 2 - i' = 2 = (1 + i')(1 - i') = (r s)^2, so
-    s = ±(zeta - zeta^3) / r needs no square root of its own."""
+    s = ±zeta (1 - i') / r needs no square root of its own (zeta^3 = zeta i')."""
     pv = p.value
     zeta, sylow = _eighth_root(pv)
     i_img = zeta * zeta % pv
     r = _sqrt_mod_int(1 + i_img, pv, sylow)
     if r is None:
         return SplitRoots(pv, i_img, zeta, None, None)
-    s = (zeta - pow(zeta, 3, pv)) * pow(r, -1, pv) % pv
+    s = zeta * (1 - i_img) * pow(r, -1, pv) % pv
     return SplitRoots(pv, i_img, zeta, r, min(s, pv - s))

@@ -1,4 +1,8 @@
+import math
+import random
+
 import pytest
+import sympy
 
 from congprimes import criteria
 from congprimes.criteria import (
@@ -12,7 +16,7 @@ from congprimes.criteria import (
 )
 from congprimes.errors import ComputeFailed, PreconditionViolation
 from congprimes.modmath import (
-    OddPrime, eighth_root_of_unity, legendre, primes_in_range, split_roots, sqrt_mod)
+    OddPrime, _certified, eighth_root_of_unity, legendre, primes_in_range, split_roots, sqrt_mod)
 from congprimes.quartic import solve_delta
 from congprimes.verify import _delta_symbols
 
@@ -202,4 +206,54 @@ def test_a_root_that_fails_its_check_raises_compute_failed(monkeypatch):
     monkeypatch.setattr(criteria, "split_roots", lambda P: true)
     monkeypatch.setattr(criteria, "solve_delta", lambda P, roots: (ar, ai, -br, -bi))
     with pytest.raises(ComputeFailed, match="delta does not certify the symbols at r"):
+        classify(41)
+
+
+_ODD_PRIMORIAL = sympy.primorial(300) // 2  # the odd primes below 2000
+
+
+def _large_primes_1_mod_8(seed, count):
+    """count sympy primes ≡ 1 (mod 8) of 50 to 300 digits, from a seeded draw."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        n = rng.randrange(10**(rng.randrange(49, 300))) | 1
+        n += (1 - n) % 8
+        while math.gcd(n, _ODD_PRIMORIAL) != 1 or not sympy.isprime(n):
+            n += 8
+        out.append(n)
+    return out
+
+
+@pytest.mark.parametrize("source", ["below-1e5", "50-to-300-digits"])
+def test_the_pow_settles_chi_1pi_as_split_roots_does(monkeypatch, source):
+    # with split_roots stubbed to say inert, a p the pow calls inert returns
+    # (-1, 0, 0) before the stub, and one it calls split reaches the stub,
+    # which the symbol step refuses as a disagreement
+    ps = ([p for p in primes_in_range(3, 100_000) if p % 8 == 1] if source == "below-1e5"
+          else _large_primes_1_mod_8(seed=21, count=24))
+    real = split_roots
+    monkeypatch.setattr(criteria, "split_roots", lambda P: real(P)._replace(r=None, s=None))
+    inert = 0
+    for p in ps:
+        P = _certified(p)
+        if real(P).r is None:
+            inert += 1
+            assert criteria._symbols(P) == (-1, 0, 0), p
+        else:
+            with pytest.raises(ComputeFailed, match="disagree"):
+                criteria._symbols(P)
+    assert 0 < inert < len(ps)
+
+
+@pytest.mark.parametrize("n", [33, 65, 3 * 11 * 17 * 41, (2**61 - 1) * (2**89 - 1)])
+def test_a_composite_1_mod_8_raises_compute_failed(n):
+    assert n % 8 == 1
+    with pytest.raises(ComputeFailed, match="is not prime"):
+        classify(_certified(n))
+
+
+def test_split_roots_that_finds_no_root_at_a_split_prime_raises(monkeypatch):
+    true = split_roots(OddPrime(41))  # (1+i'/41) = +1
+    monkeypatch.setattr(criteria, "split_roots", lambda P: true._replace(r=None, s=None))
+    with pytest.raises(ComputeFailed, match="disagree on"):
         classify(41)
