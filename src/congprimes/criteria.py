@@ -21,6 +21,8 @@ Levels 4 and 3 are ceilings: deeper divisibility is not decided here.
 The first symbol needs no square root: (1+i')^2 = 2i' and i'^2 = -1, so
 (1+i'/p) = (1+i')^((p-1)/2) = 2^((p-1)/4) (-1)^((p-1)/8), Gauss's quartic
 character of 2 up to sign (2 is a quartic residue iff p = x^2 + 64y^2).
+The third needs no symbol of its own: zeta has order 8, so it is the
+second times (zeta/p) = zeta^((p-1)/2) = (-1)^((p-1)/8).
 
 congruent_status is what the levels settle about the congruent number
 question: p ≡ 5, 7 (mod 8) are congruent (Monsky), p ≡ 3 (mod 8) are not,
@@ -81,7 +83,9 @@ def _symbols(p: OddPrime) -> SymbolSet:
     """Every applicable symbol at p, from the roots and delta taken once, on
     plain ints.  With A, B the images of delta's a, b under i -> i', delta
     vanishes at r (A + B*r ≡ 0), so at the admissible root p - r it is 2A;
-    2 and -1 are squares mod p, so the symbols are (r*A/p) and (zeta*r*A/p).
+    2 and -1 are squares mod p, so the symbols are (r*A/p) and (zeta*r*A/p)
+    = (r*A/p) (-1)^((p-1)/8): zeta^2 = i' in split_roots, and the checks
+    r^2 ≡ 1 + i', r^4 - 2r^2 + 2 ≡ 0 below force i'^2 ≡ -1, so zeta^4 ≡ -1.
     (1+i'/p) = 2^((p-1)/4) (-1)^((p-1)/8) comes first: an inert p costs one
     pow, and a split p must also get its root r from split_roots."""
     pv = p.value
@@ -105,7 +109,8 @@ def _symbols(p: OddPrime) -> SymbolSet:
     r2 = r * r % pv
     if (r2 * r2 - 2 * r2 + 2) % pv or (r2 - 1 - i_img) % pv or (A + B * r) % pv or not A:
         raise ComputeFailed(f"delta does not certify the symbols at r for p = {pv}")
-    return SymbolSet(1, legendre(r * A, p), legendre(roots.zeta * r * A, p))
+    chi = legendre(r * A, p)
+    return SymbolSet(1, chi, chi if pv % 16 == 1 else -chi)
 
 
 def v_level(p: int | OddPrime) -> tuple[int, SymbolSet]:
@@ -157,12 +162,17 @@ def _rule(m8: int, syms: SymbolSet) -> tuple:
     return v, w, syms, status, sha
 
 
-def classify(p: int | OddPrime) -> Classification:
-    """Full classification of one odd prime: its symbols, and the rule of
-    its (p mod 8, symbols) class, settled once per class in _RULES."""
-    p = p if isinstance(p, OddPrime) else OddPrime(p)
-    key = p.value % 8, _symbols(p)
+def _classification(pv: int, syms: SymbolSet) -> Classification:
+    """The classification of the odd prime pv with symbols syms: the rule
+    of its (p mod 8, symbols) class, settled once per class in _RULES."""
+    key = pv % 8, syms
     rule = _RULES.get(key)
     if rule is None:
         rule = _RULES[key] = _rule(*key)
-    return Classification(p.value, p.residue_mod_16, *rule)
+    return Classification(pv, pv % 16, *rule)
+
+
+def classify(p: int | OddPrime) -> Classification:
+    """Full classification of one odd prime: its symbols, and its class's rule."""
+    p = p if isinstance(p, OddPrime) else OddPrime(p)
+    return _classification(p.value, _symbols(p))

@@ -301,15 +301,27 @@ def _sqrt_mod_int(a: int, p: int, sylow: tuple[int, int, int] | None = None) -> 
     return min(x, p - x)
 
 
+# (g, m, flags) per prime g below 64: flags[p % m] is 1 iff (g/p) = -1 for a prime
+# p ≡ 1 (mod 4): (2/p) = -1 iff p ≡ 5 (mod 8), and (g/p) = (p/g) for odd g
+_NONRESIDUES = [(2, 8, bytes(m == 5 for m in range(8)))] + [
+    (g, g, bytes(m not in squares for m in range(g)))
+    for g in _SMALL_PRIMES[1:18] for squares in [{x * x % g for x in range(g // 2 + 1)}]]
+
+
 def _two_sylow(p: int) -> tuple[int, int, int]:
     """(q, s, c) for a prime p ≡ 1 (mod 4): p - 1 = q 2^s, q odd, and c = g^q
-    (order 2^s) for the least non-residue g.  g is prime, and 2 is a residue
-    exactly when p ≡ ±1 (mod 8), so past 2 only odd g are tried."""
+    (order 2^s) for the least non-residue g.  g is prime, so it is read off
+    p mod g in _NONRESIDUES up to 61, and past that found by _jacobi on the
+    odd g from 67 on."""
     s = ((p - 1) & (1 - p)).bit_length() - 1
     q = (p - 1) >> s
-    g = 2 if p % 8 == 5 else 3
-    while _jacobi(g, p) != -1:
-        g += 2
+    for g, m, flags in _NONRESIDUES:
+        if flags[p % m]:
+            break
+    else:
+        g = 67
+        while _jacobi(g, p) != -1:
+            g += 2
     return q, s, pow(g, q, p)
 
 
@@ -366,12 +378,13 @@ def split_roots(p: OddPrime) -> SplitRoots:
     it only once (1+i'/p) = +1 is known; the delta suite, on every p.
 
     (zeta - zeta^3)^2 = i' + 2 - i' = 2 = (1 + i')(1 - i') = (r s)^2, so
-    s = ±zeta (1 - i') / r needs no square root of its own (zeta^3 = zeta i')."""
+    s = ±zeta (1 - i') / r, and as (1 - i') / (1 + i') = -i' and r^2 = 1 + i',
+    that is ±zeta i' r = ±zeta^3 r: no square root and no inverse of its own."""
     pv = p.value
     zeta, sylow = _eighth_root(pv)
     i_img = zeta * zeta % pv
     r = _sqrt_mod_int(1 + i_img, pv, sylow)
     if r is None:
         return SplitRoots(pv, i_img, zeta, None, None)
-    s = zeta * (1 - i_img) * pow(r, -1, pv) % pv
+    s = zeta * i_img % pv * r % pv
     return SplitRoots(pv, i_img, zeta, r, min(s, pv - s))

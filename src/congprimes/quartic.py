@@ -26,6 +26,8 @@ from math import isqrt
 from .errors import GeneratorNotFound, NotSplitError, PreconditionViolation
 from .modmath import OddPrime, SplitRoots, split_roots
 
+_ROOT2: dict[int, int] = {}  # isqrt(2 * 4^k) per k = bitlen(p) + 32, as _reduce uses it
+
 
 def embed(x: tuple[int, int, int, int], p: OddPrime, r: int) -> int:
     """x = a + b*alpha, given as (a.re, a.im, b.re, b.im), reduced at the prime
@@ -69,7 +71,15 @@ def _reduce(p: OddPrime, roots: SplitRoots | None) -> tuple[tuple[int, ...], tup
     coordinate of <v,u> / H(u) as GaussianInt.__divmod__ does.  Lagrange's
     loop from (p, 0), (-c, 1) always first moves c's coordinates into
     (-p/2, p/2] and swaps, so this starts at u = (-c, 1), v = (p, 0) and
-    then reduces v by u and u by v in turn instead of swapping."""
+    then reduces v by u and u by v in turn instead of swapping.
+
+    The loop updates only b: every lattice vector is m (-c, 1) + n (p, 0),
+    so a ≡ -c b (mod p), and a is recovered centred mod p on return.  That
+    is exact: with H'(x) = |a|^2 + rho |b|^2, rho = isqrt(2 * 4^k) / 2^k
+    <= sqrt(2), the Gram determinant p^2 rho is H'(u) H'(v - mu u), where
+    H'(u) >= rho p / sqrt(2) (H(u) >= p, see solve_delta) and
+    H'(v - mu u) >= H'(v) - |mu|^2 H'(u) >= H'(v) / 2, so every returned a
+    has |a|^2 <= H'(v) <= 2 sqrt(2) p < 3p < p^2 / 4 (p > 12)."""
     if roots is None and p.value % 8 == 1:
         roots = split_roots(p)
     if roots is None or roots.r is None:
@@ -79,29 +89,30 @@ def _reduce(p: OddPrime, roots: SplitRoots | None) -> tuple[tuple[int, ...], tup
     cr = ((r + s) * (h + 1) + h) % pv - h  # h + 1 = 1/2 mod p
     ci = ((s - r) * i_img * (h + 1) + h) % pv - h  # 1/(2i') = -i'/2
     k = pv.bit_length() + 32
-    one, root2 = 1 << k, isqrt(2 << 2 * k)
-    u0r, u0i, u1r, u1i = -cr, -ci, 1, 0
-    v0r, v0i, v1r, v1i = pv, 0, 0, 0
+    one, root2 = 1 << k, _ROOT2.get(k) or _ROOT2.setdefault(k, isqrt(2 << 2 * k))
+    u1r, u1i, v1r, v1i = 1, 0, 0, 0
+
+    def a(br: int, bi: int) -> tuple[int, int]:  # -c b, each coordinate centred mod p
+        return (h - cr * br + ci * bi) % pv - h, (h - cr * bi - ci * br) % pv - h
+
     hu = (cr * cr + ci * ci) * one + root2
     hv = pv * pv * one
     gr, gi = -cr * pv * one, ci * pv * one  # <v,u>
     while True:
         h2 = 2 * hu  # v <- v - q u, q = round(<v,u> / H(u))
         qr, qi = (2 * gr + hu) // h2, (2 * gi + hu) // h2
-        v0r, v0i = v0r - qr * u0r + qi * u0i, v0i - qr * u0i - qi * u0r
         v1r, v1i = v1r - qr * u1r + qi * u1i, v1i - qr * u1i - qi * u1r
         hv += (qr * qr + qi * qi) * hu - 2 * (qr * gr + qi * gi)
         gr, gi = gr - qr * hu, gi - qi * hu
         if hv >= hu:
-            return (u0r, u0i, u1r, u1i, v0r, v0i, v1r, v1i), (hu, hv, gr, gi)
+            return (*a(u1r, u1i), u1r, u1i, *a(v1r, v1i), v1r, v1i), (hu, hv, gr, gi)
         h2 = 2 * hv  # u <- u - q v, q = round(<u,v> / H(v)), <u,v> = conj(<v,u>)
         qr, qi = (2 * gr + hv) // h2, (hv - 2 * gi) // h2
-        u0r, u0i = u0r - qr * v0r + qi * v0i, u0i - qr * v0i - qi * v0r
         u1r, u1i = u1r - qr * v1r + qi * v1i, u1i - qr * v1i - qi * v1r
         hu += (qr * qr + qi * qi) * hv - 2 * (qr * gr - qi * gi)
         gr, gi = gr - qr * hv, gi + qi * hv
         if hu >= hv:
-            return (v0r, v0i, v1r, v1i, u0r, u0i, u1r, u1i), (hv, hu, gr, -gi)
+            return (*a(v1r, v1i), v1r, v1i, *a(u1r, u1i), u1r, u1i), (hv, hu, gr, -gi)
 
 
 _BOX = [(re, im) for re in range(-2, 3) for im in range(-2, 3)]

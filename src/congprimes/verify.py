@@ -21,7 +21,8 @@ from itertools import chain
 from math import isqrt, prod
 from typing import Callable, Iterable, Iterator
 
-from .criteria import V_CEILING, Classification, CongruentStatus, ShaReport, classify
+from .criteria import (V_CEILING, Classification, CongruentStatus, ShaReport, _classification,
+                       _symbols, classify)
 from .els import cover, lemma_symbol_prediction, locally_solvable_at_p
 from .errors import ComputeFailed, PreconditionViolation
 from .gaussian import GaussianInt, ONE_PLUS_I, gi_symbol, primary_associate, two_squares
@@ -618,22 +619,25 @@ def classify_chunk(render: tuple[str, Callable[[Classification], str]] | None,
     w_level), and the failed primes as (p, message).  render is (head,
     line): head % p starts line(c), and the rest of the line depends on p
     only through p mod 16 and the symbols, so it is rendered once per such
-    class of the window.  A prime p ≢ 1 (mod 8) is settled by p mod 16
-    alone, so only the first of each such class is classified."""
+    class of the window, from the one Classification built for it.  A prime
+    p ≢ 1 (mod 8) is settled by p mod 16 alone, so only the symbols of the
+    first of each such class are taken; those of every p ≡ 1 (mod 8) are."""
     lines, classes, failures = [], {}, []
     head, line = render or (None, None)
     for n in primes_in_range(max(lo, 3), hi):
-        forced = n % 8 != 1
-        cls = classes.get(n % 16) if forced else None
+        key = n % 16
+        cls = classes.get(key)  # None for every p ≡ 1 (mod 8): its key holds symbols
         if cls is None:
             try:
-                c = classify(_certified(n))
+                syms = _symbols(_certified(n))
             except ComputeFailed as exc:
                 failures.append((n, str(exc)))
                 continue
-            key = c.p_mod_16 if forced else (c.p_mod_16, c.symbols)
-            cls = classes.get(key)
+            if n % 8 == 1:
+                key = key, syms
+                cls = classes.get(key)
             if cls is None:
+                c = _classification(n, syms)
                 tail = line(c)[len(head % n):] + "\n" if render else ""
                 cls = classes[key] = [tail, (c.v_level, c.w_level), 0]
         cls[2] += 1

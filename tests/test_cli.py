@@ -219,26 +219,26 @@ def test_scan_and_verify_walks_sieve_the_same_windows(capsys, tmp_path, monkeypa
 @pytest.mark.parametrize("lo, hi", [(3, 30000), WINDOW])
 def test_classify_chunk_matches_the_per_prime_loop(monkeypatch, fmt, lo, hi):
     """Rows rendered once per (p mod 16, symbols) class are the rows of
-    rendering every prime, and the counts and failures are the same."""
+    classifying and rendering every prime, and the counts and failures are
+    the same."""
     ns = _primes(lo, hi)
     # the first prime of its residue-forced class, and a split one
     bad = {ns[0], next(n for n in ns if n % 8 == 1)}
     assert len({n % 16 for n in ns[1:]}) < len(ns) - 1  # some class holds two rows
 
-    def failing(p, real=verify.classify):
+    def failing(p, real=verify._symbols):
         if int(p) in bad:
             raise ComputeFailed(f"could not certify delta for p = {p}")
         return real(p)
 
-    monkeypatch.setattr(verify, "classify", failing)
+    monkeypatch.setattr(verify, "_symbols", failing)
     head, line = cli._RENDERERS[fmt]
     lines, counts, failures = [], Counter(), []
     for n in ns:
-        try:
-            c = failing(_certified(n))
-        except ComputeFailed as exc:
-            failures.append((n, str(exc)))
+        if n in bad:
+            failures.append((n, f"could not certify delta for p = {n}"))
             continue
+        c = classify(_certified(n))
         assert line(c).startswith(head % n)
         lines.append(line(c) + "\n")
         counts[c.v_level, c.w_level] += 1
@@ -248,25 +248,37 @@ def test_classify_chunk_matches_the_per_prime_loop(monkeypatch, fmt, lo, hi):
 
 
 def test_classify_runs_once_per_forced_class_and_per_split_prime(monkeypatch):
-    """A chunk classifies the first prime of each residue-forced (p mod 16)
-    class, and every prime ≡ 1 (mod 8), in order."""
-    seen = []
+    """A chunk takes the symbols of the first prime of each residue-forced
+    (p mod 16) class and of every prime ≡ 1 (mod 8), in order, and builds
+    one Classification per (p mod 16, symbols) class, from its first prime."""
+    seen, built = [], []
 
-    def spy(p, real=verify.classify):
+    def spy(p, real=verify._symbols):
         seen.append(int(p))
         return real(p)
 
-    monkeypatch.setattr(verify, "classify", spy)
+    def build(n, syms, real=verify._classification):
+        built.append(n)
+        return real(n, syms)
+
+    monkeypatch.setattr(verify, "_symbols", spy)
+    monkeypatch.setattr(verify, "_classification", build)
     for lo, hi in windows(3, 30000):
-        ns, classes, want = primes_in_range(lo, hi), set(), []
+        ns, classes, want, first = primes_in_range(lo, hi), set(), [], []
         for n in ns:
-            if n % 8 == 1 or n % 16 not in classes:
+            key = n % 16 if n % 8 != 1 else (n % 16, classify(n).symbols)
+            if n % 8 == 1 or key not in classes:
                 want.append(n)
-                classes.add(n % 16)
+            if key not in classes:
+                first.append(n)
+                classes.add(key)
         seen.clear()
+        built.clear()
         verify.classify_chunk(cli._RENDERERS["csv"], lo, hi)
         assert seen == want
+        assert built == first
         assert len(want) == 6 + sum(n % 8 == 1 for n in ns)
+        assert 6 < len(first) <= 6 + 2 * 5  # p ≡ 1, 9 (mod 16): _INERT or (1, ±1, ±1)
 
 
 def test_rules_are_settled_once_per_class(capsys, tmp_path, monkeypatch):
@@ -290,12 +302,12 @@ def test_rules_are_settled_once_per_class(capsys, tmp_path, monkeypatch):
 def test_scan_reports_a_failed_prime_from_every_worker_count(capsys, tmp_path, monkeypatch, fmt):
     bad = 113
 
-    def failing(p, real=verify.classify):
+    def failing(p, real=verify._symbols):
         if int(p) == bad:
             raise ComputeFailed(f"could not certify delta for p = {bad}")
         return real(p)
 
-    monkeypatch.setattr(verify, "classify", failing)
+    monkeypatch.setattr(verify, "_symbols", failing)
     cpus(monkeypatch, 2)  # one chunk: no pool either way
     outputs = []
     for workers in ("1", "2"):
@@ -340,12 +352,12 @@ def test_chunked_scan_matches_across_worker_counts(capsys, tmp_path, monkeypatch
     assert len(ns) == 3244 and chunks >= 3
     assert 0 < ns.index(bad) // modmath.SCAN_CHUNK < chunks - 1  # a middle chunk
 
-    def failing(p, real=verify.classify):
+    def failing(p, real=verify._symbols):
         if int(p) == bad:
             raise ComputeFailed(f"could not certify delta for p = {bad}")
         return real(p)
 
-    monkeypatch.setattr(verify, "classify", failing)
+    monkeypatch.setattr(verify, "_symbols", failing)
     cpus(monkeypatch, 2)
     results = []
     for workers in ("1", "2"):
@@ -533,18 +545,18 @@ def test_a_dead_worker_is_reported_not_waited_on(capsys, tmp_path, monkeypatch, 
 
 
 def _raising_scans(capsys, tmp_path, monkeypatch, bad):
-    """Scan 3..30000 at 1 and 2 workers with classify raising at bad, first
+    """Scan 3..30000 at 1 and 2 workers with _symbols raising at bad, first
     a PreconditionViolation, then a KeyError (a bug); check that each ends
     the same way at both worker counts, and return the rows written before
     it and the KeyError raised at 2 workers."""
     error = PreconditionViolation
 
-    def raising(p, real=verify.classify):
+    def raising(p, real=verify._symbols):
         if int(p) == bad:
             raise error(f"{bad} breaks a precondition")
         return real(p)
 
-    monkeypatch.setattr(verify, "classify", raising)
+    monkeypatch.setattr(verify, "_symbols", raising)
     cpus(monkeypatch, 2)
     outputs = []
     for workers in ("1", "2"):
@@ -619,12 +631,12 @@ def test_density_walks_its_windows_in_this_process(capsys, pools):
 def test_density_with_two_workers_prints_what_one_does(capsys, monkeypatch, pools):
     bad = DEAD_WORKER_PRIME  # in window 1, so worker 2's
 
-    def failing(p, real=verify.classify):
+    def failing(p, real=verify._symbols):
         if int(p) == bad:
             raise ComputeFailed(f"could not certify delta for p = {bad}")
         return real(p)
 
-    monkeypatch.setattr(verify, "classify", failing)
+    monkeypatch.setattr(verify, "_symbols", failing)
     cpus(monkeypatch, 2)
     one, two = (run(capsys, "density", "--from", "3", "--to", "30000", "--workers", workers)
                 for workers in ("1", "2"))
@@ -833,12 +845,12 @@ def test_density_matches_library(capsys):
 def test_density_reports_a_failed_prime_like_scan(capsys, tmp_path, monkeypatch):
     bad = 113
 
-    def failing(p, real=verify.classify):
+    def failing(p, real=verify._symbols):
         if int(p) == bad:
             raise ComputeFailed(f"could not certify delta for p = {bad}")
         return real(p)
 
-    monkeypatch.setattr(verify, "classify", failing)
+    monkeypatch.setattr(verify, "_symbols", failing)
     code, out, err = run(capsys, "density", "--from", "3", "--to", "200")
     assert code == 2
     assert err.splitlines() == [f"compute failed at p={bad}: could not certify delta for p = {bad}",

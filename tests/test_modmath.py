@@ -18,6 +18,7 @@ from congprimes.modmath import (
     _certified,
     _jacobi,
     _sqrt_mod_int,
+    _two_sylow,
     eighth_root_of_unity,
     is_probable_prime,
     legendre,
@@ -299,14 +300,14 @@ def _canonical_roots(P: OddPrime) -> tuple[int, int, int | None, int | None]:
     return i_img, sqrt_mod(i_img, P), sqrt_mod(1 + i_img, P), sqrt_mod(1 - i_img, P)
 
 
-def _primes_1_mod_8(digits: int, count: int, seed: int) -> list[int]:
-    """count primes p ≡ 1 (mod 8) of the given number of digits, each the
+def _primes_1_mod(m: int, digits: int, count: int, seed: int) -> list[int]:
+    """count primes p ≡ 1 (mod m) of the given number of digits, each the
     first one from its own seeded random start."""
     rng, found = random.Random(seed), []
     while len(found) < count:
-        n = rng.randrange(10 ** (digits - 1), 10**digits) // 8 * 8 + 1
+        n = rng.randrange(10 ** (digits - 1), 10**digits) // m * m + 1
         while not (gcd(n, _PRIMORIAL) == 1 and sympy.isprime(n)):
-            n += 8
+            n += m
         found.append(n)
     return found
 
@@ -314,7 +315,7 @@ def _primes_1_mod_8(digits: int, count: int, seed: int) -> list[int]:
 @pytest.mark.parametrize("ps", [
     [p for p in primes_in_range(3, 20000) if p % 8 == 1],
     [10**200 + 16737, 10**200 + 28729],
-    _primes_1_mod_8(200, 8, seed=2),  # four split, four inert
+    _primes_1_mod(8, 200, 8, seed=2),  # four split, four inert
 ], ids=["below-2e4", "200-digit-anchors", "200-digit-seeded"])
 def test_split_roots_equal_the_canonical_roots(ps):
     split = 0
@@ -332,6 +333,27 @@ def test_split_roots_equal_the_canonical_roots(ps):
             assert (roots.r, roots.s) == (None, None), p
             assert roots.quartic() == []
     assert split >= 2
+
+
+def _two_sylow_by_search(p: int) -> tuple[int, int, int]:
+    """_two_sylow's (q, s, c) with g the least integer that _jacobi calls a
+    non-residue, found by trying 2, 3, 4, ... in turn."""
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    g = 2
+    while _jacobi(g, p) != -1:
+        g += 1
+    return (p - 1) >> s, s, pow(g, (p - 1) >> s, p)
+
+
+@pytest.mark.parametrize("ps", [
+    [p for p in primes_in_range(3, 100_000) if p % 4 == 1],
+    [48_473_881],  # ≡ 1 (mod 8), least odd non-residue 67: past the tables
+    _primes_1_mod(4, 200, 8, seed=5),
+], ids=["below-1e5", "least-non-residue-67", "200-digit-seeded"])
+def test_two_sylow_matches_the_least_non_residue_search(ps):
+    assert {p % 8 for p in ps} == ({1} if len(ps) == 1 else {1, 5})
+    for p in ps:
+        assert _two_sylow(p) == _two_sylow_by_search(p), p
 
 
 def test_split_roots_require_p_1_mod_8():

@@ -326,6 +326,26 @@ def test_delta_coordinates_are_pinned():
     assert hashlib.sha256("".join(text).encode()).hexdigest() == DELTA_SHA256
 
 
+# the same lines per completely split p below 2*10^5 and for both anchors, as
+# solve_delta returned them when _reduce carried every coordinate of u and v
+DELTA_2E5_SHA256 = "b9bcd626d2a682e88d4205692fc0cacf6ea05334a70cce1eae333bdaa749b864"
+
+
+def test_reduced_a_is_centred_and_delta_below_2e5_is_pinned():
+    # _reduce recovers each a from b as -c b centred mod p, which is exact
+    # only while every reduced a has its coordinates in (-p/2, p/2]
+    text = []
+    for p in primes_in_range(3, 200_000) + [10**200 + 16737, 10**200 + 28729]:
+        P = _certified(p)
+        if p % 8 != 1 or (roots := split_roots(P)).r is None:
+            continue
+        (u0r, u0i, _, _, v0r, v0i, _, _), _ = _reduce(P, roots)
+        assert all(-p < 2 * a <= p for a in (u0r, u0i, v0r, v0i)), p
+        text.append(",".join(map(str, solve_delta(P, roots))) + "\n")
+    assert len(text) == 2222
+    assert hashlib.sha256("".join(text).encode()).hexdigest() == DELTA_2E5_SHA256
+
+
 def test_delta_refuses_a_candidate_whose_norm_is_not_exactly_p(monkeypatch):
     # with the unit rotation skipped, a generator of relative norm w*p, w != 1,
     # is refused by solve_delta's own check of the relative norm
