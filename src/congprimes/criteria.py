@@ -36,7 +36,7 @@ import enum
 from typing import NamedTuple
 
 from .errors import ComputeFailed, GeneratorNotFound
-from .modmath import OddPrime, legendre, split_roots
+from .modmath import OddPrime, _certified, legendre, split_roots
 from .quartic import solve_delta
 
 
@@ -79,16 +79,17 @@ _NOT_SPLIT = SymbolSet()  # p ≢ 1 (mod 8)
 _INERT = SymbolSet(chi_1pi=-1)  # (1+i'/p) = -1
 
 
-def _symbols(p: OddPrime) -> SymbolSet:
-    """Every applicable symbol at p, from the roots and delta taken once, on
-    plain ints.  With A, B the images of delta's a, b under i -> i', delta
-    vanishes at r (A + B*r ≡ 0), so at the admissible root p - r it is 2A;
-    2 and -1 are squares mod p, so the symbols are (r*A/p) and (zeta*r*A/p)
-    = (r*A/p) (-1)^((p-1)/8): zeta^2 = i' in split_roots, and the checks
+def _symbols(pv: int, p: OddPrime | None = None) -> SymbolSet:
+    """Every applicable symbol at the certified odd prime pv, from the roots
+    and delta taken once, on plain ints.  p, if given, is pv's OddPrime;
+    else only a split pv builds one, for split_roots and solve_delta.  With
+    A, B the images of delta's a, b under i -> i', delta vanishes at r
+    (A + B*r ≡ 0), so at the admissible root p - r it is 2A; 2 and -1 are
+    squares mod p, so the symbols are (r*A/p) and (zeta*r*A/p) =
+    (r*A/p) (-1)^((p-1)/8): zeta^2 = i' in split_roots, and the checks
     r^2 ≡ 1 + i', r^4 - 2r^2 + 2 ≡ 0 below force i'^2 ≡ -1, so zeta^4 ≡ -1.
     (1+i'/p) = 2^((p-1)/4) (-1)^((p-1)/8) comes first: an inert p costs one
     pow, and a split p must also get its root r from split_roots."""
-    pv = p.value
     if pv % 8 != 1:
         return _NOT_SPLIT
     t = pow(2, pv >> 2, pv)  # 2^((p-1)/4): ±1, as 2 is a square mod p
@@ -96,6 +97,7 @@ def _symbols(p: OddPrime) -> SymbolSet:
         raise ComputeFailed(f"2^((p-1)/4) is not ±1 mod p, so p = {pv} is not prime")
     if (t == 1) != (pv % 16 == 1):
         return _INERT
+    p = p or _certified(pv)
     roots = split_roots(p)
     r, i_img = roots.r, roots.i_img
     if r is None:
@@ -175,4 +177,4 @@ def _classification(pv: int, syms: SymbolSet) -> Classification:
 def classify(p: int | OddPrime) -> Classification:
     """Full classification of one odd prime: its symbols, and its class's rule."""
     p = p if isinstance(p, OddPrime) else OddPrime(p)
-    return _classification(p.value, _symbols(p))
+    return _classification(p.value, _symbols(p.value, p))

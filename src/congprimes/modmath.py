@@ -170,27 +170,32 @@ def windows(lo: int, hi: int, processes: int = 1) -> list[tuple[int, int]]:
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """All primes in [lo, hi], from one window sieve.  The window is marked
-    with the primes q up to min(sqrt(hi), BASE_BOUND), each from q^2 on, so q
-    itself survives; past that bound each survivor is certified on its own."""
+    """All primes in [lo, hi], from one window sieve of its odd numbers, with
+    2 prepended when lo <= 2.  Flag j stands for odd + 2j, odd = lo | 1.
+    Each odd prime q up to min(sqrt(hi), BASE_BOUND) marks its odd
+    multiples m*q >= lo with m >= q, every 2q, so q itself survives; past
+    that bound each survivor is certified on its own."""
     lo = max(lo, 2)
     if hi < lo:
         return []
-    width = hi - lo + 1
-    if width > MAX_WINDOW:
+    if hi - lo + 1 > MAX_WINDOW:
         raise PreconditionViolation("window wider than 10^7 is not supported")
     base_limit = min(isqrt(hi), BASE_BOUND)
     if base_limit > 1000 and not _BASE_PRIMES:
         _BASE_PRIMES.extend(_sieve(BASE_BOUND))
     base = _BASE_PRIMES or _SMALL_PRIMES  # _SMALL_PRIMES: the primes up to 1000
-    flags = bytearray([1]) * width
-    for q in base[:bisect_right(base, base_limit)]:
-        start = max(q * q, ((lo + q - 1) // q) * q)
+    odd = lo | 1
+    flags = bytearray([1]) * ((hi - odd) // 2 + 1)  # empty when hi = lo = 2
+    for q in base[1:bisect_right(base, base_limit)]:
+        m = (lo + q - 1) // q | 1  # m*q is the first odd multiple >= lo
+        if m < q:
+            m = q
+        start = m * q
         if start <= hi:
-            flags[start - lo :: q] = bytearray((hi - start) // q + 1)
-    survivors = compress(range(lo, hi + 1), flags)
+            flags[(start - odd) >> 1 :: q] = bytearray((hi - start) // (2 * q) + 1)
+    survivors = compress(range(odd, hi + 1, 2), flags)
     if isqrt(hi) <= base_limit:
-        return list(survivors)
+        return [2, *survivors] if lo == 2 else list(survivors)
     return [n for n in survivors if is_probable_prime(n)]
 
 

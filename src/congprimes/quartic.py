@@ -45,9 +45,10 @@ def _reduce(p: OddPrime, roots: SplitRoots | None) -> tuple[tuple[int, ...], tup
     """Reduced Z[i]-basis (u, v) of the product of the two primes over p
     with roots r and s of split_roots(p) (roots, if given, must be that);
     raises NotSplitError unless p ≡ 1 (mod 8) and (1+i'/p) = +1.  It returns
-    the coordinates (u0, u1, v0, v1), each as re, im, and the Gram entries
-    (H(u), H(v), Re <v,u>, Im <v,u>) of the returned basis, in the form
-    scaled by 2^k.
+    (c.re, c.im, u1.re, u1.im, v1.re, v1.im), with c below centred mod p,
+    and the Gram entries (H(u), H(v), Re <v,u>, Im <v,u>) of the basis, in
+    the form scaled by 2^k.  Each a-coordinate is -c b (see the last
+    paragraph), which solve_delta computes only for the vectors it tries.
 
     Those primes send i to i' = r^2 - 1 and to -i' respectively, so
     a + b*alpha lies in their product iff a + b*c ≡ 0 (mod p) for the
@@ -74,12 +75,12 @@ def _reduce(p: OddPrime, roots: SplitRoots | None) -> tuple[tuple[int, ...], tup
     then reduces v by u and u by v in turn instead of swapping.
 
     The loop updates only b: every lattice vector is m (-c, 1) + n (p, 0),
-    so a ≡ -c b (mod p), and a is recovered centred mod p on return.  That
-    is exact: with H'(x) = |a|^2 + rho |b|^2, rho = isqrt(2 * 4^k) / 2^k
-    <= sqrt(2), the Gram determinant p^2 rho is H'(u) H'(v - mu u), where
+    so a ≡ -c b (mod p), and a is -c b centred mod p.  That is exact: with
+    H'(x) = |a|^2 + rho |b|^2, rho = isqrt(2 * 4^k) / 2^k <= sqrt(2), the
+    Gram determinant p^2 rho is H'(u) H'(v - mu u), where
     H'(u) >= rho p / sqrt(2) (H(u) >= p, see solve_delta) and
-    H'(v - mu u) >= H'(v) - |mu|^2 H'(u) >= H'(v) / 2, so every returned a
-    has |a|^2 <= H'(v) <= 2 sqrt(2) p < 3p < p^2 / 4 (p > 12)."""
+    H'(v - mu u) >= H'(v) - |mu|^2 H'(u) >= H'(v) / 2, so the a of u and
+    of v has |a|^2 <= H'(v) <= 2 sqrt(2) p < 3p < p^2 / 4 (p > 12)."""
     if roots is None and p.value % 8 == 1:
         roots = split_roots(p)
     if roots is None or roots.r is None:
@@ -91,10 +92,6 @@ def _reduce(p: OddPrime, roots: SplitRoots | None) -> tuple[tuple[int, ...], tup
     k = pv.bit_length() + 32
     one, root2 = 1 << k, _ROOT2.get(k) or _ROOT2.setdefault(k, isqrt(2 << 2 * k))
     u1r, u1i, v1r, v1i = 1, 0, 0, 0
-
-    def a(br: int, bi: int) -> tuple[int, int]:  # -c b, each coordinate centred mod p
-        return (h - cr * br + ci * bi) % pv - h, (h - cr * bi - ci * br) % pv - h
-
     hu = (cr * cr + ci * ci) * one + root2
     hv = pv * pv * one
     gr, gi = -cr * pv * one, ci * pv * one  # <v,u>
@@ -105,19 +102,19 @@ def _reduce(p: OddPrime, roots: SplitRoots | None) -> tuple[tuple[int, ...], tup
         hv += (qr * qr + qi * qi) * hu - 2 * (qr * gr + qi * gi)
         gr, gi = gr - qr * hu, gi - qi * hu
         if hv >= hu:
-            return (*a(u1r, u1i), u1r, u1i, *a(v1r, v1i), v1r, v1i), (hu, hv, gr, gi)
+            return (cr, ci, u1r, u1i, v1r, v1i), (hu, hv, gr, gi)
         h2 = 2 * hv  # u <- u - q v, q = round(<u,v> / H(v)), <u,v> = conj(<v,u>)
         qr, qi = (2 * gr + hv) // h2, (hv - 2 * gi) // h2
         u1r, u1i = u1r - qr * v1r + qi * v1i, u1i - qr * v1i - qi * v1r
         hu += (qr * qr + qi * qi) * hv - 2 * (qr * gr - qi * gi)
         gr, gi = gr - qr * hv, gi + qi * hv
         if hu >= hv:
-            return (*a(v1r, v1i), v1r, v1i, *a(u1r, u1i), u1r, u1i), (hv, hu, gr, -gi)
+            return (cr, ci, v1r, v1i, u1r, u1i), (hv, hu, gr, -gi)
 
 
 _BOX = [(re, im) for re in range(-2, 3) for im in range(-2, 3)]
-# (a.re, a.im, b.re, b.im), u alone first
-_COEFFS = [(1, 0, 0, 0)] + [a + b for b in _BOX for a in _BOX if any(a + b)]
+# (a.re, a.im, b.re, b.im) of the box search that follows u alone
+_COEFFS = [a + b for b in _BOX for a in _BOX if any(a + b)]
 # multiplications by 1 + alpha (relative norm -i) that take w*p to p
 _ROTATIONS = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
 
@@ -140,8 +137,9 @@ def solve_delta(p: OddPrime, roots: SplitRoots | None = None) -> tuple[int, int,
     roots, if given, must be split_roots(p).
 
     Takes the reduced basis (u, v) of _reduce(p, roots) and returns the first
-    a*u + b*v, with a, b in the Gaussian box |re|, |im| <= 2 and u tried
-    first, whose absolute norm is p^2.  Its relative norm w*p (w a unit of
+    a*u + b*v, with a, b in the Gaussian box |re|, |im| <= 2, whose absolute
+    norm is p^2.  u alone is tried first, before v's a-coordinates are even
+    computed: it is the generator at every split p below 10^6.  Its relative norm w*p (w a unit of
     Z[i]) is rotated to exactly p by (1+alpha)^m, and the sign is fixed
     by a.re > 0.  delta = a + b*alpha lies in the primes at r and s, so
     a + b*r ≡ 0 (mod p) under i -> i'.  Las Vegas: raises GeneratorNotFound,
@@ -170,20 +168,26 @@ def solve_delta(p: OddPrime, roots: SplitRoots | None = None) -> tuple[int, int,
     Both bounds leave far more slack than the 2^-k error of the form used
     by _reduce.
     """
-    (u0r, u0i, u1r, u1i, v0r, v0i, v1r, v1i), _ = _reduce(p, roots)
+    (cr, ci, x1r, x1i, v1r, v1i), _ = _reduce(p, roots)
     pv = p.value
-    target = pv * pv
-    for ar, ai, br, bi in _COEFFS:
-        # x = a*u + b*v = x0 + x1*alpha
-        x0r = ar * u0r - ai * u0i + br * v0r - bi * v0i
-        x0i = ar * u0i + ai * u0r + br * v0i + bi * v0r
-        x1r = ar * u1r - ai * u1i + br * v1r - bi * v1i
-        x1i = ar * u1i + ai * u1r + br * v1i + bi * v1r
-        nr, ni = _relative_norm(x0r, x0i, x1r, x1i)
-        if nr * nr + ni * ni == target:
-            break
-    else:
-        raise GeneratorNotFound(f"no relative-norm-{pv} generator found")
+    h, target = pv // 2, pv * pv
+    # u's a = -c b, each coordinate centred mod p (see _reduce)
+    x0r, x0i = (h - cr * x1r + ci * x1i) % pv - h, (h - cr * x1i - ci * x1r) % pv - h
+    nr, ni = _relative_norm(x0r, x0i, x1r, x1i)
+    if nr * nr + ni * ni != target:  # u is no generator: search the box
+        u0r, u0i, u1r, u1i = x0r, x0i, x1r, x1i
+        v0r, v0i = (h - cr * v1r + ci * v1i) % pv - h, (h - cr * v1i - ci * v1r) % pv - h
+        for ar, ai, br, bi in _COEFFS:
+            # x = a*u + b*v = x0 + x1*alpha
+            x0r = ar * u0r - ai * u0i + br * v0r - bi * v0i
+            x0i = ar * u0i + ai * u0r + br * v0i + bi * v0r
+            x1r = ar * u1r - ai * u1i + br * v1r - bi * v1i
+            x1i = ar * u1i + ai * u1r + br * v1i + bi * v1r
+            nr, ni = _relative_norm(x0r, x0i, x1r, x1i)
+            if nr * nr + ni * ni == target:
+                break
+        else:
+            raise GeneratorNotFound(f"no relative-norm-{pv} generator found")
     wr, rr = divmod(nr, pv)
     wi, ri = divmod(ni, pv)
     if rr or ri or wr * wr + wi * wi != 1:

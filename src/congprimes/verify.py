@@ -629,7 +629,7 @@ def classify_chunk(render: tuple[str, Callable[[Classification], str]] | None,
         cls = classes.get(key)  # None for every p ≡ 1 (mod 8): its key holds symbols
         if cls is None:
             try:
-                syms = _symbols(_certified(n))
+                syms = _symbols(n)
             except ComputeFailed as exc:
                 failures.append((n, str(exc)))
                 continue

@@ -16,9 +16,10 @@ from congprimes.criteria import (
 )
 from congprimes.errors import ComputeFailed, PreconditionViolation
 from congprimes.modmath import (
-    OddPrime, _certified, eighth_root_of_unity, legendre, primes_in_range, split_roots, sqrt_mod)
+    OddPrime, _certified, eighth_root_of_unity, legendre, primes_in_range, split_roots, sqrt_mod,
+    windows)
 from congprimes.quartic import solve_delta
-from congprimes.verify import _delta_symbols
+from congprimes.verify import _delta_symbols, classify_chunk
 
 
 # (p, v, w, status, sha) spot values, each confirmed by the brute-force
@@ -238,11 +239,65 @@ def test_the_pow_settles_chi_1pi_as_split_roots_does(monkeypatch, source):
         P = _certified(p)
         if real(P).r is None:
             inert += 1
-            assert criteria._symbols(P) == (-1, 0, 0), p
+            assert criteria._symbols(p) == (-1, 0, 0), p
         else:
             with pytest.raises(ComputeFailed, match="disagree"):
-                criteria._symbols(P)
+                criteria._symbols(p)
     assert 0 < inert < len(ps)
+
+
+SPLIT_PATH = ("split_roots", "solve_delta", "legendre")
+
+
+def _count_split_path(monkeypatch):
+    """Count the calls classify makes through criteria's names of the split
+    path, the names that tests patch and the bench's tracer wraps."""
+    calls = dict.fromkeys(SPLIT_PATH, 0)
+    for name in SPLIT_PATH:
+        def spy(*args, name=name, real=getattr(criteria, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(criteria, name, spy)
+    return calls
+
+
+def test_a_split_prime_calls_the_split_path_once_and_no_other_prime_does(monkeypatch):
+    calls = _count_split_path(monkeypatch)
+    shapes = set()
+    for p in primes_in_range(3, 3000) + [10**200 + 16737, 10**200 + 28729]:
+        P = _certified(p)  # sieved, or a 200-digit anchor
+        split = p % 8 == 1 and split_roots(P).r is not None
+        for arg in (p, P):
+            calls.update(dict.fromkeys(SPLIT_PATH, 0))
+            assert (classify(arg).symbols.chi_1pi == 1) == split, p
+            assert calls == dict.fromkeys(SPLIT_PATH, int(split)), (p, arg)
+        shapes.add((p % 8, split))
+    assert shapes == {(1, True), (1, False), (3, False), (5, False), (7, False)}
+
+
+def test_classify_chunk_builds_an_odd_prime_only_for_a_split_prime(monkeypatch):
+    # one _certified per completely split prime, in order, and no OddPrime(n)
+    # with its primality test; the split path runs once per split prime
+    split = [p for p in primes_in_range(3, 30000)
+             if p % 8 == 1 and split_roots(_certified(p)).r is not None]
+    built, tested = [], []
+
+    def certified(n, real=_certified):
+        built.append(n)
+        return real(n)
+
+    def init(self, value, real=OddPrime.__init__):
+        tested.append(value)
+        real(self, value)
+
+    calls = _count_split_path(monkeypatch)
+    monkeypatch.setattr(criteria, "_certified", certified)
+    monkeypatch.setattr(OddPrime, "__init__", init)
+    for lo, hi in windows(3, 30000):
+        classify_chunk(None, lo, hi)
+    assert built == split and tested == []
+    assert calls == dict.fromkeys(SPLIT_PATH, len(split))
 
 
 @pytest.mark.parametrize("n", [33, 65, 3 * 11 * 17 * 41, (2**61 - 1) * (2**89 - 1)])

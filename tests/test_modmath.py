@@ -94,6 +94,10 @@ def test_primes_in_range_small_ends_match_sympy():
     for lo in (-5, 0, 1, 2, 3):
         for hi in (1, 2, 3, 4, 100):
             assert primes_in_range(lo, hi) == list(sympy.primerange(lo, hi + 1)), (lo, hi)
+    # every window of width 1 to 3 below 100, even and odd ends alike
+    for lo in range(-2, 100):
+        for hi in (lo, lo + 1, lo + 2):
+            assert primes_in_range(lo, hi) == list(sympy.primerange(lo, hi + 1)), (lo, hi)
 
 
 @pytest.mark.parametrize("hi", [10**6, 10**7])
@@ -109,6 +113,25 @@ def test_primes_in_range_random_windows_below_10_7():
         lo = rng.randrange(10**7)
         hi = min(lo + rng.randrange(5000), 10**7)
         assert primes_in_range(lo, hi) == list(sympy.primerange(lo, hi + 1)), (lo, hi)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (1_000_000, 1_004_000),  # even ends, across sqrt(hi) = 1001, past the primes to 1000
+    (10**7 + 2, 10**7 + 4_002),  # even ends past 10^7
+    # past sqrt(hi) = 10^5 survivors are certified one by one: the first window
+    # holds 100003^2, which no base prime marks, the second sits at 10^12
+    (10**10 + 599_000, 10**10 + 601_000), (10**12 + 2, 10**12 + 3_002),
+])
+def test_odd_only_sieve_matches_sympy(lo, hi):
+    assert primes_in_range(lo, hi) == list(sympy.primerange(lo, hi + 1))
+
+
+def test_odd_only_sieve_past_10_200_matches_sympy():
+    lo = 10**200 + 16000  # even ends, a window that holds the anchor 10^200 + 16737
+    hi = lo + 2_000
+    got = primes_in_range(lo, hi)
+    assert 10**200 + 16737 in got
+    assert got == [n for n in range(lo + 1, hi, 2) if sympy.isprime(n)]
 
 
 def test_base_primes_are_sieved_once_on_first_need(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 import sympy
 
 from congprimes import quartic, verify
+from congprimes.criteria import classify
 from congprimes.errors import GeneratorNotFound, NotSplitError, PreconditionViolation
 from congprimes.gaussian import GaussianInt
 from congprimes.modmath import OddPrime, _PRIMORIAL, _certified, primes_in_range, split_roots
@@ -94,9 +95,22 @@ def _at_most_zero(m, n):
     return m * m >= 2 * n * n if m <= 0 else 2 * n * n >= m * m
 
 
+def _reduced(P, roots=None):
+    """_reduce's basis as the coordinates (u0, u1, v0, v1), each as re, im,
+    with each a = -c b centred mod p as solve_delta takes it, and its Gram
+    entries."""
+    (cr, ci, u1r, u1i, v1r, v1i), gram = _reduce(P, roots)
+    p, h = P.value, P.value // 2
+
+    def a(br, bi):
+        return (h - cr * br + ci * bi) % p - h, (h - cr * bi - ci * br) % p - h
+
+    return (*a(u1r, u1i), u1r, u1i, *a(v1r, v1i), v1r, v1i), gram
+
+
 def _basis(P, roots=None):
     """_reduce's basis (u, v) as pairs of GaussianInts."""
-    (u0r, u0i, u1r, u1i, v0r, v0i, v1r, v1i), _ = _reduce(P, roots)
+    (u0r, u0i, u1r, u1i, v0r, v0i, v1r, v1i), _ = _reduced(P, roots)
     return ((GaussianInt(u0r, u0i), GaussianInt(u1r, u1i)),
             (GaussianInt(v0r, v0i), GaussianInt(v1r, v1i)))
 
@@ -164,7 +178,7 @@ def test_ideal_basis_matches_the_gaussian_reduction():
         if roots.r is None:
             continue
         (u, v), dot = _gaussian_lagrange(P, roots)
-        coords, gram = _reduce(P, roots)
+        coords, gram = _reduced(P, roots)
         assert coords == tuple(n for g in u + v for n in (g.re, g.im))
         uv = dot(v, u)
         assert gram == (dot(u, u).re, dot(v, v).re, uv.re, uv.im), p
@@ -225,7 +239,7 @@ def test_reduce_matches_the_swapping_loop():
         P = _certified(p)  # sieved, a known anchor, or passed sympy.isprime
         if p % 8 != 1 or (roots := split_roots(P)).r is None:
             continue
-        assert _reduce(P, roots) == _swapping_reduce(P, roots), p
+        assert _reduced(P, roots) == _swapping_reduce(P, roots), p
         count += 1
     assert count == 273 + 24
 
@@ -332,18 +346,50 @@ DELTA_2E5_SHA256 = "b9bcd626d2a682e88d4205692fc0cacf6ea05334a70cce1eae333bdaa749
 
 
 def test_reduced_a_is_centred_and_delta_below_2e5_is_pinned():
-    # _reduce recovers each a from b as -c b centred mod p, which is exact
-    # only while every reduced a has its coordinates in (-p/2, p/2]
+    # solve_delta takes each a of _reduce's basis as -c b centred mod p,
+    # which is exact only while every reduced a, as the swapping loop
+    # carries it, has its coordinates in (-p/2, p/2]
     text = []
     for p in primes_in_range(3, 200_000) + [10**200 + 16737, 10**200 + 28729]:
         P = _certified(p)
         if p % 8 != 1 or (roots := split_roots(P)).r is None:
             continue
-        (u0r, u0i, _, _, v0r, v0i, _, _), _ = _reduce(P, roots)
+        want = _swapping_reduce(P, roots)
+        (u0r, u0i, _, _, v0r, v0i, _, _), _ = want
         assert all(-p < 2 * a <= p for a in (u0r, u0i, v0r, v0i)), p
+        assert _reduced(P, roots) == want, p
         text.append(",".join(map(str, solve_delta(P, roots))) + "\n")
     assert len(text) == 2222
     assert hashlib.sha256("".join(text).encode()).hexdigest() == DELTA_2E5_SHA256
+
+
+def test_box_search_past_u_certifies_delta(monkeypatch):
+    # u alone generates the ideal at every split p below 10^6, so only a
+    # basis given in the other order reaches the box search past it: there,
+    # solve_delta's delta must still have relative norm exactly p and vanish
+    # at the roots r and s, and classify must read the same symbols
+    ps = [p for p in primes_in_range(3, 20000)
+          if p % 8 == 1 and split_roots(_certified(p)).r is not None]
+    ps += [10**200 + 16737, 10**200 + 28729]
+    want = {p: classify(_certified(p)).symbols for p in ps}
+    real = quartic._reduce
+
+    def swapped(P, roots):
+        (cr, ci, u1r, u1i, v1r, v1i), (hu, hv, gr, gi) = real(P, roots)
+        return (cr, ci, v1r, v1i, u1r, u1i), (hv, hu, gr, -gi)
+
+    monkeypatch.setattr(quartic, "_reduce", swapped)
+    searched = 0
+    for p in ps:
+        P = _certified(p)  # sieved, or a 200-digit anchor
+        roots = split_roots(P)
+        nr, ni = _relative_norm(*_reduced(P, roots)[0][4:])  # v: the swapped basis's first
+        searched += nr * nr + ni * ni != p * p
+        delta = solve_delta(P, roots)
+        assert _relative_norm(*delta) == (p, 0), p
+        assert embed(delta, P, roots.r) == embed(delta, P, roots.s) == 0, p
+        assert classify(P).symbols == want[p], p
+    assert searched > len(ps) // 2
 
 
 def test_delta_refuses_a_candidate_whose_norm_is_not_exactly_p(monkeypatch):

@@ -99,22 +99,23 @@ def test_level_counts_walk_a_range_wider_than_the_sieve_window(monkeypatch):
 
 
 def test_classify_chunk_sieves_its_own_window(monkeypatch):
-    """Only the odd primes of the window reach _certified: no 2, no composite."""
-    certified = []
+    """Only the odd primes of the window reach _symbols, and as ints: no 2,
+    no composite."""
+    seen = []
 
-    def spy(n, real=modmath._certified):
-        certified.append(n)
+    def spy(n, real=verify._symbols):
+        seen.append(n)
         return real(n)
 
-    monkeypatch.setattr(verify, "_certified", spy)
+    monkeypatch.setattr(verify, "_symbols", spy)
     _, counts, failures = classify_chunk(None, 1, 30)
     odd_primes = list(sympy.primerange(3, 31))
     assert counts == Counter((c.v_level, c.w_level) for c in map(classify, odd_primes))
     assert failures == [] and sum(counts.values()) == 9
-    assert certified and set(certified) <= set(odd_primes)
-    certified.clear()
+    assert seen and set(seen) <= set(odd_primes) and {type(n) for n in seen} == {int}
+    seen.clear()
     assert classify_chunk(None, 15, 15) == ("", {}, [])
-    assert certified == []
+    assert seen == []
 
 
 def test_run_delta_takes_the_roots_once_per_prime(monkeypatch):
