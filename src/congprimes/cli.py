@@ -3,9 +3,10 @@
 Subcommands: classify one prime, scan a range to CSV/JSONL, run a
 verification suite, print a level-density table, or rerun the headline
 200-digit reference computations.  scan and density run
-verify.classify_chunk on each window of their range through verify.walk,
+walk.classify_chunk on each window of their range through walk.walk,
 which renders each row's tail, all of it but p, once per (p mod 16,
 symbols) class of a window; this module parses, renders and reports.
+Only verify and paper-check import verify, with its oracles.
 
 Exit codes: 0 success, 1 usage error, 2 compute failure, 3 verification
 mismatch.
@@ -24,17 +25,7 @@ from typing import Iterable, NamedTuple
 
 from .criteria import V_CEILING, W_CEILING, Classification, classify
 from .errors import BoundExceeded, ComputeFailed, PreconditionViolation
-from .verify import (
-    DEFAULT_LIMITS,
-    SUITES,
-    ChunkResult,
-    SuiteResult,
-    classify_chunk,
-    density_lines,
-    run_reference_scan,
-    run_suite,
-    walk,
-)
+from .walk import DEFAULT_LIMITS, ChunkResult, classify_chunk, density_lines, walk
 
 
 class _Parser(argparse.ArgumentParser):
@@ -122,7 +113,7 @@ def _json_line(c: Classification) -> str:
     return json.dumps(ScanRow.from_classification(c)._asdict())
 
 
-# (head, line) for verify.classify_chunk: head % p is the start of line(c)
+# (head, line) for walk.classify_chunk: head % p is the start of line(c)
 _RENDERERS = {"csv": ("%d,", _csv_line), "jsonl": ('{"p": %d, ', _json_line)}
 
 
@@ -189,8 +180,8 @@ def cmd_scan(args) -> int:
 
 # ------------------------------------------------------------------ verify
 
-def _verdict(result: SuiteResult, name: str, checked: str) -> int:
-    """Print a suite's lines and verdict; 3 on a counterexample."""
+def _verdict(result, name: str, checked: str) -> int:
+    """Print the lines and verdict of result, a verify.SuiteResult; 3 on a counterexample."""
     _print(*result.lines)
     if result.passed:
         _print(f"{name}: PASS ({result.checked} {checked})")
@@ -202,6 +193,7 @@ def _verdict(result: SuiteResult, name: str, checked: str) -> int:
 def cmd_verify(args) -> int:
     if args.limit is not None and args.limit < 1:
         raise PreconditionViolation("--limit must be at least 1")
+    from .verify import run_suite
     return _verdict(run_suite(args.suite, args.limit, args.seed), args.suite, "checks")
 
 
@@ -216,6 +208,7 @@ def cmd_density(args) -> int:
 # ------------------------------------------------------------- paper-check
 
 def cmd_paper_check(args) -> int:
+    from .verify import run_reference_scan
     return _verdict(run_reference_scan(), "reference computations", "primes examined")
 
 
@@ -245,7 +238,7 @@ def build_parser() -> _Parser:
     p_scan.set_defaults(func=cmd_scan)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
-    p_ver.add_argument("suite", choices=sorted(SUITES))
+    p_ver.add_argument("suite", choices=sorted(DEFAULT_LIMITS))
     p_ver.add_argument("--limit", type=int, default=None,
                        help="range bound or instance count "
                             f"(defaults: {DEFAULT_LIMITS})")

@@ -43,8 +43,9 @@ def embed(x: tuple[int, int, int, int], p: OddPrime, r: int) -> int:
 
 def _reduce(p: OddPrime, roots: SplitRoots | None) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Reduced Z[i]-basis (u, v) of the product of the two primes over p
-    with roots r and s of split_roots(p) (roots, if given, must be that);
-    raises NotSplitError unless p ≡ 1 (mod 8) and (1+i'/p) = +1.  It returns
+    with roots r and s of split_roots(p) (roots, if given, must be that: those
+    of another prime raise PreconditionViolation); raises NotSplitError
+    unless p ≡ 1 (mod 8) and (1+i'/p) = +1.  It returns
     (c.re, c.im, u1.re, u1.im, v1.re, v1.im), with c below centred mod p,
     and the Gram entries (H(u), H(v), Re <v,u>, Im <v,u>) of the basis, in
     the form scaled by 2^k.  Each a-coordinate is -c b (see the last
@@ -83,6 +84,8 @@ def _reduce(p: OddPrime, roots: SplitRoots | None) -> tuple[tuple[int, ...], tup
     of v has |a|^2 <= H'(v) <= 2 sqrt(2) p < 3p < p^2 / 4 (p > 12)."""
     if roots is None and p.value % 8 == 1:
         roots = split_roots(p)
+    elif roots is not None and roots.p != p.value:
+        raise PreconditionViolation(f"roots of {roots.p} given for {p}")
     if roots is None or roots.r is None:
         raise NotSplitError(f"{p} does not split completely in the quartic field")
     pv = p.value
@@ -134,7 +137,7 @@ def _times_unit(x0r: int, x0i: int, x1r: int, x1i: int) -> tuple[int, int, int, 
 def solve_delta(p: OddPrime, roots: SplitRoots | None = None) -> tuple[int, int, int, int]:
     """Certified delta = a + b*alpha with a^2 - (1+i) b^2 = p exactly, as
     (a.re, a.im, b.re, b.im), for a completely split p (else NotSplitError);
-    roots, if given, must be split_roots(p).
+    roots, if given, must be split_roots(p); another prime's raise PreconditionViolation.
 
     Takes the reduced basis (u, v) of _reduce(p, roots) and returns the first
     a*u + b*v, with a, b in the Gaussian box |re|, |im| <= 2, whose absolute

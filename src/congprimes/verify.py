@@ -1,19 +1,15 @@
 """Verification suites: every fast criterion in the package recomputed
-against an independent route, and walk, the package's one range walk.
+against an independent route.
 
 Each suite walks a range (or a seeded random family), compares the
 symbol-based classification with brute-force oracles or with alternate
-derivations, and reports the first counterexample if any.  walk runs a
-job on each of modmath.windows of a range, here or in shard processes:
-scan, density, level_counts, paper-check and the range suites all use
-it, and no suite tests a prime that the sieve certified again.
-classify_chunk, the job of `scan` and `density`, sieves a window and
-renders each row's tail once per (p mod 16, symbols) class.
+derivations, and reports the first counterexample if any.  The range
+suites, level_counts and paper-check walk their range through walk.walk
+with one worker, and no suite tests a prime that the sieve certified again.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -21,8 +17,7 @@ from itertools import chain
 from math import isqrt, prod
 from typing import Callable, Iterable, Iterator
 
-from .criteria import (V_CEILING, Classification, CongruentStatus, ShaReport, _classification,
-                       _symbols, classify)
+from .criteria import V_CEILING, Classification, CongruentStatus, ShaReport, classify
 from .els import cover, lemma_symbol_prediction, locally_solvable_at_p
 from .errors import ComputeFailed, PreconditionViolation
 from .gaussian import GaussianInt, ONE_PLUS_I, gi_symbol, primary_associate, two_squares
@@ -34,10 +29,10 @@ from .modmath import (
     primes_in_range,
     split_roots,
     sqrt_mod,
-    windows,
 )
 from .oracles import class_number, delta_box_search, r3, rep_x2_32y2, tunnell_a
 from .quartic import _relative_norm, _times_unit, embed, solve_delta
+from .walk import DEFAULT_LIMITS, Counts, density_lines, walk  # density_lines for test_acceptance
 
 # The acceptance tests import this name.  It is classify itself, uncached:
 # no walk classifies a prime twice, and a cache would grow with the range.
@@ -57,71 +52,7 @@ def _fail(suite: str, checked: int, counterexample: str) -> SuiteResult:
     return SuiteResult(suite, False, checked, counterexample=counterexample)
 
 
-# ------------------------------------------------------------------ walk
-
-def _pool_size(workers: int) -> int:
-    """Processes to start for a requested worker count: at most one per usable CPU."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(workers, cpus or 1)
-
-
-def _shard(job: Callable[[int, int], object], spans: list[tuple[int, int]], writer) -> None:
-    """A shard process: send job(a, b) for each of its windows, or what stopped it, down its pipe."""
-    try:
-        for a, b in spans:
-            writer.send(job(a, b))
-    except Exception as exc:  # raised by the walk, with this traceback as its cause
-        from multiprocessing.pool import ExceptionWithTraceback
-        writer.send(ExceptionWithTraceback(exc, exc.__traceback__))
-
-
-def walk(job: Callable[[int, int], object], lo: int, hi: int, workers: int = 1) -> Iterator:
-    """job(a, b) on each window (a, b) of modmath.windows(lo, hi, processes), in
-    order.  Given W workers, CPUs and windows, this process runs window i when W
-    divides i; otherwise shard i mod W, one of W - 1 shard processes started by
-    the walk and ended with it, runs it and sends the result down its pipe.  A
-    shard that dies raises ComputeFailed; what a shard raises is raised here."""
-    processes = _pool_size(workers)
-    spans = windows(lo, hi, processes)
-    workers = min(processes, len(spans))
-    shards = []
-    try:
-        if workers > 1:  # imported here only: it would add a third to `import congprimes`
-            import multiprocessing
-            from multiprocessing.connection import wait
-            try:
-                ctx = multiprocessing.get_context("fork")
-            except ValueError:
-                ctx = multiprocessing.get_context()
-            for w in range(1, workers):
-                reader, writer = ctx.Pipe(duplex=False)
-                proc = ctx.Process(target=_shard, args=(job, spans[w::workers], writer),
-                                   name=f"worker {w + 1}", daemon=True)
-                proc.start()
-                writer.close()  # the shard's is then the only write end
-                shards.append((proc, reader))
-        for i, (a, b) in enumerate(spans):
-            if i % workers == 0:
-                yield job(a, b)
-                continue
-            proc, reader = shards[i % workers - 1]
-            wait([reader, proc.sentinel])  # no EOF if another process holds a write end
-            try:  # nothing to read, or EOF: the shard died, maybe mid-message
-                if not reader.poll():
-                    raise EOFError
-                result = reader.recv()
-            except (EOFError, OSError):
-                proc.join()
-                raise ComputeFailed(f"{proc.name} exited with code {proc.exitcode}") from None
-            if isinstance(result, Exception):
-                raise result  # as window i would raise in this process
-            yield result
-    finally:
-        for proc, reader in shards:
-            proc.terminate()
-            proc.join()
-            reader.close()
-
+# ---------------------------------------------------------------- ranges
 
 def _certified_primes(lo: int, hi: int, m: int = 2, r: int = 1) -> Iterator[OddPrime]:
     """The odd primes of [lo, hi] that are r mod m, as OddPrimes that
@@ -541,25 +472,8 @@ def run_lemmas(limit: int, seed: int = 1) -> SuiteResult:
                               f"instances, {limit} reciprocity pairs: clean"])
 
 
-SUITES = {
-    "class-numbers": run_class_numbers,
-    "three-squares": run_three_squares,
-    "tunnell": run_tunnell,
-    "lemmas": run_lemmas,
-    "els": run_els,
-    "delta": run_delta,
-    "invariants": run_invariants,
-}
-
-DEFAULT_LIMITS = {
-    "class-numbers": 20000,
-    "three-squares": 20000,
-    "tunnell": 20000,
-    "lemmas": 1000,
-    "els": 100000,
-    "delta": 10000,
-    "invariants": 100000,
-}
+# the suites by name, each run_<name with "_" for "-">, in DEFAULT_LIMITS's order
+SUITES = {name: globals()[f"run_{name.replace('-', '_')}"] for name in DEFAULT_LIMITS}
 
 
 def run_suite(suite: str, limit: int | None = None, seed: int = 1) -> SuiteResult:
@@ -606,63 +520,7 @@ def run_reference_scan() -> SuiteResult:
     return SuiteResult("paper-check", True, checked, lines=lines)
 
 
-# ------------------------------------------------------------- densities
-
-Counts = dict[tuple[int, int | None], int]
-ChunkResult = tuple[str, Counts, list[tuple[int, str]]]
-
-
-def classify_chunk(render: tuple[str, Callable[[Classification], str]] | None,
-                   lo: int, hi: int) -> ChunkResult:
-    """Sieve the odd primes of the window [max(lo, 3), hi] and classify
-    them: their lines ("" when render is None), the count per (v_level,
-    w_level), and the failed primes as (p, message).  render is (head,
-    line): head % p starts line(c), and the rest of the line depends on p
-    only through p mod 16 and the symbols, so it is rendered once per such
-    class of the window, from the one Classification built for it.  A prime
-    p ≢ 1 (mod 8) is settled by p mod 16 alone, so only the symbols of the
-    first of each such class are taken; those of every p ≡ 1 (mod 8) are."""
-    lines, classes, failures = [], {}, []
-    head, line = render or (None, None)
-    for n in primes_in_range(max(lo, 3), hi):
-        key = n % 16
-        cls = classes.get(key)  # None for every p ≡ 1 (mod 8): its key holds symbols
-        if cls is None:
-            try:
-                syms = _symbols(n)
-            except ComputeFailed as exc:
-                failures.append((n, str(exc)))
-                continue
-            if n % 8 == 1:
-                key = key, syms
-                cls = classes.get(key)
-            if cls is None:
-                c = _classification(n, syms)
-                tail = line(c)[len(head % n):] + "\n" if render else ""
-                cls = classes[key] = [tail, (c.v_level, c.w_level), 0]
-        cls[2] += 1
-        if render:
-            lines.append(head % n + cls[0])
-    counts = {}
-    for _, levels, k in classes.values():
-        counts[levels] = counts.get(levels, 0) + k
-    return "".join(lines), counts, failures
-
-
 def level_counts(lo: int, hi: int) -> Counts:
     """(v_level, w_level) histogram over odd primes in [lo, hi], classified
     one by one; raises ComputeFailed if one of them fails to classify."""
     return Counter((c.v_level, c.w_level) for c in map(classify, _certified_primes(lo, hi)))
-
-
-def density_lines(counts: Counts) -> list[str]:
-    total = sum(counts.values())
-    lines = [f"primes classified: {total}"]
-    for (v, w), n in sorted(counts.items(), key=lambda kv: (kv[0][0], kv[0][1] or 0)):
-        wtxt = "NA" if w is None else str(w)
-        lines.append(f"  v_level {v}  w_level {wtxt:>2}: {n}")
-    v4 = sum(n for (v, _), n in counts.items() if v == 4)
-    v3 = sum(n for (v, _), n in counts.items() if v >= 3)
-    lines.append(f"V(4)/V(3) fraction: {v4}/{v3} = {v4 / v3:.4f}" if v3
-                 else "V(4)/V(3) fraction: NA (no V(3) primes in range)")
-    return lines

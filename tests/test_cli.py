@@ -23,13 +23,14 @@ from pathlib import Path
 
 import pytest
 
-import congprimes
+import congprimes.walk
 from congprimes import cli, criteria, modmath, verify
 from congprimes.cli import CSV_HEADER, main
 from congprimes.criteria import SymbolSet, classify
 from congprimes.errors import ComputeFailed, PreconditionViolation
 from congprimes.modmath import _certified, primes_in_range, windows
-from congprimes.verify import SuiteResult, _pool_size, density_lines, level_counts, walk
+from congprimes.verify import SuiteResult, level_counts
+from congprimes.walk import _pool_size, classify_chunk, density_lines, walk
 
 
 def run(capsys, *argv):
@@ -203,7 +204,8 @@ def test_scan_and_verify_walks_sieve_the_same_windows(capsys, tmp_path, monkeypa
         sieved.append((a, b))
         return _primes(a, b)
 
-    monkeypatch.setattr(verify, "primes_in_range", spy)
+    for module in (verify, congprimes.walk):  # _certified_primes' sieve, then classify_chunk's
+        monkeypatch.setattr(module, "primes_in_range", spy)
     want = windows(lo, hi)
     assert len(want) == (16 if lo == 3 else 1)  # the window past 10^200 is not cut
     assert [P.value for P in verify._certified_primes(lo, hi)] == [
@@ -226,12 +228,12 @@ def test_classify_chunk_matches_the_per_prime_loop(monkeypatch, fmt, lo, hi):
     bad = {ns[0], next(n for n in ns if n % 8 == 1)}
     assert len({n % 16 for n in ns[1:]}) < len(ns) - 1  # some class holds two rows
 
-    def failing(p, real=verify._symbols):
+    def failing(p, real=congprimes.walk._symbols):
         if int(p) in bad:
             raise ComputeFailed(f"could not certify delta for p = {p}")
         return real(p)
 
-    monkeypatch.setattr(verify, "_symbols", failing)
+    monkeypatch.setattr(congprimes.walk, "_symbols", failing)
     head, line = cli._RENDERERS[fmt]
     lines, counts, failures = [], Counter(), []
     for n in ns:
@@ -243,8 +245,8 @@ def test_classify_chunk_matches_the_per_prime_loop(monkeypatch, fmt, lo, hi):
         lines.append(line(c) + "\n")
         counts[c.v_level, c.w_level] += 1
     want = ("".join(lines), counts, failures)
-    assert verify.classify_chunk((head, line), lo, hi) == want
-    assert verify.classify_chunk(None, lo, hi) == ("",) + want[1:]
+    assert classify_chunk((head, line), lo, hi) == want
+    assert classify_chunk(None, lo, hi) == ("",) + want[1:]
 
 
 def test_classify_runs_once_per_forced_class_and_per_split_prime(monkeypatch):
@@ -253,16 +255,16 @@ def test_classify_runs_once_per_forced_class_and_per_split_prime(monkeypatch):
     one Classification per (p mod 16, symbols) class, from its first prime."""
     seen, built = [], []
 
-    def spy(p, real=verify._symbols):
+    def spy(p, real=congprimes.walk._symbols):
         seen.append(int(p))
         return real(p)
 
-    def build(n, syms, real=verify._classification):
+    def build(n, syms, real=congprimes.walk._classification):
         built.append(n)
         return real(n, syms)
 
-    monkeypatch.setattr(verify, "_symbols", spy)
-    monkeypatch.setattr(verify, "_classification", build)
+    monkeypatch.setattr(congprimes.walk, "_symbols", spy)
+    monkeypatch.setattr(congprimes.walk, "_classification", build)
     for lo, hi in windows(3, 30000):
         ns, classes, want, first = primes_in_range(lo, hi), set(), [], []
         for n in ns:
@@ -274,7 +276,7 @@ def test_classify_runs_once_per_forced_class_and_per_split_prime(monkeypatch):
                 classes.add(key)
         seen.clear()
         built.clear()
-        verify.classify_chunk(cli._RENDERERS["csv"], lo, hi)
+        classify_chunk(cli._RENDERERS["csv"], lo, hi)
         assert seen == want
         assert built == first
         assert len(want) == 6 + sum(n % 8 == 1 for n in ns)
@@ -302,12 +304,12 @@ def test_rules_are_settled_once_per_class(capsys, tmp_path, monkeypatch):
 def test_scan_reports_a_failed_prime_from_every_worker_count(capsys, tmp_path, monkeypatch, fmt):
     bad = 113
 
-    def failing(p, real=verify._symbols):
+    def failing(p, real=congprimes.walk._symbols):
         if int(p) == bad:
             raise ComputeFailed(f"could not certify delta for p = {bad}")
         return real(p)
 
-    monkeypatch.setattr(verify, "_symbols", failing)
+    monkeypatch.setattr(congprimes.walk, "_symbols", failing)
     cpus(monkeypatch, 2)  # one chunk: no pool either way
     outputs = []
     for workers in ("1", "2"):
@@ -352,12 +354,12 @@ def test_chunked_scan_matches_across_worker_counts(capsys, tmp_path, monkeypatch
     assert len(ns) == 3244 and chunks >= 3
     assert 0 < ns.index(bad) // modmath.SCAN_CHUNK < chunks - 1  # a middle chunk
 
-    def failing(p, real=verify._symbols):
+    def failing(p, real=congprimes.walk._symbols):
         if int(p) == bad:
             raise ComputeFailed(f"could not certify delta for p = {bad}")
         return real(p)
 
-    monkeypatch.setattr(verify, "_symbols", failing)
+    monkeypatch.setattr(congprimes.walk, "_symbols", failing)
     cpus(monkeypatch, 2)
     results = []
     for workers in ("1", "2"):
@@ -418,6 +420,37 @@ def test_a_none_result_is_yielded_at_every_worker_count(monkeypatch):
         for workers in (1, 2):
             assert list(walk(_nothing, 3, 10**6, workers)) == [None] * len(
                 windows(3, 10**6, workers))
+    assert multiprocessing.active_children() == []
+
+
+def test_a_walk_without_fork_spawns_shards_that_print_what_one_worker_does(capsys, tmp_path,
+                                                                          monkeypatch, pools):
+    """Where "fork" is missing, walk takes the default context, here "spawn":
+    its shard imports _shard, classify_chunk and the renderers by reference
+    from their modules, and scan and density print what one worker does."""
+    contexts = []
+
+    def get_context(method=None, real=multiprocessing.get_context):
+        if method == "fork":
+            raise ValueError("cannot find context for 'fork'")
+        contexts.append(real("spawn"))
+        return contexts[-1]
+
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    monkeypatch.setattr(congprimes.walk, "_pool_size", lambda workers: min(workers, 2))
+    assert len(windows(3, 30000, 2)) == 3
+    out_path = tmp_path / "scan.out"
+    with deadline(60):
+        for fmt in ("csv", "jsonl"):
+            scans = [(run(capsys, "scan", "--from", "3", "--to", "30000", "--out", str(out_path),
+                          "--format", fmt, "--workers", workers), out_path.read_bytes())
+                     for workers in ("1", "2")]
+            assert scans[0] == scans[1] and scans[0][0][0] == 0
+        one, two = (run(capsys, "density", "--from", "3", "--to", "30000", "--workers", workers)
+                    for workers in ("1", "2"))
+    assert one == two and one[0] == 0
+    assert pools == [0, 1] * 3
+    assert [ctx.get_start_method() for ctx in contexts] == ["spawn"] * 3
     assert multiprocessing.active_children() == []
 
 
@@ -482,15 +515,15 @@ DEAD_WORKER_PRIME = 15017  # ≡ 1 (mod 8), in window 1 of 3..30000, so worker 2
 
 
 def _dying_chunk(render, lo, hi):
-    """verify.classify_chunk, but a worker process handed DEAD_WORKER_PRIME's
+    """walk.classify_chunk, but a worker process handed DEAD_WORKER_PRIME's
     window exits with code 9; module-level, so a pool could pickle it too."""
     if multiprocessing.parent_process() is not None and lo <= DEAD_WORKER_PRIME <= hi:
         os._exit(9)
-    return verify.classify_chunk(render, lo, hi)
+    return classify_chunk(render, lo, hi)
 
 
 def _dying_in_send(render, lo, hi):
-    """verify.classify_chunk, but the worker process handed DEAD_WORKER_PRIME
+    """walk.classify_chunk, but the worker process handed DEAD_WORKER_PRIME
     exits with code 9 half a second later, while it is blocked sending that
     window: the window holding 3 holds the scan back for a second before it,
     in whichever process runs it."""
@@ -498,7 +531,7 @@ def _dying_in_send(render, lo, hi):
         time.sleep(1)
     elif multiprocessing.parent_process() is not None and lo <= DEAD_WORKER_PRIME <= hi:
         threading.Timer(0.5, os._exit, (9,)).start()
-    return verify.classify_chunk(render, lo, hi)
+    return classify_chunk(render, lo, hi)
 
 
 @pytest.mark.parametrize("fmt, how", [
@@ -540,7 +573,7 @@ def test_a_dead_worker_is_reported_not_waited_on(capsys, tmp_path, monkeypatch, 
     rows = out_path.read_text().splitlines()[fmt == "csv":]
     assert len(rows) == len(primes_in_range(*cut[0]))
     if how == "exit mid-send":
-        text = verify.classify_chunk(cli._RENDERERS[fmt], *cut[1])[0]
+        text = classify_chunk(cli._RENDERERS[fmt], *cut[1])[0]
         assert len(text) > 2 * 65536  # twice a Linux pipe's default buffer
 
 
@@ -551,12 +584,12 @@ def _raising_scans(capsys, tmp_path, monkeypatch, bad):
     it and the KeyError raised at 2 workers."""
     error = PreconditionViolation
 
-    def raising(p, real=verify._symbols):
+    def raising(p, real=congprimes.walk._symbols):
         if int(p) == bad:
             raise error(f"{bad} breaks a precondition")
         return real(p)
 
-    monkeypatch.setattr(verify, "_symbols", raising)
+    monkeypatch.setattr(congprimes.walk, "_symbols", raising)
     cpus(monkeypatch, 2)
     outputs = []
     for workers in ("1", "2"):
@@ -631,12 +664,12 @@ def test_density_walks_its_windows_in_this_process(capsys, pools):
 def test_density_with_two_workers_prints_what_one_does(capsys, monkeypatch, pools):
     bad = DEAD_WORKER_PRIME  # in window 1, so worker 2's
 
-    def failing(p, real=verify._symbols):
+    def failing(p, real=congprimes.walk._symbols):
         if int(p) == bad:
             raise ComputeFailed(f"could not certify delta for p = {bad}")
         return real(p)
 
-    monkeypatch.setattr(verify, "_symbols", failing)
+    monkeypatch.setattr(congprimes.walk, "_symbols", failing)
     cpus(monkeypatch, 2)
     one, two = (run(capsys, "density", "--from", "3", "--to", "30000", "--workers", workers)
                 for workers in ("1", "2"))
@@ -815,7 +848,7 @@ def test_verify_pass_exit_zero(capsys):
 
 def test_verify_failure_exit_three(capsys, monkeypatch):
     fake = SuiteResult("els", False, 9, counterexample="p=99991: mismatch")
-    monkeypatch.setattr("congprimes.cli.run_suite", lambda *a: fake)
+    monkeypatch.setattr("congprimes.verify.run_suite", lambda *a: fake)
     code, out, _ = run(capsys, "verify", "els")
     assert code == 3
     assert "counterexample: p=99991: mismatch" in out
@@ -845,12 +878,12 @@ def test_density_matches_library(capsys):
 def test_density_reports_a_failed_prime_like_scan(capsys, tmp_path, monkeypatch):
     bad = 113
 
-    def failing(p, real=verify._symbols):
+    def failing(p, real=congprimes.walk._symbols):
         if int(p) == bad:
             raise ComputeFailed(f"could not certify delta for p = {bad}")
         return real(p)
 
-    monkeypatch.setattr(verify, "_symbols", failing)
+    monkeypatch.setattr(congprimes.walk, "_symbols", failing)
     code, out, err = run(capsys, "density", "--from", "3", "--to", "200")
     assert code == 2
     assert err.splitlines() == [f"compute failed at p={bad}: could not certify delta for p = {bad}",
@@ -878,7 +911,7 @@ def test_density_rejects_inverted_range(capsys):
 
 def test_paper_check_pass_path(capsys, monkeypatch):
     fake = SuiteResult("paper-check", True, 57, lines=["p=41: ok"])
-    monkeypatch.setattr("congprimes.cli.run_reference_scan", lambda: fake)
+    monkeypatch.setattr("congprimes.verify.run_reference_scan", lambda: fake)
     code, out, _ = run(capsys, "paper-check")
     assert code == 0
     assert "reference computations: PASS (57 primes examined)" in out
@@ -886,7 +919,7 @@ def test_paper_check_pass_path(capsys, monkeypatch):
 
 def test_paper_check_fail_path(capsys, monkeypatch):
     fake = SuiteResult("paper-check", False, 3, counterexample="bad")
-    monkeypatch.setattr("congprimes.cli.run_reference_scan", lambda: fake)
+    monkeypatch.setattr("congprimes.verify.run_reference_scan", lambda: fake)
     code, out, _ = run(capsys, "paper-check")
     assert code == 3
     assert "reference computations: FAIL" in out
@@ -918,6 +951,47 @@ def test_import_does_not_load_the_cli():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout
     assert out.splitlines() == ["[]", "[]"]
+
+
+def _loaded_by(*argv):
+    """The congprimes, dataclasses and inspect modules that `python -m congprimes
+    argv` imports, as -X importtime logs them; a run that imports verify is
+    stopped there, so paper-check does not run its 200-digit scan."""
+    env = dict(os.environ, PYTHONPATH=str(Path(congprimes.__file__).parents[1]))
+    loaded = set()
+    with subprocess.Popen([sys.executable, "-X", "importtime", "-m", "congprimes", *argv],
+                          env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True) as proc:
+        for line in proc.stderr:
+            name = line.rpartition("|")[2].strip()
+            if name.partition(".")[0] in ("congprimes", "dataclasses", "inspect"):
+                loaded.add(name)
+            if name == "congprimes.verify":
+                proc.kill()
+                break
+        else:
+            assert proc.wait(timeout=60) == 0, argv
+    return loaded
+
+
+# what only the verify and paper-check commands need
+VERIFY_ONLY = {"congprimes.verify", "congprimes.oracles", "congprimes.els", "congprimes.gaussian",
+               "dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("command", ["classify", "scan", "density"])
+def test_classify_scan_and_density_load_no_oracle(tmp_path, command):
+    span = ["--from", "3", "--to", "1000"]
+    argv = {"classify": ["41"], "scan": [*span, "--out", str(tmp_path / "scan.csv")],
+            "density": span}[command]
+    loaded = _loaded_by(command, *argv)
+    assert {"congprimes.cli", "congprimes.criteria", "congprimes.walk"} <= loaded
+    assert loaded.isdisjoint(VERIFY_ONLY)
+
+
+@pytest.mark.parametrize("argv", [["verify", "lemmas", "--limit", "1"], ["paper-check"]])
+def test_verify_and_paper_check_load_verify(argv):
+    assert "congprimes.verify" in _loaded_by(*argv)
 
 
 # each public name by the submodule that defines it

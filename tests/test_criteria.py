@@ -19,7 +19,8 @@ from congprimes.modmath import (
     OddPrime, _certified, eighth_root_of_unity, legendre, primes_in_range, split_roots, sqrt_mod,
     windows)
 from congprimes.quartic import solve_delta
-from congprimes.verify import _delta_symbols, classify_chunk
+from congprimes.verify import _delta_symbols
+from congprimes.walk import classify_chunk
 
 
 # (p, v, w, status, sha) spot values, each confirmed by the brute-force

@@ -428,6 +428,17 @@ def test_solve_delta_requires_split():
         solve_delta(OddPrime(17))
 
 
+@pytest.mark.parametrize("other", [17, 113, 137, 257, 337])
+def test_roots_of_another_prime_are_refused(other):
+    # roots of another prime are the caller's error, not a failed lattice
+    # search or a p that does not split
+    P, roots = OddPrime(41), split_roots(OddPrime(other))
+    for call in (solve_delta, _reduce):
+        with pytest.raises(PreconditionViolation, match=f"^roots of {other} given for 41$"):
+            call(P, roots)
+    assert solve_delta(P, split_roots(P)) == solve_delta(P) == (7, -4, 2, -6)
+
+
 def test_solve_delta_returns_the_four_coordinates():
     # delta = (7 + 2i) + (-4 - 6i) alpha: (7 + 2i)^2 - (1+i)(-4 - 6i)^2 = 113
     assert solve_delta(OddPrime(113)) == (7, 2, -4, -6)

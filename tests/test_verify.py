@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 import sympy
 
+import congprimes.walk
 from congprimes import criteria, modmath, quartic, verify
 from congprimes.cli import main
 from congprimes.criteria import classify
@@ -19,12 +20,12 @@ from congprimes.verify import (
     SUITES,
     SuiteResult,
     _certified_primes,
-    classify_chunk,
     density_lines,
     level_counts,
     run_delta,
     run_suite,
 )
+from congprimes.walk import classify_chunk
 
 
 def test_suite_registry_consistent():
@@ -103,11 +104,11 @@ def test_classify_chunk_sieves_its_own_window(monkeypatch):
     no composite."""
     seen = []
 
-    def spy(n, real=verify._symbols):
+    def spy(n, real=congprimes.walk._symbols):
         seen.append(n)
         return real(n)
 
-    monkeypatch.setattr(verify, "_symbols", spy)
+    monkeypatch.setattr(congprimes.walk, "_symbols", spy)
     _, counts, failures = classify_chunk(None, 1, 30)
     odd_primes = list(sympy.primerange(3, 31))
     assert counts == Counter((c.v_level, c.w_level) for c in map(classify, odd_primes))
