@@ -2,7 +2,7 @@
 classes for the congruent number curves y^2 = x^3 - p^2 x, decided by
 quadratic symbols at p.
 
-The public surface: classify / v_level / w_level grade a prime, the
+The public surface: classify grades a prime by v_level and w_level, the
 quartic module solves the norm equation a^2 - (1+i) b^2 = p that feeds
 the deeper symbols, as delta's four integer coordinates (a.re, a.im,
 b.re, b.im), the oracles module recounts everything by brute force, and
@@ -21,8 +21,6 @@ from .criteria import (
     ShaReport,
     SymbolSet,
     classify,
-    v_level,
-    w_level,
 )
 from .errors import (
     BoundExceeded,
@@ -103,6 +101,4 @@ __all__ = [
     "sqrt_mod",
     "tunnell_a",
     "two_squares",
-    "v_level",
-    "w_level",
 ]

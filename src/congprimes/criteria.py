@@ -115,19 +115,6 @@ def _symbols(pv: int, p: OddPrime | None = None) -> SymbolSet:
     return SymbolSet(1, chi, chi if pv % 16 == 1 else -chi)
 
 
-def v_level(p: int | OddPrime) -> tuple[int, SymbolSet]:
-    """Certified 2-adic depth of h(-4p), capped at V_CEILING."""
-    c = classify(p)
-    return c.v_level, c.symbols
-
-
-def w_level(p: int | OddPrime) -> tuple[int | None, SymbolSet]:
-    """Certified 2-divisibility depth of the distinguished locally solvable
-    descent classes; None unless p ≡ 1 (mod 8)."""
-    c = classify(p)
-    return c.w_level, c.symbols
-
-
 # classify's rule per (p mod 8, symbols): at most 4 x 6 = 24 entries, since
 # p ≢ 1 (mod 8) has only _NOT_SPLIT and p ≡ 1 (mod 8) has _INERT or (1, ±1, ±1)
 _RULES: dict[tuple[int, SymbolSet], tuple] = {}

@@ -123,6 +123,19 @@ class TwoSquares:
             raise PreconditionViolation("normalization violated: want u odd, v even, both > 0")
 
 
+def _cornacchia(p: int, d: int, root: int) -> tuple[int, int] | None:
+    """(x, y) with p = x^2 + d y^2, both >= 0, or None if p has no such
+    form, by Cornacchia's algorithm (Cohen, GTM 138, Alg. 1.5.2): x is the
+    first remainder below sqrt(p) in Euclid's algorithm on p and root, a
+    square root of -d mod p.  Either square root reaches the same x."""
+    a, b, bound = p, root, isqrt(p)
+    while b > bound:
+        a, b = b, a % b
+    y2, rest = divmod(p - b * b, d)
+    y = isqrt(y2)
+    return None if rest or y * y != y2 else (b, y)
+
+
 def two_squares(p: OddPrime) -> TwoSquares:
     """Decompose p ≡ 1 (mod 4) as u^2 + v^2 (Hermite-Serret descent on a
     square root of -1)."""
@@ -131,16 +144,12 @@ def two_squares(p: OddPrime) -> TwoSquares:
         raise PreconditionViolation("two_squares requires p ≡ 1 (mod 4)")
     w = _sqrt_mod_int(-1, pv)
     assert w is not None
-    a, b = pv, max(w, pv - w)
-    while b * b > pv:
-        a, b = b, a % b
-    u = b
-    v2 = pv - u * u
-    v = isqrt(v2)
-    assert v * v == v2, "descent failed to produce a representation"
+    uv = _cornacchia(pv, 1, w)
+    assert uv is not None, "descent failed to produce a representation"
+    u, v = uv
     if u % 2 == 0:
         u, v = v, u
-    return TwoSquares(p, abs(u), abs(v))
+    return TwoSquares(p, u, v)
 
 
 def primary_associate(x: GaussianInt) -> GaussianInt:
@@ -166,5 +175,10 @@ def gi_symbol(x: GaussianInt, pi: GaussianInt) -> int:
     p = pi.norm()
     if p % 2 == 0 or not is_probable_prime(p):
         raise PreconditionViolation("gi_symbol requires a Gaussian prime of odd prime norm")
-    i_img = -pi.re * pow(pi.im, -1, p) % p
-    return _jacobi((x.re + x.im * i_img) % p, p)
+    return _jacobi((x.re + x.im * _i_image(pi, p)) % p, p)
+
+
+def _i_image(pi: GaussianInt, p: int) -> int:
+    """i' = -pi.re / pi.im (mod p), the image of i under Z[i] -> Z[i]/(pi) = F_p,
+    for pi of prime norm p."""
+    return -pi.re * pow(pi.im, -1, p) % p

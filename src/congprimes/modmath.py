@@ -207,7 +207,7 @@ class OddPrime:
     already certified.  An OddPrime is immutable and equal only to an
     OddPrime of the same value; copies and pickles are not tested again."""
 
-    __slots__ = ("value", "residue_mod_16")
+    __slots__ = ("value",)
 
     def __init__(self, value: int) -> None:
         value = index(value)  # any integer type is stored as an int
@@ -218,7 +218,6 @@ class OddPrime:
         if value < 3 or value % 2 == 0 or not is_probable_prime(value):
             raise PreconditionViolation(f"{value} is not an odd prime")
         object.__setattr__(self, "value", value)
-        object.__setattr__(self, "residue_mod_16", value % 16)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"OddPrime is immutable: {name!r} cannot change")
@@ -235,7 +234,7 @@ class OddPrime:
         return _certified, (self.value,)
 
     def __repr__(self) -> str:
-        return f"OddPrime(value={self.value}, residue_mod_16={self.residue_mod_16})"
+        return f"OddPrime(value={self.value})"
 
     def __int__(self) -> int:
         return self.value
@@ -249,7 +248,6 @@ def _certified(n: int) -> OddPrime:
     primes_in_range has already certified."""
     p = object.__new__(OddPrime)
     object.__setattr__(p, "value", n)
-    object.__setattr__(p, "residue_mod_16", n % 16)
     return p
 
 

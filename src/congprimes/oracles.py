@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .errors import BoundExceeded, ComputeFailed, PreconditionViolation
-from .gaussian import GaussianInt, ONE_PLUS_I
+from .gaussian import GaussianInt, ONE_PLUS_I, _cornacchia
 from .modmath import OddPrime, _SMALL_PRIMES, _sqrt_mod_int
 from .quartic import _relative_norm
 
@@ -24,12 +24,15 @@ DEFAULT_BOUND = 10**6
 
 @dataclass(frozen=True)
 class FormCount:
-    """h = number of reduced forms of discriminant -4p, v2 = its 2-adic
-    valuation."""
+    """h = number of reduced forms of discriminant -4p."""
 
     p: OddPrime
     h: int
-    v2: int
+
+    @property
+    def v2(self) -> int:
+        """The 2-adic valuation of h."""
+        return (self.h & -self.h).bit_length() - 1
 
 
 def class_number(p: OddPrime, bound: int = DEFAULT_BOUND) -> FormCount:
@@ -57,12 +60,7 @@ def class_number(p: OddPrime, bound: int = DEFAULT_BOUND) -> FormCount:
             if b < 0 and (a == c or a == -b):
                 continue
             h += 1
-    v2 = 0
-    t = h
-    while t % 2 == 0:
-        t //= 2
-        v2 += 1
-    return FormCount(p, h, v2)
+    return FormCount(p, h)
 
 
 def r3(n: int, bound: int = DEFAULT_BOUND) -> int:
@@ -143,11 +141,7 @@ def rep_x2_32y2(p: OddPrime) -> bool:
         return False
     if (x0 * x0 + 32) % pv:
         raise ComputeFailed(f"sqrt(-32) mod {pv} failed its check")
-    a, b, bound = pv, x0, isqrt(pv)  # Cohen's root p - x0 only adds one step
-    while b > bound:
-        a, b = b, a % b
-    c, rest = divmod(pv - b * b, 32)
-    return not rest and isqrt(c) ** 2 == c
+    return _cornacchia(pv, 32, x0) is not None
 
 
 def _gaussian_sqrt(w: GaussianInt) -> GaussianInt | None:

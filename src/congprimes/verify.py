@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator
 from .criteria import V_CEILING, Classification, CongruentStatus, ShaReport, classify
 from .els import cover, lemma_symbol_prediction, locally_solvable_at_p
 from .errors import ComputeFailed, PreconditionViolation
-from .gaussian import GaussianInt, ONE_PLUS_I, gi_symbol, primary_associate, two_squares
+from .gaussian import GaussianInt, ONE_PLUS_I, _i_image, gi_symbol, primary_associate, two_squares
 from .modmath import (
     OddPrime,
     _certified,
@@ -41,15 +41,17 @@ _classify = classify
 
 @dataclass
 class SuiteResult:
-    suite: str
-    passed: bool
     checked: int
     lines: list[str] = field(default_factory=list)
     counterexample: str | None = None
 
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
 
-def _fail(suite: str, checked: int, counterexample: str) -> SuiteResult:
-    return SuiteResult(suite, False, checked, counterexample=counterexample)
+
+def _fail(checked: int, counterexample: str) -> SuiteResult:
+    return SuiteResult(checked, counterexample=counterexample)
 
 
 # ---------------------------------------------------------------- ranges
@@ -64,17 +66,16 @@ def _certified_primes(lo: int, hi: int, m: int = 2, r: int = 1) -> Iterator[OddP
                 yield _certified(p)
 
 
-def _range_suite(name: str, primes: Iterable, check: Callable[..., str | None],
-                 line: str) -> SuiteResult:
+def _range_suite(primes: Iterable, check: Callable[..., str | None], line: str) -> SuiteResult:
     """check each of primes in turn: the first counterexample check names,
     with the number of primes that passed before it, or a pass whose line
     is that number followed by line."""
     checked = 0
     for P in primes:
         if err := check(P):
-            return _fail(name, checked, err)
+            return _fail(checked, err)
         checked += 1
-    return SuiteResult(name, True, checked, lines=[f"{checked} {line}"])
+    return SuiteResult(checked, [f"{checked} {line}"])
 
 
 # ---------------------------------------------------------------- suites
@@ -88,7 +89,7 @@ def run_class_numbers(limit: int, seed: int = 0) -> SuiteResult:
         return (f"p={P}: v_level={v} but h(-4p)={fc.h} has v2={fc.v2}"
                 if min(fc.v2, V_CEILING) != v else None)
 
-    return _range_suite("class-numbers", _certified_primes(3, limit - 1, 4, 1), check,
+    return _range_suite(_certified_primes(3, limit - 1, 4, 1), check,
                         f"primes ≡ 1 mod 4 below {limit}: "
                         "v_level matches the form-count 2-valuation")
 
@@ -101,8 +102,7 @@ def run_three_squares(limit: int, seed: int = 0) -> SuiteResult:
         r, h = r3(P.value, bound=bound), class_number(P, bound=bound).h
         return f"p={P}: r3={r}, 12h={12 * h}" if r != 12 * h else None
 
-    return _range_suite("three-squares", _certified_primes(3, limit - 1, 4, 1), check,
-                        "primes: r3(p) = 12 h(-4p)")
+    return _range_suite(_certified_primes(3, limit - 1, 4, 1), check, "primes: r3(p) = 12 h(-4p)")
 
 
 def run_tunnell(limit: int, seed: int = 0) -> SuiteResult:
@@ -115,7 +115,7 @@ def run_tunnell(limit: int, seed: int = 0) -> SuiteResult:
     """
     a41 = tunnell_a(41)
     if a41 != 0:
-        return _fail("tunnell", 0, f"a_41 = {a41}, expected 0")
+        return _fail(0, f"a_41 = {a41}, expected 0")
     stats = {1: [0, 0], 2: [0, 0]}
     bound = max(limit, 10**6)
     for P in _certified_primes(17, limit - 1, 8, 1):
@@ -133,7 +133,7 @@ def run_tunnell(limit: int, seed: int = 0) -> SuiteResult:
         lines.append(f"w_level {w} => a_p ≡ {residue}: {ok}/{total} agree "
                      f"({pct:.1f}%, reported only)")
     checked = 1 + stats[1][0] + stats[2][0]
-    return SuiteResult("tunnell", True, checked, lines=lines)
+    return SuiteResult(checked, lines)
 
 
 def run_els(limit: int, seed: int = 0) -> SuiteResult:
@@ -154,7 +154,7 @@ def run_els(limit: int, seed: int = 0) -> SuiteResult:
             return f"p={p}: (1+sqrt2 | p) != (1+i | p)"
         return None
 
-    return _range_suite("els", _certified_primes(17, limit - 1, 8, 1), check,
+    return _range_suite(_certified_primes(17, limit - 1, 8, 1), check,
                         f"primes ≡ 1 mod 8 below {limit}: "
                         "cover solvability = symbol prediction = chi_1pi")
 
@@ -213,13 +213,13 @@ def run_delta(limit: int, seed: int = 0, extra: tuple[int, ...] = ()) -> SuiteRe
     primes = chain(_certified_primes(17, limit - 1, 8, 1), map(OddPrime, extra))
     split = ((P, roots) for P in primes
              if P.value % 8 == 1 and (roots := split_roots(P)).r is not None)
-    return _range_suite("delta", split, check, f"split primes below {limit}: "
+    return _range_suite(split, check, f"split primes below {limit}: "
                         "symbols independent of every admissible choice")
 
 
 def run_invariants(limit: int, seed: int = 0) -> SuiteResult:
     """Structural laws tying the two level functions together."""
-    return _range_suite("invariants", _certified_primes(3, limit - 1),
+    return _range_suite(_certified_primes(3, limit - 1),
                         lambda P: _check_one_invariant(P, classify(P)),
                         f"primes below {limit}: level chain, "
                         "V(3)=W(2), XOR law, symbol product, x^2+32y^2")
@@ -342,10 +342,6 @@ def _gaussian_prime(q: int, rng: random.Random) -> GaussianInt:
     return primary_associate(lam)
 
 
-def _i_image(lam: GaussianInt, q: int) -> int:
-    return (-lam.re * pow(lam.im, -1, q)) % q
-
-
 def _gaussian_instance(rng: random.Random, pool: list[int], aux: list[int]):
     """Random (pi, x, y, D) over Z[i] with x^2 - D y^2 = pi, pi ∤ D,
     pi ≡ 1 mod 2Z[i] of norm ≡ 1 mod 8 with (1+i | pi) = 1."""
@@ -424,12 +420,11 @@ def run_lemmas(limit: int, seed: int = 1) -> SuiteResult:
         P = OddPrime(p)
         a0 = sqrt_mod(D, P)
         if a0 is None:
-            return _fail("lemmas", checked, f"rational p={p}: D={D} not a square")
+            return _fail(checked, f"rational p={p}: D={D} not a square")
         for a in (a0, p - a0):
             t = (x + a * y) % p
             if t and legendre(a * t, P) != 1:
-                return _fail("lemmas", checked,
-                             f"rational p={p} x={x} y={y} D={D} a={a}")
+                return _fail(checked, f"rational p={p} x={x} y={y} D={D} a={a}")
         checked += 1
 
     for _ in range(limit):
@@ -437,21 +432,20 @@ def run_lemmas(limit: int, seed: int = 1) -> SuiteResult:
         p = pi.norm()
         P = OddPrime(p)
         if gi_symbol(ONE_PLUS_I, pi) != 1:
-            return _fail("lemmas", checked, f"pi={pi}: (1+i | pi) != 1 in pool")
+            return _fail(checked, f"pi={pi}: (1+i | pi) != 1 in pool")
         if not pi.im % p:
-            return _fail("lemmas", checked, f"pi={pi}: degenerate embedding")
+            return _fail(checked, f"pi={pi}: degenerate embedding")
         i_img = _i_image(pi, p)
         d_res = (D.re + D.im * i_img) % p
         a0 = sqrt_mod(d_res, P)
         if a0 is None:
-            return _fail("lemmas", checked, f"pi={pi}: D={D} not a square")
+            return _fail(checked, f"pi={pi}: D={D} not a square")
         for a in (a0, p - a0):
             g = x + y * a
             if (g.re + g.im * i_img) % p == 0:
                 continue
             if gi_symbol(g * a, pi) != 1:
-                return _fail("lemmas", checked,
-                             f"pi={pi} x={x} y={y} D={D} a={a}")
+                return _fail(checked, f"pi={pi} x={x} y={y} D={D} a={a}")
         checked += 1
 
     reciprocity_pool = _aux_split_pool(20000)
@@ -464,12 +458,11 @@ def run_lemmas(limit: int, seed: int = 1) -> SuiteResult:
         if rng.getrandbits(1):
             pi = -pi
         if gi_symbol(lam, pi) != gi_symbol(pi, lam):
-            return _fail("lemmas", checked, f"reciprocity: lam={lam}, pi={pi}")
+            return _fail(checked, f"reciprocity: lam={lam}, pi={pi}")
         checked += 1
 
-    return SuiteResult("lemmas", True, checked,
-                       lines=[f"{limit} rational instances, {limit} Z[i] "
-                              f"instances, {limit} reciprocity pairs: clean"])
+    return SuiteResult(checked, [f"{limit} rational instances, {limit} Z[i] "
+                                 f"instances, {limit} reciprocity pairs: clean"])
 
 
 # the suites by name, each run_<name with "_" for "-">, in DEFAULT_LIMITS's order
@@ -495,7 +488,7 @@ def run_reference_scan() -> SuiteResult:
     lines = []
     c41 = classify(41)
     if (c41.v_level, c41.w_level) != (3, 3) or c41.symbols.chi_zeta_alpha_delta != 1:
-        return _fail("paper-check", 1, f"p=41 classified as {c41}")
+        return _fail(1, f"p=41 classified as {c41}")
     lines.append("p=41: v_level 3, w_level 3 (chi_zeta_alpha_delta = +1)")
 
     firsts: dict[tuple[int, int], Classification] = {}
@@ -509,15 +502,14 @@ def run_reference_scan() -> SuiteResult:
         c = firsts.get(pattern)
         hit = c.p if c else None
         if hit != target:
-            return _fail("paper-check", checked,
+            return _fail(checked,
                          f"first prime past 10^200 with (v,w)={pattern} is "
                          f"{hit}, expected 10^200+{offset}")
         if c.congruent_status is not CongruentStatus.NOT_CONGRUENT:
-            return _fail("paper-check", checked,
-                         f"10^200+{offset}: status {c.congruent_status}")
+            return _fail(checked, f"10^200+{offset}: status {c.congruent_status}")
         lines.append(f"10^200+{offset}: first prime past 10^200 with "
                      f"v_level {pattern[0]}, w_level {pattern[1]}; NOT_CONGRUENT")
-    return SuiteResult("paper-check", True, checked, lines=lines)
+    return SuiteResult(checked, lines)
 
 
 def level_counts(lo: int, hi: int) -> Counts:

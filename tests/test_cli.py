@@ -847,7 +847,7 @@ def test_verify_pass_exit_zero(capsys):
 
 
 def test_verify_failure_exit_three(capsys, monkeypatch):
-    fake = SuiteResult("els", False, 9, counterexample="p=99991: mismatch")
+    fake = SuiteResult(9, counterexample="p=99991: mismatch")
     monkeypatch.setattr("congprimes.verify.run_suite", lambda *a: fake)
     code, out, _ = run(capsys, "verify", "els")
     assert code == 3
@@ -910,7 +910,7 @@ def test_density_rejects_inverted_range(capsys):
 # ------------------------------------------------------------- paper-check
 
 def test_paper_check_pass_path(capsys, monkeypatch):
-    fake = SuiteResult("paper-check", True, 57, lines=["p=41: ok"])
+    fake = SuiteResult(57, lines=["p=41: ok"])
     monkeypatch.setattr("congprimes.verify.run_reference_scan", lambda: fake)
     code, out, _ = run(capsys, "paper-check")
     assert code == 0
@@ -918,7 +918,7 @@ def test_paper_check_pass_path(capsys, monkeypatch):
 
 
 def test_paper_check_fail_path(capsys, monkeypatch):
-    fake = SuiteResult("paper-check", False, 3, counterexample="bad")
+    fake = SuiteResult(3, counterexample="bad")
     monkeypatch.setattr("congprimes.verify.run_reference_scan", lambda: fake)
     code, out, _ = run(capsys, "paper-check")
     assert code == 3
@@ -996,7 +996,7 @@ def test_verify_and_paper_check_load_verify(argv):
 
 # each public name by the submodule that defines it
 PUBLIC_HOMES = {
-    "criteria": "Classification CongruentStatus ShaReport SymbolSet classify v_level w_level",
+    "criteria": "Classification CongruentStatus ShaReport SymbolSet classify",
     "errors": "BoundExceeded ComputeFailed GeneratorNotFound NotSplitError PreconditionViolation",
     "modmath": "OddPrime eighth_root_of_unity is_probable_prime legendre primes_in_range sqrt_mod",
     "quartic": "embed solve_delta",

@@ -11,8 +11,6 @@ from congprimes.criteria import (
     ShaReport,
     SymbolSet,
     classify,
-    v_level,
-    w_level,
 )
 from congprimes.errors import ComputeFailed, PreconditionViolation
 from congprimes.modmath import (
@@ -48,16 +46,6 @@ def test_classify_spot_values(p, v, w, status, sha):
     assert c.w_level == w
     assert c.congruent_status == CongruentStatus(status)
     assert c.sha_report == ShaReport(sha)
-
-
-def test_levels_match_classify():
-    for p in primes_in_range(3, 600):
-        c = classify(p)
-        v, vs = v_level(p)
-        w, ws = w_level(p)
-        assert v == c.v_level
-        assert w == c.w_level
-        assert vs == ws == c.symbols
 
 
 def test_accepts_odd_prime_wrapper():

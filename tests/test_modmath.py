@@ -165,7 +165,7 @@ def test_import_sieves_no_base_primes():
 
 def test_odd_prime_accepts_and_rejects():
     p = OddPrime(41)
-    assert p.value == 41 and p.residue_mod_16 == 9
+    assert p.value == 41
     assert int(p) == 41
     for bad in (0, 1, 4, 9, -7, 15, 561):
         with pytest.raises(PreconditionViolation):
@@ -179,8 +179,8 @@ def test_odd_prime_two_has_its_own_message():
 
 def test_odd_prime_is_a_frozen_value():
     p = OddPrime(41)
-    assert repr(p) == "OddPrime(value=41, residue_mod_16=9)" and str(p) == "41"
-    for name in ("value", "residue_mod_16", "other"):
+    assert repr(p) == "OddPrime(value=41)" and str(p) == "41"
+    for name in ("value", "other"):
         with pytest.raises(AttributeError):
             setattr(p, name, 43)
     with pytest.raises(AttributeError):
@@ -200,7 +200,7 @@ def test_odd_prime_copies_and_pickles_without_a_primality_test(monkeypatch):
     monkeypatch.setattr(modmath, "is_probable_prime", refuse)
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         q = pickle.loads(pickle.dumps(p, protocol))
-        assert q == p and type(q) is OddPrime and q.residue_mod_16 == p.residue_mod_16
+        assert q == p and type(q) is OddPrime
     for q in (copy.copy(p), copy.deepcopy(p), copy.deepcopy([p])[0]):
         assert q == p and repr(q) == repr(p)
 

@@ -52,7 +52,6 @@ SMALL_LIMITS = {
 def test_suites_pass_at_small_limits(suite):
     res = run_suite(suite, limit=SMALL_LIMITS[suite])
     assert isinstance(res, SuiteResult)
-    assert res.suite == suite
     assert res.passed, res.counterexample
     assert res.checked > 0
     assert res.counterexample is None
