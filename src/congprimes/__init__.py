@@ -42,8 +42,8 @@ from .quartic import embed, solve_delta
 # public name -> the submodule that defines it, imported on first access
 _LAZY = {name: module for module, names in [
     ("els", "COVERS QuarticCover cover lemma_symbol_prediction locally_solvable_at_p"),
-    ("gaussian", "GaussianInt TwoSquares gi_symbol primary_associate two_squares"),
-    ("oracles", "FormCount class_number delta_box_search r3 rep_x2_32y2 tunnell_a"),
+    ("gaussian", "gi_symbol primary_associate two_squares"),
+    ("oracles", "class_number delta_box_search r3 rep_x2_32y2 tunnell_a"),
     ("verify", "SuiteResult run_reference_scan run_suite"),
 ] for name in names.split()}
 
@@ -69,8 +69,6 @@ __all__ = [
     "Classification",
     "ComputeFailed",
     "CongruentStatus",
-    "FormCount",
-    "GaussianInt",
     "GeneratorNotFound",
     "NotSplitError",
     "OddPrime",
@@ -79,7 +77,6 @@ __all__ = [
     "ShaReport",
     "SuiteResult",
     "SymbolSet",
-    "TwoSquares",
     "class_number",
     "classify",
     "cover",

@@ -11,7 +11,7 @@ p in front forces even valuation, so no root means no point).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import PreconditionViolation
 from .modmath import OddPrime, legendre, sqrt_mod
@@ -26,23 +26,17 @@ COVERS = {
 }
 
 
-@dataclass(frozen=True)
-class QuarticCover:
+class QuarticCover(NamedTuple):
+    """y^2 = p * q(x), q = COVERS[label]."""
+
     label: str
     p: OddPrime
-    q_coeffs: tuple[int, int, int, int, int]
-
-    def __post_init__(self):
-        if self.label not in COVERS:
-            raise PreconditionViolation(f"unknown cover label {self.label!r}")
-        if self.q_coeffs != COVERS[self.label]:
-            raise PreconditionViolation("coefficients do not match the label")
 
 
 def cover(label: str, p: OddPrime) -> QuarticCover:
     if label not in COVERS:
         raise PreconditionViolation(f"unknown cover label {label!r}")
-    return QuarticCover(label, p, COVERS[label])
+    return QuarticCover(label, p)
 
 
 def _require_d_cover(c: QuarticCover):
@@ -113,7 +107,7 @@ def locally_solvable_at_p(c: QuarticCover) -> bool:
     its quartic has a root in F_p via gcd(q, x^p - x)."""
     _require_d_cover(c)
     pv = c.p.value
-    q_desc = c.q_coeffs
+    q_desc = COVERS[c.label]
     q_asc = tuple(reversed(q_desc))
     xp = _x_pow_p(q_desc, pv)
     # gcd(q, x^p - x)

@@ -11,31 +11,17 @@ x^2 + 32y^2 is decided by Cornacchia's algorithm so that it reaches
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 from .errors import BoundExceeded, ComputeFailed, PreconditionViolation
-from .gaussian import GaussianInt, ONE_PLUS_I, _cornacchia
+from .gaussian import _cornacchia, _mul
 from .modmath import OddPrime, _SMALL_PRIMES, _sqrt_mod_int
 from .quartic import _relative_norm
 
 DEFAULT_BOUND = 10**6
 
 
-@dataclass(frozen=True)
-class FormCount:
-    """h = number of reduced forms of discriminant -4p."""
-
-    p: OddPrime
-    h: int
-
-    @property
-    def v2(self) -> int:
-        """The 2-adic valuation of h."""
-        return (self.h & -self.h).bit_length() - 1
-
-
-def class_number(p: OddPrime, bound: int = DEFAULT_BOUND) -> FormCount:
+def class_number(p: OddPrime, bound: int = DEFAULT_BOUND) -> int:
     """h(-4p) by enumerating reduced forms (a, b, c): b^2 - 4ac = -4p,
     -a < b <= a <= c, b even, and b >= 0 whenever a = c or a = |b|."""
     pv = p.value
@@ -60,7 +46,7 @@ def class_number(p: OddPrime, bound: int = DEFAULT_BOUND) -> FormCount:
             if b < 0 and (a == c or a == -b):
                 continue
             h += 1
-    return FormCount(p, h)
+    return h
 
 
 def r3(n: int, bound: int = DEFAULT_BOUND) -> int:
@@ -144,16 +130,16 @@ def rep_x2_32y2(p: OddPrime) -> bool:
     return _cornacchia(pv, 32, x0) is not None
 
 
-def _gaussian_sqrt(w: GaussianInt) -> GaussianInt | None:
-    """Exact square root in Z[i], if one exists."""
-    if not w:
-        return GaussianInt(0)
-    nw = w.norm()
+def _gaussian_sqrt(wr: int, wi: int) -> tuple[int, int] | None:
+    """Exact square root (x, y) of w = wr + wi*i in Z[i], if one exists."""
+    if not (wr or wi):
+        return 0, 0
+    nw = wr * wr + wi * wi
     s = isqrt(nw)
     if s * s != nw:
         return None
-    # norm(a) = s, so x^2 = (w.re + s)/2 and 2xy = w.im
-    half = w.re + s
+    # N(x + y*i) = s, so x^2 = (wr + s)/2 and 2xy = wi
+    half = wr + s
     if half % 2:
         return None
     x2 = half // 2
@@ -161,15 +147,14 @@ def _gaussian_sqrt(w: GaussianInt) -> GaussianInt | None:
     if x * x != x2:
         return None
     if x:
-        if w.im % (2 * x):
+        if wi % (2 * x):
             return None
-        cand = GaussianInt(x, w.im // (2 * x))
+        cand = x, wi // (2 * x)
     else:
-        if w.im:
+        if wi:
             return None
-        y = isqrt(-w.re)
-        cand = GaussianInt(0, y)
-    return cand if cand * cand == w else None
+        cand = 0, isqrt(-wr)
+    return cand if _mul(cand, cand) == (wr, wi) else None
 
 
 def delta_box_search(p: OddPrime, bound: int) -> tuple[int, int, int, int] | None:
@@ -185,16 +170,16 @@ def delta_box_search(p: OddPrime, bound: int) -> tuple[int, int, int, int] | Non
     pv = p.value
     for bre in range(-bound, bound + 1):
         for bim in range(-bound, bound + 1):
-            b = GaussianInt(bre, bim)
-            a2 = pv + ONE_PLUS_I * (b * b)
-            a = _gaussian_sqrt(a2)
+            wr, wi = _mul((1, 1), _mul((bre, bim), (bre, bim)))  # (1+i) b^2
+            a = _gaussian_sqrt(pv + wr, wi)
             if a is None:
                 continue
-            if max(abs(a.re), abs(a.im)) > bound:
+            ar, ai = a
+            if max(abs(ar), abs(ai)) > bound:
                 continue
-            if a.re < 0 or (a.re == 0 and a.im < 0):
-                a = -a
-            x = a.re, a.im, bre, bim
+            if ar < 0 or (ar == 0 and ai < 0):
+                ar, ai = -ar, -ai
+            x = ar, ai, bre, bim
             if _relative_norm(*x) != (pv, 0):
                 raise ComputeFailed(f"box-search solution {x} does not have relative norm {pv}")
             return x

@@ -70,10 +70,11 @@ def _reduce(p: OddPrime, roots: SplitRoots | None) -> tuple[tuple[int, ...], tup
     the entries are updated in place rather than recomputed (integral
     LLL, Cohen GTM 138, 2.6): v <- v - q u sends <v,u> to <v,u> - q H(u)
     and H(v) to H(v) - 2 Re(conj(q) <v,u>) + |q|^2 H(u).  q rounds each
-    coordinate of <v,u> / H(u) as GaussianInt.__divmod__ does.  Lagrange's
-    loop from (p, 0), (-c, 1) always first moves c's coordinates into
-    (-p/2, p/2] and swaps, so this starts at u = (-c, 1), v = (p, 0) and
-    then reduces v by u and u by v in turn instead of swapping.
+    coordinate g/H(u) of <v,u> / H(u) to the nearest integer,
+    (2g + H(u)) // (2 H(u)), ties up.  Lagrange's loop from (p, 0), (-c, 1)
+    always first moves c's coordinates into (-p/2, p/2] and swaps, so this
+    starts at u = (-c, 1), v = (p, 0) and then reduces v by u and u by v
+    in turn instead of swapping.
 
     The loop updates only b: every lattice vector is m (-c, 1) + n (p, 0),
     so a ≡ -c b (mod p), and a is -c b centred mod p.  That is exact: with

@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain
 from math import isqrt, prod
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .criteria import V_CEILING, Classification, CongruentStatus, ShaReport, classify
 from .els import cover, lemma_symbol_prediction, locally_solvable_at_p
 from .errors import ComputeFailed, PreconditionViolation
-from .gaussian import GaussianInt, ONE_PLUS_I, _i_image, gi_symbol, primary_associate, two_squares
+from .gaussian import _div, _i_image, _mul, gi_symbol, primary_associate, two_squares
 from .modmath import (
     OddPrime,
     _certified,
@@ -39,10 +39,9 @@ from .walk import DEFAULT_LIMITS, Counts, density_lines, walk  # density_lines f
 _classify = classify
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     checked: int
-    lines: list[str] = field(default_factory=list)
+    lines: Sequence[str] = ()
     counterexample: str | None = None
 
     @property
@@ -85,9 +84,9 @@ def run_class_numbers(limit: int, seed: int = 0) -> SuiteResult:
     bound = max(limit, 10**6)
 
     def check(P: OddPrime) -> str | None:
-        fc, v = class_number(P, bound=bound), classify(P).v_level
-        return (f"p={P}: v_level={v} but h(-4p)={fc.h} has v2={fc.v2}"
-                if min(fc.v2, V_CEILING) != v else None)
+        h, v = class_number(P, bound=bound), classify(P).v_level
+        v2 = (h & -h).bit_length() - 1
+        return f"p={P}: v_level={v} but h(-4p)={h} has v2={v2}" if min(v2, V_CEILING) != v else None
 
     return _range_suite(_certified_primes(3, limit - 1, 4, 1), check,
                         f"primes ≡ 1 mod 4 below {limit}: "
@@ -99,7 +98,7 @@ def run_three_squares(limit: int, seed: int = 0) -> SuiteResult:
     bound = max(limit, 10**6)
 
     def check(P: OddPrime) -> str | None:
-        r, h = r3(P.value, bound=bound), class_number(P, bound=bound).h
+        r, h = r3(P.value, bound=bound), class_number(P, bound=bound)
         return f"p={P}: r3={r}, 12h={12 * h}" if r != 12 * h else None
 
     return _range_suite(_certified_primes(3, limit - 1, 4, 1), check, "primes: r3(p) = 12 h(-4p)")
@@ -334,30 +333,26 @@ def _rational_instance(rng: random.Random, pool: list[int], aux: list[int]):
         return p, x, y, D
 
 
-def _gaussian_prime(q: int, rng: random.Random) -> GaussianInt:
-    ts = two_squares(OddPrime(q))
-    lam = GaussianInt(ts.u, ts.v)
-    if rng.getrandbits(1):
-        lam = lam.conj()
-    return primary_associate(lam)
+def _gaussian_prime(q: int, rng: random.Random) -> tuple[int, int]:
+    u, v = two_squares(OddPrime(q))
+    return primary_associate((u, -v) if rng.getrandbits(1) else (u, v))
 
 
 def _gaussian_instance(rng: random.Random, pool: list[int], aux: list[int]):
-    """Random (pi, x, y, D) over Z[i] with x^2 - D y^2 = pi, pi ∤ D,
-    pi ≡ 1 mod 2Z[i] of norm ≡ 1 mod 8 with (1+i | pi) = 1."""
+    """Random (pi, x, y, D) over Z[i], as (re, im) pairs, with
+    x^2 - D y^2 = pi, pi ∤ D, pi ≡ 1 mod 2Z[i] of norm ≡ 1 mod 8 with
+    (1+i | pi) = 1."""
     while True:
         p = rng.choice(pool)
         pi = _gaussian_prime(p, rng)
         if rng.getrandbits(1):
-            pi = -pi  # still ≡ 1 mod 2Z[i]
+            pi = -pi[0], -pi[1]  # still ≡ 1 mod 2Z[i]
         nfactors = rng.choice((0, 1, 1, 2))
-        unit = GaussianInt(1) if rng.getrandbits(1) else GaussianInt(0, 1)
+        unit = (1, 0) if rng.getrandbits(1) else (0, 1)
         if nfactors == 0:
             y = unit
-            x = GaussianInt(rng.randrange(-10**4, 10**4),
-                            rng.randrange(-10**4, 10**4))
-            num = x * x - pi
-            yy = y * y
+            x = rng.randrange(-10**4, 10**4), rng.randrange(-10**4, 10**4)
+            yy = _mul(y, y)
         else:
             residues = []
             lams = []
@@ -367,11 +362,11 @@ def _gaussian_instance(rng: random.Random, pool: list[int], aux: list[int]):
                     continue
                 lam = _gaussian_prime(q, rng)
                 s = _hensel_sqrt(_i_image(lam, q), -1, q)
-                w = (pi.re + pi.im * s) % (q * q)
+                w = (pi[0] + pi[1] * s) % (q * q)
                 if legendre(w, OddPrime(q)) != 1:
-                    lam = lam.conj()
+                    lam = lam[0], -lam[1]
                     s = _hensel_sqrt(_i_image(lam, q), -1, q)
-                    w = (pi.re + pi.im * s) % (q * q)
+                    w = (pi[0] + pi[1] * s) % (q * q)
                     if legendre(w, OddPrime(q)) != 1:
                         continue
                 r = _hensel_sqrt(sqrt_mod(w, OddPrime(q)), w, q)
@@ -385,15 +380,15 @@ def _gaussian_instance(rng: random.Random, pool: list[int], aux: list[int]):
             if len(qs) < nfactors:
                 continue
             x0, m = _crt(residues)
-            y = prod(lams, start=unit)
-            yy = y * y
-            t = GaussianInt(rng.randrange(-3, 4), rng.randrange(-3, 4))
-            x = x0 + t * yy
-            num = x * x - pi
-        D, rem = divmod(num, yy)
-        if rem:
+            y = reduce(_mul, lams, unit)
+            yy = _mul(y, y)
+            tr, ti = _mul((rng.randrange(-3, 4), rng.randrange(-3, 4)), yy)
+            x = x0 + tr, ti
+        xx = _mul(x, x)
+        D = _div((xx[0] - pi[0], xx[1] - pi[1]), yy)
+        if D is None:
             raise AssertionError("gaussian square-root lift failed")
-        if not D or not divmod(D, pi)[1]:
+        if D == (0, 0) or _div(D, pi) is not None:
             continue
         return pi, x, y, D
 
@@ -429,22 +424,22 @@ def run_lemmas(limit: int, seed: int = 1) -> SuiteResult:
 
     for _ in range(limit):
         pi, x, y, D = _gaussian_instance(rng, gaussian_pool, aux)
-        p = pi.norm()
+        p = pi[0] * pi[0] + pi[1] * pi[1]
         P = OddPrime(p)
-        if gi_symbol(ONE_PLUS_I, pi) != 1:
+        if gi_symbol((1, 1), pi) != 1:
             return _fail(checked, f"pi={pi}: (1+i | pi) != 1 in pool")
-        if not pi.im % p:
+        if not pi[1] % p:
             return _fail(checked, f"pi={pi}: degenerate embedding")
         i_img = _i_image(pi, p)
-        d_res = (D.re + D.im * i_img) % p
+        d_res = (D[0] + D[1] * i_img) % p
         a0 = sqrt_mod(d_res, P)
         if a0 is None:
             return _fail(checked, f"pi={pi}: D={D} not a square")
         for a in (a0, p - a0):
-            g = x + y * a
-            if (g.re + g.im * i_img) % p == 0:
+            gr, gi = x[0] + y[0] * a, x[1] + y[1] * a  # x + a y
+            if (gr + gi * i_img) % p == 0:
                 continue
-            if gi_symbol(g * a, pi) != 1:
+            if gi_symbol((gr * a, gi * a), pi) != 1:
                 return _fail(checked, f"pi={pi} x={x} y={y} D={D} a={a}")
         checked += 1
 
@@ -454,9 +449,9 @@ def run_lemmas(limit: int, seed: int = 1) -> SuiteResult:
         lam = _gaussian_prime(q1, rng)
         pi = _gaussian_prime(q2, rng)
         if rng.getrandbits(1):
-            lam = -lam
+            lam = -lam[0], -lam[1]
         if rng.getrandbits(1):
-            pi = -pi
+            pi = -pi[0], -pi[1]
         if gi_symbol(lam, pi) != gi_symbol(pi, lam):
             return _fail(checked, f"reciprocity: lam={lam}, pi={pi}")
         checked += 1

@@ -974,7 +974,7 @@ def _loaded_by(*argv):
     return loaded
 
 
-# what only the verify and paper-check commands need
+# what classify, scan and density must not load
 VERIFY_ONLY = {"congprimes.verify", "congprimes.oracles", "congprimes.els", "congprimes.gaussian",
                "dataclasses", "inspect"}
 
@@ -991,7 +991,10 @@ def test_classify_scan_and_density_load_no_oracle(tmp_path, command):
 
 @pytest.mark.parametrize("argv", [["verify", "lemmas", "--limit", "1"], ["paper-check"]])
 def test_verify_and_paper_check_load_verify(argv):
-    assert "congprimes.verify" in _loaded_by(*argv)
+    """Both load verify, and neither loads dataclasses or inspect."""
+    loaded = _loaded_by(*argv)
+    assert "congprimes.verify" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect"})
 
 
 # each public name by the submodule that defines it
@@ -1001,8 +1004,8 @@ PUBLIC_HOMES = {
     "modmath": "OddPrime eighth_root_of_unity is_probable_prime legendre primes_in_range sqrt_mod",
     "quartic": "embed solve_delta",
     "els": "COVERS QuarticCover cover lemma_symbol_prediction locally_solvable_at_p",
-    "gaussian": "GaussianInt TwoSquares gi_symbol primary_associate two_squares",
-    "oracles": "FormCount class_number delta_box_search r3 rep_x2_32y2 tunnell_a",
+    "gaussian": "gi_symbol primary_associate two_squares",
+    "oracles": "class_number delta_box_search r3 rep_x2_32y2 tunnell_a",
     "verify": "SuiteResult run_reference_scan run_suite",
 }
 

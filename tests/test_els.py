@@ -1,6 +1,6 @@
 import pytest
 
-from congprimes.els import COVERS, QuarticCover, cover, lemma_symbol_prediction, locally_solvable_at_p
+from congprimes.els import COVERS, cover, lemma_symbol_prediction, locally_solvable_at_p
 from congprimes.errors import PreconditionViolation
 from congprimes.modmath import OddPrime, legendre, primes_in_range, sqrt_mod
 
@@ -16,14 +16,8 @@ def test_cover_coefficient_tables():
 def test_cover_construction():
     c = cover("D1", OddPrime(41))
     assert c.label == "D1"
-    assert c.q_coeffs == COVERS["D1"]
     with pytest.raises(PreconditionViolation):
         cover("D9", OddPrime(41))
-
-
-def test_cover_validates_coefficients():
-    with pytest.raises(PreconditionViolation):
-        QuarticCover(label="D1", p=OddPrime(41), q_coeffs=(1, 0, 0, 0, 1))
 
 
 def _has_root(coeffs, p):

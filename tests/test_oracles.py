@@ -1,13 +1,13 @@
+import random
 from math import isqrt
 
 import pytest
+from sympy.polys.domains import ZZ_I
 
 from congprimes import oracles
 from congprimes.errors import BoundExceeded, ComputeFailed, PreconditionViolation
-from congprimes.gaussian import GaussianInt
 from congprimes.modmath import OddPrime, primes_in_range
 from congprimes.oracles import (
-    FormCount,
     class_number,
     delta_box_search,
     r3,
@@ -19,9 +19,7 @@ from congprimes.oracles import (
 @pytest.mark.parametrize("p,h", [(5, 2), (13, 2), (17, 4), (29, 6), (37, 2),
                                  (41, 8), (113, 8), (257, 16)])
 def test_class_number_spot_values(p, h):
-    fc = class_number(OddPrime(p))
-    assert fc.h == h
-    assert fc.v2 == max(k for k in range(20) if h % (1 << k) == 0)
+    assert class_number(OddPrime(p)) == h
 
 
 def test_class_number_requires_1_mod_4():
@@ -63,7 +61,7 @@ def test_r3_brute_force_cross_check():
 def test_r3_is_12h_on_the_stratum():
     for p in primes_in_range(5, 1500):
         if p % 4 == 1:
-            assert r3(p) == 12 * class_number(OddPrime(p)).h
+            assert r3(p) == 12 * class_number(OddPrime(p))
 
 
 def test_r3_preconditions():
@@ -137,14 +135,24 @@ def test_box_search_finds_certified_solution():
     sol = delta_box_search(OddPrime(41), 16)
     assert sol is not None
     ar, ai, br, bi = sol
-    a, b = GaussianInt(ar, ai), GaussianInt(br, bi)
-    assert a * a - GaussianInt(1, 1) * b * b == GaussianInt(41)
+    a, b = ZZ_I(ar, ai), ZZ_I(br, bi)
+    assert a * a - ZZ_I(1, 1) * b * b == ZZ_I(41)
     assert ar > 0
+
+
+def test_gaussian_sqrt_inverts_sympy_squaring():
+    rng = random.Random(8)
+    for _ in range(500):
+        z = ZZ_I(rng.randrange(-999, 1000), rng.randrange(-999, 1000))
+        w = z * z
+        assert oracles._gaussian_sqrt(w.x, w.y) in {(z.x, z.y), (-z.x, -z.y)}
+    assert [oracles._gaussian_sqrt(*w) for w in [(-1, 0), (0, 2), (0, 1), (2, 0), (5, 0)]] \
+        == [(0, 1), (1, 1), None, None, None]
 
 
 def test_box_search_refuses_a_solution_without_relative_norm_p(monkeypatch):
     # a wrong square root gives an a with a^2 - (1+i) b^2 != p
-    monkeypatch.setattr(oracles, "_gaussian_sqrt", lambda w: GaussianInt(1))
+    monkeypatch.setattr(oracles, "_gaussian_sqrt", lambda wr, wi: (1, 0))
     with pytest.raises(ComputeFailed, match="relative norm 41"):
         delta_box_search(OddPrime(41), 16)
 

@@ -4,11 +4,11 @@ from math import gcd, isqrt
 
 import pytest
 import sympy
+from sympy.polys.domains import ZZ_I
 
 from congprimes import quartic, verify
 from congprimes.criteria import classify
 from congprimes.errors import GeneratorNotFound, NotSplitError, PreconditionViolation
-from congprimes.gaussian import GaussianInt
 from congprimes.modmath import OddPrime, _PRIMORIAL, _certified, primes_in_range, split_roots
 from congprimes.quartic import _reduce, _relative_norm, _times_unit, embed, solve_delta
 
@@ -42,6 +42,14 @@ ONE_PLUS_ALPHA = [1, 1, 0, 0]
 EPSILON = _poly_mul([-1, 0, 1, 0], _poly_mul(ONE_PLUS_ALPHA, ONE_PLUS_ALPHA))  # i (1+alpha)^2
 
 
+def _norm(z):
+    return z.x * z.x + z.y * z.y
+
+
+def _conj(z):
+    return ZZ_I(z.x, -z.y)
+
+
 def _rand(rng, bound=10**5):
     return tuple(rng.randrange(-bound, bound) for _ in range(4))
 
@@ -52,9 +60,9 @@ def test_unit_norms():
     rng = random.Random(6)
     for _ in range(200):
         x = _rand(rng, 10**4)
-        n = GaussianInt(*_relative_norm(*x))
+        n = ZZ_I(*_relative_norm(*x))
         assert _times_unit(*x) == _coords(_poly_mul(_power(x), ONE_PLUS_ALPHA))
-        assert GaussianInt(*_relative_norm(*_times_unit(*x))) == n * GaussianInt(0, -1)
+        assert ZZ_I(*_relative_norm(*_times_unit(*x))) == n * ZZ_I(0, -1)
         assert verify._times_epsilon(x) == _coords(_poly_mul(_power(x), EPSILON))
         assert _relative_norm(*verify._times_epsilon(x)) == _relative_norm(*x)
 
@@ -109,10 +117,10 @@ def _reduced(P, roots=None):
 
 
 def _basis(P, roots=None):
-    """_reduce's basis (u, v) as pairs of GaussianInts."""
+    """_reduce's basis (u, v) as pairs of sympy Gaussian integers."""
     (u0r, u0i, u1r, u1i, v0r, v0i, v1r, v1i), _ = _reduced(P, roots)
-    return ((GaussianInt(u0r, u0i), GaussianInt(u1r, u1i)),
-            (GaussianInt(v0r, v0i), GaussianInt(v1r, v1i)))
+    return ((ZZ_I(u0r, u0i), ZZ_I(u1r, u1i)),
+            (ZZ_I(v0r, v0i), ZZ_I(v1r, v1i)))
 
 
 def test_ideal_basis_spans_the_ideal():
@@ -126,48 +134,48 @@ def test_ideal_basis_spans_the_ideal():
         u, v = _basis(P)
         # both vectors vanish exactly at the primes with roots r and s
         for x in (u, v):
-            g = (x[0].re, x[0].im, x[1].re, x[1].im)
+            g = (x[0].x, x[0].y, x[1].x, x[1].y)
             vanishing = {r for r in roots if embed(g, P, r) == 0}
             assert vanishing == {roots[0], roots[2]}
         # the Z[i]-determinant has norm p^2, the index of the ideal
-        assert (u[0] * v[1] - u[1] * v[0]).norm() == p * p
+        assert _norm(u[0] * v[1] - u[1] * v[0]) == p * p
         # reduced for H = |a|^2 + sqrt(2)|b|^2: H(u) <= H(v), and
         # 2|Re <v,u>|, 2|Im <v,u>| <= H(u)
-        assert _at_most_zero(u[0].norm() - v[0].norm(), u[1].norm() - v[1].norm())
-        dot_a, dot_b = v[0] * u[0].conj(), v[1] * u[1].conj()
-        for m, n in ((dot_a.re, dot_b.re), (dot_a.im, dot_b.im)):
+        assert _at_most_zero(_norm(u[0]) - _norm(v[0]), _norm(u[1]) - _norm(v[1]))
+        dot_a, dot_b = v[0] * _conj(u[0]), v[1] * _conj(u[1])
+        for m, n in ((dot_a.x, dot_b.x), (dot_a.y, dot_b.y)):
             for sign in (1, -1):
-                assert _at_most_zero(2 * sign * m - u[0].norm(),
-                                     2 * sign * n - u[1].norm())
+                assert _at_most_zero(2 * sign * m - _norm(u[0]),
+                                     2 * sign * n - _norm(u[1]))
     assert count >= 5
 
 
 def _gaussian_lagrange(p, roots):
-    """The Lagrange loop of _reduce written on GaussianInt vectors,
-    recomputing both inner products at every step; returns the basis and
-    the inner product it reduces for."""
+    """The Lagrange loop of _reduce written on vectors of sympy Gaussian
+    integers, recomputing both inner products at every step; returns the
+    basis and the inner product it reduces for."""
     pv = p.value
     r, s, i_img = roots.r, roots.s, roots.i_img
-    c = GaussianInt((r + s) * (pv + 1) // 2 % pv, (r - s) * pow(2 * i_img, -1, pv) % pv)
+    c = ZZ_I((r + s) * (pv + 1) // 2 % pv, (r - s) * pow(2 * i_img, -1, pv) % pv)
     k = pv.bit_length() + 32
     one, root2 = 1 << k, isqrt(2 << 2 * k)
 
     def dot(x, y):
-        return x[0] * y[0].conj() * one + x[1] * y[1].conj() * root2
+        return x[0] * _conj(y[0]) * one + x[1] * _conj(y[1]) * root2
 
-    u, v = (GaussianInt(pv), GaussianInt(0)), (-c, GaussianInt(1))
-    hu = dot(u, u).re
+    u, v = (ZZ_I(pv), ZZ_I(0)), (-c, ZZ_I(1))
+    hu = dot(u, u).x
     while True:
         q = divmod(dot(v, u), hu)[0]
         v = (v[0] - q * u[0], v[1] - q * u[1])
-        hv = dot(v, v).re
+        hv = dot(v, v).x
         if hv >= hu:
             return (u, v), dot
         u, v, hu = v, u, hv
 
 
 def test_ideal_basis_matches_the_gaussian_reduction():
-    # the integer loop returns the same basis as the GaussianInt loop, and
+    # the integer loop returns the same basis as the sympy ZZ_I loop, and
     # the Gram entries it carries equal the ones recomputed at the end
     count = 0
     for p in primes_in_range(3, 20000) + [10**200 + 16737, 10**200 + 28729]:
@@ -179,9 +187,9 @@ def test_ideal_basis_matches_the_gaussian_reduction():
             continue
         (u, v), dot = _gaussian_lagrange(P, roots)
         coords, gram = _reduced(P, roots)
-        assert coords == tuple(n for g in u + v for n in (g.re, g.im))
+        assert coords == tuple(n for g in u + v for n in (g.x, g.y))
         uv = dot(v, u)
-        assert gram == (dot(u, u).re, dot(v, v).re, uv.re, uv.im), p
+        assert gram == (dot(u, u).x, dot(v, v).x, uv.x, uv.y), p
         count += 1
     assert count == 273
 
@@ -251,7 +259,7 @@ def test_delta_box_is_complete():
     span = [(re, im) for re in range(-4, 5) for im in range(-4, 5)]
 
     def times(c, x):
-        return tuple((c[0] * g.re - c[1] * g.im, c[0] * g.im + c[1] * g.re) for g in x)
+        return tuple((c[0] * g.x - c[1] * g.y, c[0] * g.y + c[1] * g.x) for g in x)
 
     count = 0
     for p in primes_in_range(3, 20000):
@@ -271,36 +279,37 @@ def test_delta_box_is_complete():
                 if not _at_most_zero(h1 - p, x2r * x2r + x2i * x2i - p):
                     continue
                 assert max(map(abs, ca + cb)) <= 2, (p, ca, cb)
-                x1, x2 = GaussianInt(x1r, x1i), GaussianInt(x2r, x2i)
-                generators += (x1 * x1 - GaussianInt(1, 1) * x2 * x2).norm() == p * p
+                x1, x2 = ZZ_I(x1r, x1i), ZZ_I(x2r, x2i)
+                generators += _norm(x1 * x1 - ZZ_I(1, 1) * x2 * x2) == p * p
         assert generators, p
         count += 1
     assert count > 250
 
 
 def _quartic_rotation(P, roots):
-    """solve_delta on GaussianInt and power-basis records: the first
-    generator of the box, rotated by (1+alpha)^m with _poly_mul to relative
-    norm p, then the sign fixed (a.re > 0, ties broken lexicographically)."""
+    """solve_delta on sympy Gaussian integers and power-basis records: the
+    first generator of the box, rotated by (1+alpha)^m with _poly_mul to
+    relative norm p, then the sign fixed (a.re > 0, ties broken
+    lexicographically)."""
     pv = P.value
     u, v = _basis(P, roots)
-    box = [GaussianInt(re, im) for re in range(-2, 3) for im in range(-2, 3)]
-    pairs = [(GaussianInt(1), GaussianInt(0))] + [(a, b) for b in box for a in box if a or b]
+    box = [ZZ_I(re, im) for re in range(-2, 3) for im in range(-2, 3)]
+    pairs = [(ZZ_I(1), ZZ_I(0))] + [(a, b) for b in box for a in box if a or b]
     for a, b in pairs:
         x0, x1 = a * u[0] + b * v[0], a * u[1] + b * v[1]
-        nr = x0 * x0 - GaussianInt(1, 1) * x1 * x1
-        if nr.norm() == pv * pv:
+        nr = x0 * x0 - ZZ_I(1, 1) * x1 * x1
+        if _norm(nr) == pv * pv:
             break
-    w, rem = divmod(nr, GaussianInt(pv))
-    assert not rem and w.norm() == 1
-    m = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}[(w.re, w.im)]
-    g = _power((x0.re, x0.im, x1.re, x1.im))
+    w, rem = divmod(nr, ZZ_I(pv))
+    assert not rem and _norm(w) == 1
+    m = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}[(w.x, w.y)]
+    g = _power((x0.x, x0.y, x1.x, x1.y))
     for _ in range(m):
         g = _poly_mul(g, ONE_PLUS_ALPHA)
     t = _coords(g)
-    a, b = GaussianInt(t[0], t[1]), GaussianInt(t[2], t[3])
-    assert a * a - GaussianInt(1, 1) * b * b == GaussianInt(pv)
-    if a.re < 0 or (a.re == 0 and tuple(-c for c in t) < t):
+    a, b = ZZ_I(t[0], t[1]), ZZ_I(t[2], t[3])
+    assert a * a - ZZ_I(1, 1) * b * b == ZZ_I(pv)
+    if a.x < 0 or (a.x == 0 and tuple(-c for c in t) < t):
         a, b = -a, -b
     return (a, b), m
 
@@ -317,7 +326,7 @@ def test_solve_delta_matches_the_quartic_rotation():
         if roots.r is None:
             continue
         (a, b), m = _quartic_rotation(P, roots)
-        assert solve_delta(P, roots) == (a.re, a.im, b.re, b.im), p
+        assert solve_delta(P, roots) == (a.x, a.y, b.x, b.y), p
         rotations.add(m)
     assert rotations == {0, 1, 2, 3}
 
@@ -416,9 +425,9 @@ def test_solve_delta_certificates_small_range():
         if p % 8 != 1 or split_roots(P).r is None:
             continue
         ar, ai, br, bi = solve_delta(P)
-        a, b = GaussianInt(ar, ai), GaussianInt(br, bi)
-        assert a * a - GaussianInt(1, 1) * b * b == GaussianInt(p)
-        assert GaussianInt(*_relative_norm(ar, ai, br, bi)).norm() == p * p
+        a, b = ZZ_I(ar, ai), ZZ_I(br, bi)
+        assert a * a - ZZ_I(1, 1) * b * b == ZZ_I(p)
+        assert _norm(ZZ_I(*_relative_norm(ar, ai, br, bi))) == p * p
         count += 1
     assert count > 30
 
@@ -451,5 +460,5 @@ def test_delta_sign_canonical():
 
 def test_solve_delta_200_digit():
     ar, ai, br, bi = solve_delta(OddPrime(10**200 + 28729))
-    a, b = GaussianInt(ar, ai), GaussianInt(br, bi)
-    assert a * a - GaussianInt(1, 1) * b * b == GaussianInt(10**200 + 28729)
+    a, b = ZZ_I(ar, ai), ZZ_I(br, bi)
+    assert a * a - ZZ_I(1, 1) * b * b == ZZ_I(10**200 + 28729)

@@ -4,6 +4,7 @@ The acceptance tests run the same suites at their full limits; here we
 only pin the plumbing (dispatch, result shape, determinism, counting).
 """
 
+import re
 from collections import Counter
 
 import pytest
@@ -154,6 +155,45 @@ def test_a_unit_multiple_without_relative_norm_p_is_a_counterexample(monkeypatch
     assert result.counterexample.startswith("p=41: (")
     assert result.counterexample.endswith("not (41, 0)")
     assert main(["verify", "delta", "--limit", "100"]) == 3
+    assert f"counterexample: {result.counterexample}\n" in capsys.readouterr().out
+
+
+def test_a_wrong_rational_symbol_is_a_lemma_counterexample(monkeypatch, capsys):
+    # legendre flipped once the third rational instance is drawn: the next
+    # call is that instance's check, so the two before it count
+    drawn = []
+
+    def instance(*args, real=verify._rational_instance):
+        drawn.append(real(*args))
+        return drawn[-1]
+
+    def flipped(a, P, real=verify.legendre):
+        return -real(a, P) if len(drawn) == 3 else real(a, P)
+
+    monkeypatch.setattr(verify, "_rational_instance", instance)
+    monkeypatch.setattr(verify, "legendre", flipped)
+    result = run_suite("lemmas", 5)
+    assert not result.passed and result.checked == 2
+    p, x, y, D = drawn[2]
+    assert result.counterexample.startswith(f"rational p={p} x={x} y={y} D={D} a=")
+    drawn.clear()
+    assert main(["verify", "lemmas", "--limit", "5"]) == 3
+    assert f"counterexample: {result.counterexample}\n" in capsys.readouterr().out
+
+
+def test_a_wrong_gaussian_symbol_is_a_lemma_counterexample(monkeypatch, capsys):
+    # every symbol of the lemma check flipped, (1+i | pi) left alone: the
+    # first Z[i] instance fails after the 5 rational ones, and names pi,
+    # x, y and D as (re, im) pairs
+    def flipped(x, pi, real=verify.gi_symbol):
+        return real(x, pi) if x == (1, 1) else -real(x, pi)
+
+    monkeypatch.setattr(verify, "gi_symbol", flipped)
+    result = run_suite("lemmas", 5)
+    assert not result.passed and result.checked == 5
+    pair = r"\(-?\d+, -?\d+\)"
+    assert re.fullmatch(f"pi={pair} x={pair} y={pair} D={pair} a=\\d+", result.counterexample)
+    assert main(["verify", "lemmas", "--limit", "5"]) == 3
     assert f"counterexample: {result.counterexample}\n" in capsys.readouterr().out
 
 
