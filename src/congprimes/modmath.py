@@ -29,20 +29,8 @@ def _sieve(limit: int) -> list[int]:
     return list(compress(range(limit + 1), flags))
 
 
-_SMALL_PRIMES = tuple(_sieve(1000))  # ascending: oracles._is_squarefree stops early
+_SMALL_PRIMES = tuple(_sieve(1000))  # ascending: primes_in_range bisects it
 _PRIMORIAL = prod(_SMALL_PRIMES)
-
-# Deterministic Miller-Rabin witness tiers (each proven complete for its range).
-_MR_TIERS = (
-    (1_373_653, (2, 3)),
-    (9_080_191, (31, 73)),
-    (25_326_001, (2, 3, 5)),
-    (3_215_031_751, (2, 3, 5, 7)),
-    (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
-    (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
-    (3_825_123_056_546_413_051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
-    (2**64, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
-)
 
 # Extra randomized rounds on top of base-2 + Lucas for n >= 2^64.
 # 64 independent witnesses push the error probability below 4^-64 = 2^-128.
@@ -120,12 +108,15 @@ def is_probable_prime(n: int) -> bool:
     """Primality test.
 
     Trial division by every prime below 1000 is one gcd with their
-    product, which settles n below 1001^2 = 1,002,001 outright.
-    Deterministic below 2^64 (Miller-Rabin with proven witness tiers).
-    Above that: base-2 strong probable prime + strong Lucas, plus 64
-    seeded-random Miller-Rabin rounds, so a composite slips through with
-    probability below 2^-128.  No randomness escapes: the extra witnesses
-    are derived from n, so the function is a pure function of n.
+    product, which settles n below 1001^2 = 1,002,001 outright.  Past
+    that, one Baillie-PSW test: a base-2 strong probable prime test and a
+    strong Lucas test with Selfridge's parameters (Baillie and Wagstaff,
+    Math. Comp. 35, 1980).  It is exact below 2^64: Feitsma and Galway
+    listed every base-2 Fermat pseudoprime below 2^64, and Gilchrist
+    checked that none of them passes this Lucas test.  From 2^64 on, 64
+    seeded-random Miller-Rabin rounds follow, so a composite slips through
+    with probability below 2^-128.  No randomness escapes: the extra
+    witnesses are derived from n, so the function is a pure function of n.
     """
     if n < 2:
         return False
@@ -133,14 +124,10 @@ def is_probable_prime(n: int) -> bool:
         return n in _SMALL_PRIMES
     if n < 1_002_001:  # below 1001^2 trial division was complete
         return True
-    if n < 2**64:
-        for bound, bases in _MR_TIERS:
-            if n < bound:
-                return all(_is_sprp(n, a) for a in bases)
-    if not _is_sprp(n, 2):
+    if not (_is_sprp(n, 2) and _is_strong_lucas_prp(n)):
         return False
-    if not _is_strong_lucas_prp(n):
-        return False
+    if n < 2**64:  # no base-2 pseudoprime below 2^64 passes the Lucas test
+        return True
     rng = random.Random(n)
     return all(_is_sprp(n, rng.randrange(2, n - 1)) for _ in range(_EXTRA_MR_ROUNDS))
 
@@ -274,17 +261,13 @@ def legendre(a: int, p: OddPrime) -> int:
 
 
 def _sqrt_mod_int(a: int, p: int, sylow: tuple[int, int, int] | None = None) -> int | None:
-    """sqrt_mod on ints.  For p ≡ 3 (mod 4), _jacobi decides residuosity; for
-    p ≡ 1 (mod 4), Tonelli-Shanks on sylow = _two_sylow(p) (computed here unless
-    the caller has it) decides it: a is a non-residue iff t = a^q has order 2^m."""
+    """sqrt_mod on ints, by Tonelli-Shanks on sylow = _two_sylow(p) (computed
+    here unless the caller has it), which also decides residuosity: a is a
+    non-residue iff t = a^q has order 2^m.  For p ≡ 3 (mod 4) (m = 1) the
+    root is a^((p+1)/4) and the loop runs at most once, to return None."""
     a %= p
     if a == 0:
         return 0
-    if p % 4 == 3:
-        if _jacobi(a, p) != 1:
-            return None
-        x = pow(a, (p + 1) // 4, p)
-        return min(x, p - x)
     q, m, c = sylow or _two_sylow(p)
     x = pow(a, (q - 1) // 2, p)
     t = x * x % p * a % p  # a^q
@@ -312,12 +295,14 @@ _NONRESIDUES = [(2, 8, bytes(m == 5 for m in range(8)))] + [
 
 
 def _two_sylow(p: int) -> tuple[int, int, int]:
-    """(q, s, c) for a prime p ≡ 1 (mod 4): p - 1 = q 2^s, q odd, and c = g^q
-    (order 2^s) for the least non-residue g.  g is prime, so it is read off
-    p mod g in _NONRESIDUES up to 61, and past that found by _jacobi on the
-    odd g from 67 on."""
+    """(q, s, c) for an odd prime p: p - 1 = q 2^s, q odd, and c of order 2^s.
+    For s = 1, c = -1, a non-residue.  Otherwise c = g^q for the least
+    non-residue g, which is prime, so it is read off p mod g in _NONRESIDUES
+    up to 61, and past that found by _jacobi on the odd g from 67 on."""
     s = ((p - 1) & (1 - p)).bit_length() - 1
     q = (p - 1) >> s
+    if s == 1:
+        return q, 1, p - 1
     for g, m, flags in _NONRESIDUES:
         if flags[p % m]:
             break

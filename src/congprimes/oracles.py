@@ -15,7 +15,7 @@ from math import isqrt
 
 from .errors import BoundExceeded, ComputeFailed, PreconditionViolation
 from .gaussian import _cornacchia, _mul
-from .modmath import OddPrime, _SMALL_PRIMES, _sqrt_mod_int
+from .modmath import OddPrime, _sqrt_mod_int
 from .quartic import _relative_norm
 
 DEFAULT_BOUND = 10**6
@@ -72,15 +72,16 @@ def r3(n: int, bound: int = DEFAULT_BOUND) -> int:
 
 
 def _is_squarefree(n: int) -> bool:
-    m = n
-    for q in _SMALL_PRIMES:
-        if q * q > m:
-            break
-        if m % q == 0:
-            m //= q
-            if m % q == 0:
+    """Whether no prime square divides n > 0.  Trial division while d^3 <= m
+    leaves a cofactor m with at most two prime factors, so m is then
+    squarefree unless it is a square above 1."""
+    m, d = n, 2
+    while d * d * d <= m:
+        if m % d == 0:
+            m //= d
+            if m % d == 0:
                 return False
-    # leftover cofactor has no prime factor <= 1000; a square would be q^2
+        d += 1 if d == 2 else 2
     s = isqrt(m)
     return s * s != m or m == 1
 

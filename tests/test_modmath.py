@@ -16,6 +16,7 @@ from congprimes.modmath import (
     OddPrime,
     _PRIMORIAL,
     _certified,
+    _is_sprp,
     _jacobi,
     _sqrt_mod_int,
     _two_sylow,
@@ -29,7 +30,7 @@ from congprimes.modmath import (
 
 # where trial division by the primes below 1000 stops or is complete:
 # 997^2 and 991*997 need the last divisors, 1001^2 and the primes next to
-# it sit on either side of the bound below which no Miller-Rabin runs
+# it sit on either side of the bound below which no Baillie-PSW test runs
 TRIAL_DIVISION_EDGES = (997**2, 991 * 997, 993_997, 1_001_989, 1_001_999,
                         1_002_001, 1_002_017, 1009**2)
 
@@ -58,14 +59,35 @@ def test_primality_rejects_products_of_small_primes(n):
     561,                # Carmichael
     3215031751,         # strong pseudoprime to bases 2,3,5,7
     3825123056546413051,
-    (2**61 - 1) ** 2,   # prime square above the deterministic tiers
+    (2**61 - 1) ** 2,   # prime square past 2^64, where the seeded rounds run too
     (2**89 - 1) * (2**61 - 1),
 ])
 def test_primality_rejects_hard_composites(n):
     assert not is_probable_prime(n)
 
 
+# base-2 strong pseudoprimes with no prime factor below 1000, so only the
+# strong Lucas test tells them from a prime: the first six of the 72 in
+# [1,002,001, 2*10^7] (the first, 1093^2, falls to its square check), and
+# the composite Mersenne numbers 2^q - 1 whose factors all lie past 1000
+@pytest.mark.parametrize("n", [
+    1093**2, 1_678_541, 2_284_453, 2_304_167, 3_090_091, 3_125_281,
+    *(2**q - 1 for q in (41, 47, 53, 59)),
+])
+def test_primality_rejects_base_2_strong_pseudoprimes_below_2_64(n):
+    assert gcd(n, _PRIMORIAL) == 1 and _is_sprp(n, 2)
+    assert not is_probable_prime(n)
+
+
+def test_primality_agrees_with_sympy_around_2_64():
+    # both sides of the point past which the seeded rounds run
+    for n in range(2**64 - 2000 + 1, 2**64 + 2000, 2):
+        assert is_probable_prime(n) == sympy.isprime(n), n
+
+
 def test_primality_large_known_primes():
+    assert is_probable_prime(2**31 - 1)
+    assert is_probable_prime(2**61 - 1)
     assert is_probable_prime(2**89 - 1)
     assert is_probable_prime(10**200 + 16737)
     assert is_probable_prime(10**200 + 28729)
@@ -121,6 +143,7 @@ def test_primes_in_range_random_windows_below_10_7():
     # past sqrt(hi) = 10^5 survivors are certified one by one: the first window
     # holds 100003^2, which no base prime marks, the second sits at 10^12
     (10**10 + 599_000, 10**10 + 601_000), (10**12 + 2, 10**12 + 3_002),
+    (10**18 - 3_000, 10**18 + 3_000),  # survivors below and past 10^18 alike
 ])
 def test_odd_only_sieve_matches_sympy(lo, hi):
     assert primes_in_range(lo, hi) == list(sympy.primerange(lo, hi + 1))
@@ -253,17 +276,15 @@ def test_sqrt_mod_roots_and_canonical_choice():
 
 
 def test_tonelli_shanks_decides_residuosity_for_every_a_below_1000():
-    # for p ≡ 1 (mod 4) no Jacobi symbol runs: Tonelli-Shanks alone says None
+    # no Jacobi symbol runs: Tonelli-Shanks alone says None, at p ≡ 3 (mod 4) too
     count = 0
-    for p in primes_in_range(5, 1000):
-        if p % 4 != 1:
-            continue
+    for p in primes_in_range(3, 1000):
         for a in range(p):
             x = _sqrt_mod_int(a, p)
             assert (x is None) == (_jacobi(a, p) == -1), (a, p)
             assert x is None or x * x % p == a, (a, p)
             count += 1
-    assert count == 36_628  # the sum of those p
+    assert count == 76_125  # the sum of those p
 
 
 def test_sqrt_mod_200_digit():

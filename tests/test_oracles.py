@@ -91,9 +91,21 @@ def test_tunnell_preconditions():
     with pytest.raises(PreconditionViolation):
         tunnell_a(45)  # 45 = 9 * 5 not squarefree
     with pytest.raises(PreconditionViolation):
+        tunnell_a(1009**2 * 1013, bound=2 * 10**9)  # raised before an O(n) count
+    with pytest.raises(PreconditionViolation):
         tunnell_a(-3)
     with pytest.raises(BoundExceeded):
         tunnell_a(10**7 + 1, bound=10**6)
+
+
+# no prime factor below 1000, so a square factor shows only to trial
+# division past 1000 or, when n has two prime factors, to the square test
+@pytest.mark.parametrize("n, want", [
+    (1009**3, False), (1009**2 * 1013, False), (1013**2 * 1019 * 1021, False),
+    (1009 * 1013 * 1019, True), (1009**2, False),
+])
+def test_is_squarefree_past_the_primes_below_1000(n, want):
+    assert oracles._is_squarefree(n) is want
 
 
 @pytest.mark.parametrize("p,want", [(41, True), (113, True), (73, False),
