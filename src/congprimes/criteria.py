@@ -28,6 +28,11 @@ congruent_status is what the levels settle about the congruent number
 question: p ≡ 5, 7 (mod 8) are congruent (Monsky), p ≡ 3 (mod 8) are not,
 and for p ≡ 1 (mod 8) levels w = 1, 2 certify NOT congruent (with
 Sha(E_p)[2^inf] = (Z/2)^2 resp. (Z/4)^2), while w = 3 stays undecided.
+
+So the levels, the status and the Sha report of p are one row of _RULES,
+an eight-row table keyed by p mod 8 and the symbols: one row each for
+p ≡ 3, 5, 7 (mod 8) and for (1+i'/p) = -1, and four for a split p, two at
+p ≡ 1 and two at p ≡ 9 (mod 16), as the third symbol is tied to the second.
 """
 
 from __future__ import annotations
@@ -115,50 +120,26 @@ def _symbols(pv: int, p: OddPrime | None = None) -> SymbolSet:
     return SymbolSet(1, chi, chi if pv % 16 == 1 else -chi)
 
 
-# classify's rule per (p mod 8, symbols): at most 4 x 6 = 24 entries, since
-# p ≢ 1 (mod 8) has only _NOT_SPLIT and p ≡ 1 (mod 8) has _INERT or (1, ±1, ±1)
-_RULES: dict[tuple[int, SymbolSet], tuple] = {}
-
-
-def _rule(m8: int, syms: SymbolSet) -> tuple:
-    """(v_level, w_level, syms, congruent_status, sha_report) of every odd
-    prime that is m8 mod 8 with symbols syms: the rules above, stated once."""
-    if m8 in (3, 7):
-        v = 0
-    elif m8 == 5:
-        v = 1
-    elif syms.chi_1pi != 1:
-        v = 2
-    else:
-        v = V_CEILING if syms.chi_alpha_delta == 1 else 3
-    if m8 != 1:
-        w = None
-    elif syms.chi_1pi != 1:
-        w = 1
-    else:
-        w = W_CEILING if syms.chi_zeta_alpha_delta == 1 else 2
-
-    if m8 in (5, 7):
-        status, sha = CongruentStatus.CONGRUENT_MONSKY, ShaReport.SHA2_TRIVIAL_KNOWN
-    elif m8 == 3:
-        status, sha = CongruentStatus.NOT_CONGRUENT, ShaReport.SHA2_TRIVIAL_KNOWN
-    elif w == 1:
-        status, sha = CongruentStatus.NOT_CONGRUENT, ShaReport.SHA_Z2xZ2
-    elif w == 2:
-        status, sha = CongruentStatus.NOT_CONGRUENT, ShaReport.SHA_Z4xZ4
-    else:
-        status, sha = CongruentStatus.UNDECIDED, ShaReport.UNKNOWN
-    return v, w, syms, status, sha
+# (p mod 8, symbols) -> (v_level, w_level, congruent_status, sha_report), the
+# rules above stated once; _symbols returns only these eight classes
+_RULES: dict[tuple[int, SymbolSet], tuple] = {
+    (3, _NOT_SPLIT): (0, None, CongruentStatus.NOT_CONGRUENT, ShaReport.SHA2_TRIVIAL_KNOWN),
+    (7, _NOT_SPLIT): (0, None, CongruentStatus.CONGRUENT_MONSKY, ShaReport.SHA2_TRIVIAL_KNOWN),
+    (5, _NOT_SPLIT): (1, None, CongruentStatus.CONGRUENT_MONSKY, ShaReport.SHA2_TRIVIAL_KNOWN),
+    (1, _INERT): (2, 1, CongruentStatus.NOT_CONGRUENT, ShaReport.SHA_Z2xZ2),
+    # split: (zeta*alpha*delta/p) is (alpha*delta/p) at p ≡ 1 (mod 16), its negative at p ≡ 9
+    (1, SymbolSet(1, -1, -1)): (3, 2, CongruentStatus.NOT_CONGRUENT, ShaReport.SHA_Z4xZ4),
+    (1, SymbolSet(1, -1, 1)): (3, W_CEILING, CongruentStatus.UNDECIDED, ShaReport.UNKNOWN),
+    (1, SymbolSet(1, 1, -1)): (V_CEILING, 2, CongruentStatus.NOT_CONGRUENT, ShaReport.SHA_Z4xZ4),
+    (1, SymbolSet(1, 1, 1)): (V_CEILING, W_CEILING, CongruentStatus.UNDECIDED, ShaReport.UNKNOWN),
+}
 
 
 def _classification(pv: int, syms: SymbolSet) -> Classification:
-    """The classification of the odd prime pv with symbols syms: the rule
-    of its (p mod 8, symbols) class, settled once per class in _RULES."""
-    key = pv % 8, syms
-    rule = _RULES.get(key)
-    if rule is None:
-        rule = _RULES[key] = _rule(*key)
-    return Classification(pv, pv % 16, *rule)
+    """The classification of the odd prime pv with symbols syms: the _RULES
+    row of its (p mod 8, symbols) class."""
+    v, w, status, sha = _RULES[pv % 8, syms]
+    return Classification(pv, pv % 16, v, w, syms, status, sha)
 
 
 def classify(p: int | OddPrime) -> Classification:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from collections.abc import Sequence
 from itertools import compress
 from math import gcd, isqrt, log, prod
 from operator import index
@@ -17,20 +18,6 @@ from typing import NamedTuple
 
 from .errors import PreconditionViolation
 
-
-def _sieve(limit: int) -> list[int]:
-    if limit < 2:
-        return []
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for n in range(2, isqrt(limit) + 1):
-        if flags[n]:
-            flags[n * n :: n] = bytearray((limit - n * n) // n + 1)
-    return list(compress(range(limit + 1), flags))
-
-
-_SMALL_PRIMES = tuple(_sieve(1000))  # ascending: primes_in_range bisects it
-_PRIMORIAL = prod(_SMALL_PRIMES)
 
 # Extra randomized rounds on top of base-2 + Lucas for n >= 2^64.
 # 64 independent witnesses push the error probability below 4^-64 = 2^-128.
@@ -143,7 +130,26 @@ SCAN_CHUNK = 1024
 BASE_SPAN = 4
 
 
-def windows(lo: int, hi: int, processes: int = 1) -> list[tuple[int, int]]:
+class Windows(Sequence):
+    """The windows (a, min(a + width - 1, hi)) for a in starts, each built on
+    access, so length, indexing and slicing cost O(1) whatever the count."""
+
+    __slots__ = ("starts", "width", "hi")
+
+    def __init__(self, starts: range, width: int, hi: int) -> None:
+        self.starts, self.width, self.hi = starts, width, hi
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Windows(self.starts[i], self.width, self.hi)
+        a = self.starts[i]
+        return a, min(a + self.width - 1, self.hi)
+
+
+def windows(lo: int, hi: int, processes: int = 1) -> Windows:
     """[max(lo, 3), hi] cut into the windows that every range walk sieves: each
     expected to hold SCAN_CHUNK primes (one number in ln hi is prime), at most
     MAX_WINDOW wide, and at least BASE_SPAN base bounds wide unless that would
@@ -153,7 +159,7 @@ def windows(lo: int, hi: int, processes: int = 1) -> list[tuple[int, int]]:
     lo, top = max(lo, 3), max(hi, 2)
     least = min(BASE_SPAN * min(isqrt(top), BASE_BOUND), (hi - lo) // (4 * processes) + 1)
     width = min(max(1 + int(SCAN_CHUNK * log(top)), least), MAX_WINDOW)
-    return [(a, min(a + width - 1, hi)) for a in range(lo, hi + 1, width)]
+    return Windows(range(lo, hi + 1, width), width, hi)
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
@@ -169,7 +175,7 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
         raise PreconditionViolation("window wider than 10^7 is not supported")
     base_limit = min(isqrt(hi), BASE_BOUND)
     if base_limit > 1000 and not _BASE_PRIMES:
-        _BASE_PRIMES.extend(_sieve(BASE_BOUND))
+        _BASE_PRIMES.extend(primes_in_range(2, BASE_BOUND))  # its own base: _SMALL_PRIMES
     base = _BASE_PRIMES or _SMALL_PRIMES  # _SMALL_PRIMES: the primes up to 1000
     odd = lo | 1
     flags = bytearray([1]) * ((hi - odd) // 2 + 1)  # empty when hi = lo = 2
@@ -184,6 +190,13 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     if isqrt(hi) <= base_limit:
         return [2, *survivors] if lo == 2 else list(survivors)
     return [n for n in survivors if is_probable_prime(n)]
+
+
+# the primes up to 1000, ascending as primes_in_range bisects them: those up to
+# sqrt(1000) sieve the rest, and is_probable_prime trial-divides by all of them
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+_SMALL_PRIMES = tuple(primes_in_range(2, 1000))
+_PRIMORIAL = prod(_SMALL_PRIMES)
 
 
 class OddPrime:

@@ -15,7 +15,7 @@ from typing import Callable, Iterator
 
 from .criteria import Classification, _classification, _symbols
 from .errors import ComputeFailed
-from .modmath import primes_in_range, windows
+from .modmath import Windows, primes_in_range, windows
 
 # each suite of verify, run_<name with "_" for "-">, and its default --limit
 DEFAULT_LIMITS = {
@@ -35,7 +35,7 @@ def _pool_size(workers: int) -> int:
     return min(workers, cpus or 1)
 
 
-def _shard(job: Callable[[int, int], object], spans: list[tuple[int, int]], writer) -> None:
+def _shard(job: Callable[[int, int], object], spans: Windows, writer) -> None:
     """A shard process: send job(a, b) for each of its windows, or what stopped it, down its pipe."""
     try:
         for a, b in spans:

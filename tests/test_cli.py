@@ -17,6 +17,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
@@ -206,7 +207,7 @@ def test_scan_and_verify_walks_sieve_the_same_windows(capsys, tmp_path, monkeypa
 
     for module in (verify, congprimes.walk):  # _certified_primes' sieve, then classify_chunk's
         monkeypatch.setattr(module, "primes_in_range", spy)
-    want = windows(lo, hi)
+    want = list(windows(lo, hi))
     assert len(want) == (16 if lo == 3 else 1)  # the window past 10^200 is not cut
     assert [P.value for P in verify._certified_primes(lo, hi)] == [
         p for w in want for p in _primes(*w)]
@@ -283,21 +284,20 @@ def test_classify_runs_once_per_forced_class_and_per_split_prime(monkeypatch):
         assert 6 < len(first) <= 6 + 2 * 5  # p ≡ 1, 9 (mod 16): _INERT or (1, ±1, ±1)
 
 
-def test_rules_are_settled_once_per_class(capsys, tmp_path, monkeypatch):
-    settled = []
+def test_the_rule_table_holds_exactly_the_classes_a_scan_meets(capsys, tmp_path, monkeypatch):
+    met = set()
 
-    def rule(*key, real=criteria._rule):
-        settled.append(key)
-        return real(*key)
+    def classification(pv, syms, real=congprimes.walk._classification):
+        met.add((pv % 8, syms))
+        return real(pv, syms)
 
-    monkeypatch.setattr(criteria, "_RULES", {})
-    monkeypatch.setattr(criteria, "_rule", rule)
+    monkeypatch.setattr(congprimes.walk, "_classification", classification)
     assert run(capsys, "scan", "--from", "3", "--to", "200000",
                "--out", str(tmp_path / "scan.csv"))[0] == 0
     split = {SymbolSet(1, a, b) for a in (1, -1) for b in (1, -1)} | {SymbolSet(-1)}
     classes = {(m8, SymbolSet()) for m8 in (3, 5, 7)} | {(1, s) for s in split}
-    assert len(settled) == len(set(settled)) == len(criteria._RULES) <= 24
-    assert set(settled) == set(criteria._RULES) == classes
+    assert len(criteria._RULES) == 8
+    assert met == set(criteria._RULES) == classes
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -392,7 +392,7 @@ def test_scan_starts_at_most_one_process_per_worker_cpu_and_chunk(capsys, tmp_pa
 
 
 def test_windows_cover_the_range_and_are_capped(monkeypatch):
-    assert windows(3, 2) == []
+    assert list(windows(3, 2)) == []
     for lo, hi in [(3, 5000), (3, 200000), (10**12, 10**12 + 10**7 - 1), WINDOW]:
         cut = windows(lo, hi)
         assert cut[0][0] == lo and cut[-1][1] == hi
@@ -403,8 +403,26 @@ def test_windows_cover_the_range_and_are_capped(monkeypatch):
     assert [b - a + 1 for a, b in windows(10**10 - 10**7 + 1, 10**10)] == [4 * 10**5] * 25
     assert len(windows(10**10 - 10**6 + 1, 10**10, 2)) == 8  # unless < 4 per process
     monkeypatch.setattr(modmath, "SCAN_CHUNK", 10**6)  # never wider than MAX_WINDOW
-    assert windows(3, 3 * 10**7) == [(3, 10**7 + 2), (10**7 + 3, 2 * 10**7 + 2),
-                                     (2 * 10**7 + 3, 3 * 10**7)]
+    assert list(windows(3, 3 * 10**7)) == [(3, 10**7 + 2), (10**7 + 3, 2 * 10**7 + 2),
+                                           (2 * 10**7 + 3, 3 * 10**7)]
+
+
+def test_a_walk_to_10_12_starts_without_listing_its_windows():
+    """windows holds no list of its 2.5 million windows, so it and the first
+    window of a walk cost neither time nor memory that grows with the range."""
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        cut = windows(3, 10**12)
+        first = walk(lambda a, b: (a, b), 3, 10**12)
+        assert next(first) == cut[0] == (3, 400002)
+        first.close()
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cut) == 2_500_000 and cut[-1] == (10**12 - 399_997, 10**12)
+    assert seconds < 1 and peak < 2**20
 
 
 def _nothing(lo, hi):

@@ -158,14 +158,14 @@ def test_odd_only_sieve_past_10_200_matches_sympy():
 
 
 def test_base_primes_are_sieved_once_on_first_need(monkeypatch):
+    assert modmath._SMALL_PRIMES == tuple(sympy.primerange(2, 1000))
     limits = []
-    sieve = modmath._sieve
 
-    def spy(limit):
-        limits.append(limit)
-        return sieve(limit)
+    def spy(lo, hi, real=modmath.primes_in_range):
+        limits.append((lo, hi))
+        return real(lo, hi)
 
-    monkeypatch.setattr(modmath, "_sieve", spy)
+    monkeypatch.setattr(modmath, "primes_in_range", spy)  # what primes_in_range calls
     monkeypatch.setattr(modmath, "_BASE_PRIMES", [])
     windows = [(3, 100), (10**6 - 1000, 10**6), (10**7 - 1000, 10**7),
                # on both sides of sqrt(hi) = 10^5, and across it
@@ -174,7 +174,7 @@ def test_base_primes_are_sieved_once_on_first_need(monkeypatch):
     got = [primes_in_range(lo, hi) for lo, hi in windows[:2]]
     assert limits == []  # below 1000 the primes sieved at import serve
     got += [primes_in_range(lo, hi) for lo, hi in windows[2:]]
-    assert limits == [10**5]  # once, on first need
+    assert limits == [(2, modmath.BASE_BOUND)]  # once, on first need
     assert got == [list(sympy.primerange(lo, hi + 1)) for lo, hi in windows]
 
 
