@@ -82,6 +82,8 @@ W_CEILING = 3
 
 _NOT_SPLIT = SymbolSet()  # p ≢ 1 (mod 8)
 _INERT = SymbolSet(chi_1pi=-1)  # (1+i'/p) = -1
+# a split p's symbols by (p mod 16, (alpha*delta/p)); the third is tied to the second
+_SPLIT = {(m, chi): SymbolSet(1, chi, chi if m == 1 else -chi) for m in (1, 9) for chi in (-1, 1)}
 
 
 def _symbols(pv: int, p: OddPrime | None = None) -> SymbolSet:
@@ -116,8 +118,7 @@ def _symbols(pv: int, p: OddPrime | None = None) -> SymbolSet:
     r2 = r * r % pv
     if (r2 * r2 - 2 * r2 + 2) % pv or (r2 - 1 - i_img) % pv or (A + B * r) % pv or not A:
         raise ComputeFailed(f"delta does not certify the symbols at r for p = {pv}")
-    chi = legendre(r * A, p)
-    return SymbolSet(1, chi, chi if pv % 16 == 1 else -chi)
+    return _SPLIT[pv % 16, legendre(r * A, p)]
 
 
 # (p mod 8, symbols) -> (v_level, w_level, congruent_status, sha_report), the
@@ -127,11 +128,10 @@ _RULES: dict[tuple[int, SymbolSet], tuple] = {
     (7, _NOT_SPLIT): (0, None, CongruentStatus.CONGRUENT_MONSKY, ShaReport.SHA2_TRIVIAL_KNOWN),
     (5, _NOT_SPLIT): (1, None, CongruentStatus.CONGRUENT_MONSKY, ShaReport.SHA2_TRIVIAL_KNOWN),
     (1, _INERT): (2, 1, CongruentStatus.NOT_CONGRUENT, ShaReport.SHA_Z2xZ2),
-    # split: (zeta*alpha*delta/p) is (alpha*delta/p) at p ≡ 1 (mod 16), its negative at p ≡ 9
-    (1, SymbolSet(1, -1, -1)): (3, 2, CongruentStatus.NOT_CONGRUENT, ShaReport.SHA_Z4xZ4),
-    (1, SymbolSet(1, -1, 1)): (3, W_CEILING, CongruentStatus.UNDECIDED, ShaReport.UNKNOWN),
-    (1, SymbolSet(1, 1, -1)): (V_CEILING, 2, CongruentStatus.NOT_CONGRUENT, ShaReport.SHA_Z4xZ4),
-    (1, SymbolSet(1, 1, 1)): (V_CEILING, W_CEILING, CongruentStatus.UNDECIDED, ShaReport.UNKNOWN),
+    (1, _SPLIT[1, -1]): (3, 2, CongruentStatus.NOT_CONGRUENT, ShaReport.SHA_Z4xZ4),
+    (1, _SPLIT[9, -1]): (3, W_CEILING, CongruentStatus.UNDECIDED, ShaReport.UNKNOWN),
+    (1, _SPLIT[9, 1]): (V_CEILING, 2, CongruentStatus.NOT_CONGRUENT, ShaReport.SHA_Z4xZ4),
+    (1, _SPLIT[1, 1]): (V_CEILING, W_CEILING, CongruentStatus.UNDECIDED, ShaReport.UNKNOWN),
 }
 
 

@@ -335,21 +335,7 @@ def sqrt_mod(a: int, p: OddPrime) -> int | None:
 def eighth_root_of_unity(p: OddPrime) -> int:
     """Canonical primitive eighth root of unity mod p (p ≡ 1 mod 8 only):
     the canonical square root of the canonical sqrt(-1)."""
-    return _eighth_root(p.value)[0]
-
-
-def _eighth_root(p: int) -> tuple[int, tuple[int, int, int]]:
-    """eighth_root_of_unity on ints, and the _two_sylow(p) it came from:
-    z = c^(2^(s-3)) = g^((p-1)/8) has order 8, so z^2 is ±i' (i' the canonical
-    sqrt(-1)), and the square roots of i' are ±z or ±z^3 (z^6 = -z^2)."""
-    if p % 8 != 1:
-        raise PreconditionViolation("eighth roots of unity require p ≡ 1 (mod 8)")
-    _, s, c = sylow = _two_sylow(p)
-    z = pow(c, 1 << (s - 3), p)
-    z2 = z * z % p
-    if z2 > p - z2:  # z^2 = -i'
-        z = z * z2 % p
-    return min(z, p - z), sylow
+    return split_roots(p).zeta
 
 
 class SplitRoots(NamedTuple):
@@ -374,16 +360,26 @@ class SplitRoots(NamedTuple):
 
 def split_roots(p: OddPrime) -> SplitRoots:
     """Every root the classification of p ≡ 1 (mod 8) needs, from one
-    quadratic non-residue g: zeta is a power of c = g^q (_eighth_root), and
-    the same c drives the one Tonelli-Shanks square root r.  classify calls
-    it only once (1+i'/p) = +1 is known; the delta suite, on every p.
+    quadratic non-residue g: zeta is a power of c = g^q of _two_sylow(p),
+    and the same c drives the one Tonelli-Shanks square root r.  classify
+    calls it only once (1+i'/p) = +1 is known; the delta suite, on every p.
 
-    (zeta - zeta^3)^2 = i' + 2 - i' = 2 = (1 + i')(1 - i') = (r s)^2, so
-    s = ±zeta (1 - i') / r, and as (1 - i') / (1 + i') = -i' and r^2 = 1 + i',
-    that is ±zeta i' r = ±zeta^3 r: no square root and no inverse of its own."""
+    With p - 1 = q 2^m, z = c^(2^(m-3)) = g^((p-1)/8) has order 8, so z^2 is
+    ±i' (i' the canonical sqrt(-1)), and the square roots of i' are ±z or ±z^3
+    (z^6 = -z^2).  (zeta - zeta^3)^2 = i' + 2 - i' = 2 = (1 + i')(1 - i') =
+    (r s)^2, so s = ±zeta (1 - i') / r, and as (1 - i') / (1 + i') = -i' and
+    r^2 = 1 + i', that is ±zeta i' r = ±zeta^3 r: no square root and no
+    inverse of its own."""
     pv = p.value
-    zeta, sylow = _eighth_root(pv)
-    i_img = zeta * zeta % pv
+    if pv % 8 != 1:
+        raise PreconditionViolation("eighth roots of unity require p ≡ 1 (mod 8)")
+    _, m, c = sylow = _two_sylow(pv)
+    z = pow(c, 1 << (m - 3), pv)
+    i_img = z * z % pv
+    if i_img > pv - i_img:  # z^2 = -i'
+        z = z * i_img % pv
+        i_img = pv - i_img
+    zeta = min(z, pv - z)
     r = _sqrt_mod_int(1 + i_img, pv, sylow)
     if r is None:
         return SplitRoots(pv, i_img, zeta, None, None)

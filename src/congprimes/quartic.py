@@ -21,12 +21,10 @@ roots of unity, which is how solve_delta lands exactly on p.
 
 from __future__ import annotations
 
-from math import isqrt
-
 from .errors import GeneratorNotFound, NotSplitError, PreconditionViolation
 from .modmath import OddPrime, SplitRoots, split_roots
 
-_ROOT2: dict[int, int] = {}  # isqrt(2 * 4^k) per k = bitlen(p) + 32, as _reduce uses it
+_FORM = (99, 140)  # the weights of _reduce's form 99 |a|^2 + 140 |b|^2, 140/99 < sqrt(2)
 
 
 def embed(x: tuple[int, int, int, int], p: OddPrime, r: int) -> int:
@@ -47,42 +45,40 @@ def _reduce(p: OddPrime, roots: SplitRoots | None) -> tuple[tuple[int, ...], tup
     of another prime raise PreconditionViolation); raises NotSplitError
     unless p ≡ 1 (mod 8) and (1+i'/p) = +1.  It returns
     (c.re, c.im, u1.re, u1.im, v1.re, v1.im), with c below centred mod p,
-    and the Gram entries (H(u), H(v), Re <v,u>, Im <v,u>) of the basis, in
-    the form scaled by 2^k.  Each a-coordinate is -c b (see the last
-    paragraph), which solve_delta computes only for the vectors it tries.
+    and the Gram entries (H'(u), H'(v), Re <v,u>, Im <v,u>) in the form
+    99 H' below.  Each a-coordinate is -c b (see the last paragraph), which
+    solve_delta computes only for the vectors it tries.
 
     Those primes send i to i' = r^2 - 1 and to -i' respectively, so
     a + b*alpha lies in their product iff a + b*c ≡ 0 (mod p) for the
     Gaussian integer c that maps to r under i -> i' and to s under
     i -> -i'.  Hence (p, 0), (-c, 1) is a basis.  Z[i] is Euclidean, so
     Lagrange reduction works over it (Napias 1996, "A generalization of
-    the LLL-algorithm over Euclidean rings or orders"); it runs here for
-    H(a, b) = |a|^2 + sqrt(2)*|b|^2, the trace form Tr(x * xbar) / 4.
+    the LLL-algorithm over Euclidean rings or orders").  It runs for the
+    exact form H'(a, b) = |a|^2 + rho |b|^2, rho = 140/99, on the ints
+    99 H' (_FORM), not for the trace form Tr(x * xbar) / 4 =
+    H(a, b) = |a|^2 + sqrt(2) |b|^2: (sqrt(2) / rho)^2 = 9801/9800, so
+    H' <= H <= (sqrt(2) / rho) H' <= (1 + 5.2e-5) H', all that the bounds
+    below and in solve_delta need.  On return H'(u) <= H'(v), and
+    mu = <v, u> / H'(u) has real and imaginary parts in [-1/2, 1/2].
 
-    sqrt(2) is replaced by isqrt(2 * 4^k) / 2^k with k = bitlen(p) + 32.
-    That lowers H(x) by at most |b|^2 / 2^k < H(x) / 2^k, so the form is
-    still positive definite and the bounds in solve_delta hold with room
-    to spare.  The reduction is exact for this form: on return
-    H(u) <= H(v), and mu = <v, u> / H(u) has real and imaginary parts in
-    [-1/2, 1/2].
-
-    <x, y> = x0 conj(y0) 2^k + x1 conj(y1) isqrt(2 * 4^k) is exact, so
-    the entries are updated in place rather than recomputed (integral
-    LLL, Cohen GTM 138, 2.6): v <- v - q u sends <v,u> to <v,u> - q H(u)
-    and H(v) to H(v) - 2 Re(conj(q) <v,u>) + |q|^2 H(u).  q rounds each
-    coordinate g/H(u) of <v,u> / H(u) to the nearest integer,
-    (2g + H(u)) // (2 H(u)), ties up.  Lagrange's loop from (p, 0), (-c, 1)
-    always first moves c's coordinates into (-p/2, p/2] and swaps, so this
-    starts at u = (-c, 1), v = (p, 0) and then reduces v by u and u by v
-    in turn instead of swapping.
+    <x, y> = 99 x0 conj(y0) + 140 x1 conj(y1) is exact, so the entries
+    are updated in place rather than recomputed (integral LLL, Cohen
+    GTM 138, 2.6): v <- v - q u sends <v,u> to <v,u> - q H'(u) and H'(v)
+    to H'(v) - 2 Re(conj(q) <v,u>) + |q|^2 H'(u).  q rounds each
+    coordinate g/H'(u) of <v,u> / H'(u) to the nearest integer,
+    (2g + H'(u)) // (2 H'(u)), ties up.  Lagrange's loop from (p, 0),
+    (-c, 1) always first moves c's coordinates into (-p/2, p/2] and
+    swaps, so this starts at u = (-c, 1), v = (p, 0) and then reduces v
+    by u and u by v in turn instead of swapping.
 
     The loop updates only b: every lattice vector is m (-c, 1) + n (p, 0),
-    so a ≡ -c b (mod p), and a is -c b centred mod p.  That is exact: with
-    H'(x) = |a|^2 + rho |b|^2, rho = isqrt(2 * 4^k) / 2^k <= sqrt(2), the
-    Gram determinant p^2 rho is H'(u) H'(v - mu u), where
-    H'(u) >= rho p / sqrt(2) (H(u) >= p, see solve_delta) and
-    H'(v - mu u) >= H'(v) - |mu|^2 H'(u) >= H'(v) / 2, so the a of u and
-    of v has |a|^2 <= H'(v) <= 2 sqrt(2) p < 3p < p^2 / 4 (p > 12)."""
+    so a ≡ -c b (mod p), and a is -c b centred mod p.  That is exact: the
+    Gram determinant p^2 rho is H'(u) H'(v - mu u), and
+    H'(u) >= rho H(u) / sqrt(2) >= rho p / sqrt(2) (H(u) >= p, see
+    solve_delta), so H'(v) / 2 <= H'(v) - |mu|^2 H'(u) = H'(v - mu u) <=
+    sqrt(2) p, and the a of u and of v has |a|^2 <= H'(v) <= 2 sqrt(2) p <
+    3p < p^2 / 4 (p > 12)."""
     if roots is None and p.value % 8 == 1:
         roots = split_roots(p)
     elif roots is not None and roots.p != p.value:
@@ -93,21 +89,20 @@ def _reduce(p: OddPrime, roots: SplitRoots | None) -> tuple[tuple[int, ...], tup
     r, s, i_img, h = roots.r, roots.s, roots.i_img, pv // 2
     cr = ((r + s) * (h + 1) + h) % pv - h  # h + 1 = 1/2 mod p
     ci = ((s - r) * i_img * (h + 1) + h) % pv - h  # 1/(2i') = -i'/2
-    k = pv.bit_length() + 32
-    one, root2 = 1 << k, _ROOT2.get(k) or _ROOT2.setdefault(k, isqrt(2 << 2 * k))
+    wa, wb = _FORM
     u1r, u1i, v1r, v1i = 1, 0, 0, 0
-    hu = (cr * cr + ci * ci) * one + root2
-    hv = pv * pv * one
-    gr, gi = -cr * pv * one, ci * pv * one  # <v,u>
+    hu = (cr * cr + ci * ci) * wa + wb
+    hv = pv * pv * wa
+    gr, gi = -cr * pv * wa, ci * pv * wa  # <v,u>
     while True:
-        h2 = 2 * hu  # v <- v - q u, q = round(<v,u> / H(u))
+        h2 = 2 * hu  # v <- v - q u, q = round(<v,u> / H'(u))
         qr, qi = (2 * gr + hu) // h2, (2 * gi + hu) // h2
         v1r, v1i = v1r - qr * u1r + qi * u1i, v1i - qr * u1i - qi * u1r
         hv += (qr * qr + qi * qi) * hu - 2 * (qr * gr + qi * gi)
         gr, gi = gr - qr * hu, gi - qi * hu
         if hv >= hu:
             return (cr, ci, u1r, u1i, v1r, v1i), (hu, hv, gr, gi)
-        h2 = 2 * hv  # u <- u - q v, q = round(<u,v> / H(v)), <u,v> = conj(<v,u>)
+        h2 = 2 * hv  # u <- u - q v, q = round(<u,v> / H'(v)), <u,v> = conj(<v,u>)
         qr, qi = (2 * gr + hv) // h2, (hv - 2 * gi) // h2
         u1r, u1i = u1r - qr * v1r + qi * v1i, u1i - qr * v1i - qi * v1r
         hu += (qr * qr + qi * qi) * hv - 2 * (qr * gr - qi * gi)
@@ -163,14 +158,19 @@ def solve_delta(p: OddPrime, roots: SplitRoots | None = None) -> tuple[int, int,
       1 / |1+beta|^2.  Pick the power with p <= |g(beta)|^2 <
       p |1+beta|^2; by convexity H is largest at an end of that range,
       where it is p (|1+beta|^2 + |1-beta|^2) / 2 = (1 + sqrt(2)) p.
-    * Write v = mu*u + v* with v* orthogonal to u.  Reduction gives
-      |mu|^2 <= 1/2, so H(v*) = H(v) - |mu|^2 H(u) >= H(u) / 2.  If
-      H(a*u + b*v) = |a + b*mu|^2 H(u) + |b|^2 H(v*) <= (1 + sqrt(2)) p,
-      then |b|^2 <= 2 (1 + sqrt(2)) < 5, so |b|^2 <= 4, and
-      |a| <= sqrt(1 + sqrt(2)) + 2 / sqrt(2) < 2.97, so |a|^2 <= 8.
+    * _reduce reduces for H' = |a|^2 + rho |b|^2, rho = 140/99, with
+      H' <= H <= (sqrt(2) / rho) H'.  Write v = mu*u + v* with v*
+      orthogonal to u under H'.  Reduction gives |mu|^2 <= 1/2, so
+      H'(v*) = H'(v) - |mu|^2 H'(u) >= H'(u) / 2, and
+      H'(u) >= (rho / sqrt(2)) H(u) >= (rho / sqrt(2)) p.  If
+      H(a*u + b*v) <= (1 + sqrt(2)) p, then so is
+      H'(a*u + b*v) = |a + b*mu|^2 H'(u) + |b|^2 H'(v*), hence
+      |b|^2 <= 2 (1 + sqrt(2)) sqrt(2) / rho < 4.829 < 5, so |b|^2 <= 4,
+      and |a| <= sqrt((1 + sqrt(2)) sqrt(2) / rho) + 2 / sqrt(2) < 2.969,
+      so |a|^2 <= 8.
 
-    Both bounds leave far more slack than the 2^-k error of the form used
-    by _reduce.
+    Both bounds need only rho <= sqrt(2) and sqrt(2) / rho close to 1 (it
+    is below 1 + 5.2e-5); at rho = sqrt(2) itself they read 4.8284 and 2.9680.
     """
     (cr, ci, x1r, x1i, v1r, v1i), _ = _reduce(p, roots)
     pv = p.value

@@ -85,6 +85,35 @@ def test_primality_agrees_with_sympy_around_2_64():
         assert is_probable_prime(n) == sympy.isprime(n), n
 
 
+@pytest.mark.parametrize("n, seeded", [(2**64 - 59, False), (2**64 + 13, True)],
+                         ids=["last-prime-below-2^64", "first-prime-past-2^64"])
+def test_the_seeded_rounds_run_from_2_64_on_with_64_witnesses(monkeypatch, n, seeded):
+    # the base-2 round alone below 2^64; past it 64 more, with the witnesses
+    # random.Random(n) draws, which set the 4^-64 = 2^-128 error bound
+    bases = []
+
+    def spy(m, a, real=_is_sprp):
+        assert m == n
+        bases.append(a)
+        return real(m, a)
+
+    monkeypatch.setattr(modmath, "_is_sprp", spy)
+    assert is_probable_prime(n)
+    rng = random.Random(n)
+    assert bases == [2] + [rng.randrange(2, n - 1) for _ in range(64 if seeded else 0)]
+
+
+# the strong Lucas pseudoprimes for Selfridge's parameters below 6*10^4 (OEIS
+# A217255): the "exact below 2^64" of is_probable_prime rests on these
+# parameters, with which Feitsma and Galway's base-2 pseudoprimes were cleared
+@pytest.mark.parametrize("n", [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199,
+                               40309, 58519])
+def test_selfridge_strong_lucas_pseudoprimes_pass_the_lucas_half(n):
+    assert not sympy.isprime(n)
+    assert modmath._is_strong_lucas_prp(n)
+    assert not is_probable_prime(n)
+
+
 def test_primality_large_known_primes():
     assert is_probable_prime(2**31 - 1)
     assert is_probable_prime(2**61 - 1)

@@ -1,6 +1,6 @@
 import hashlib
 import random
-from math import gcd, isqrt
+from math import gcd
 
 import pytest
 import sympy
@@ -103,11 +103,11 @@ def _at_most_zero(m, n):
     return m * m >= 2 * n * n if m <= 0 else 2 * n * n >= m * m
 
 
-def _reduced(P, roots=None):
-    """_reduce's basis as the coordinates (u0, u1, v0, v1), each as re, im,
-    with each a = -c b centred mod p as solve_delta takes it, and its Gram
-    entries."""
-    (cr, ci, u1r, u1i, v1r, v1i), gram = _reduce(P, roots)
+def _reduced(P, roots=None, reduce=_reduce):
+    """_reduce's basis (or that of reduce, a stand-in for it) as the
+    coordinates (u0, u1, v0, v1), each as re, im, with each a = -c b centred
+    mod p as solve_delta takes it, and its Gram entries."""
+    (cr, ci, u1r, u1i, v1r, v1i), gram = reduce(P, roots)
     p, h = P.value, P.value // 2
 
     def a(br, bi):
@@ -157,11 +157,10 @@ def _gaussian_lagrange(p, roots):
     pv = p.value
     r, s, i_img = roots.r, roots.s, roots.i_img
     c = ZZ_I((r + s) * (pv + 1) // 2 % pv, (r - s) * pow(2 * i_img, -1, pv) % pv)
-    k = pv.bit_length() + 32
-    one, root2 = 1 << k, isqrt(2 << 2 * k)
+    wa, wb = quartic._FORM
 
     def dot(x, y):
-        return x[0] * _conj(y[0]) * one + x[1] * _conj(y[1]) * root2
+        return x[0] * _conj(y[0]) * wa + x[1] * _conj(y[1]) * wb
 
     u, v = (ZZ_I(pv), ZZ_I(0)), (-c, ZZ_I(1))
     hu = dot(u, u).x
@@ -202,13 +201,12 @@ def _swapping_reduce(p, roots):
     r, s, i_img = roots.r, roots.s, roots.i_img
     cr = (r + s) * (pv + 1) // 2 % pv
     ci = (r - s) * pow(2 * i_img, -1, pv) % pv
-    k = pv.bit_length() + 32
-    one, root2 = 1 << k, isqrt(2 << 2 * k)
+    wa, wb = quartic._FORM
     u0r, u0i, u1r, u1i = pv, 0, 0, 0
     v0r, v0i, v1r, v1i = -cr, -ci, 1, 0
-    hu = pv * pv * one
-    hv = (cr * cr + ci * ci) * one + root2
-    gr, gi = -cr * pv * one, -ci * pv * one
+    hu = pv * pv * wa
+    hv = (cr * cr + ci * ci) * wa + wb
+    gr, gi = -cr * pv * wa, -ci * pv * wa
     while True:
         h2 = 2 * hu
         qr = (2 * gr + hu) // h2
@@ -399,6 +397,45 @@ def test_box_search_past_u_certifies_delta(monkeypatch):
         assert embed(delta, P, roots.r) == embed(delta, P, roots.s) == 0, p
         assert classify(P).symbols == want[p], p
     assert searched > len(ps) // 2
+
+
+def test_box_search_needs_coefficients_of_2_for_the_basis_u_plus_2v_and_v(monkeypatch):
+    # handed the basis (u + 2v, v), solve_delta finds the generator u only at a
+    # coefficient of -2; at the primes where brute force finds no generator
+    # with every coordinate in [-1, 1], the radius-2 box must still certify
+    # delta.  Past p = 102 each coordinate of u + 2v's a, at most
+    # 3 sqrt(2 sqrt(2) p) (see _reduce), is below p/2, so the centred a that
+    # solve_delta takes is exactly u + 2v's.
+    ps = [p for p in primes_in_range(103, 20000)
+          if p % 8 == 1 and split_roots(_certified(p)).r is not None]
+    ps += [10**200 + 16737, 10**200 + 28729]
+    want = {p: classify(_certified(p)).symbols for p in ps}
+    real = quartic._reduce
+
+    def shifted(P, roots):
+        (cr, ci, u1r, u1i, v1r, v1i), gram = real(P, roots)
+        return (cr, ci, u1r + 2 * v1r, u1i + 2 * v1i, v1r, v1i), gram
+
+    monkeypatch.setattr(quartic, "_reduce", shifted)
+    unit = [ZZ_I(re, im) for re in (-1, 0, 1) for im in (-1, 0, 1)]
+    checked = 0
+    for p in ps:
+        P = _certified(p)  # sieved, or a 200-digit anchor
+        roots = split_roots(P)
+        u0r, u0i, u1r, u1i, v0r, v0i, v1r, v1i = _reduced(P, roots, real)[0]
+        x = _reduced(P, roots, shifted)[0]
+        assert x == (u0r + 2 * v0r, u0i + 2 * v0i, u1r + 2 * v1r, u1i + 2 * v1i,
+                     v0r, v0i, v1r, v1i), p
+        x0, x1, y0, y1 = (ZZ_I(x[j], x[j + 1]) for j in (0, 2, 4, 6))
+        if any(_norm((a * x0 + b * y0) ** 2 - ZZ_I(1, 1) * (a * x1 + b * y1) ** 2) == p * p
+               for a in unit for b in unit):
+            continue
+        checked += 1
+        delta = solve_delta(P, roots)
+        assert _relative_norm(*delta) == (p, 0), p
+        assert embed(delta, P, roots.r) == embed(delta, P, roots.s) == 0, p
+        assert classify(P).symbols == want[p], p
+    assert checked > len(ps) // 4  # 90 of the 272
 
 
 def test_delta_refuses_a_candidate_whose_norm_is_not_exactly_p(monkeypatch):
