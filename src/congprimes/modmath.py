@@ -41,14 +41,6 @@ def _is_sprp(n: int, a: int) -> bool:
     return False
 
 
-def _half(x: int, n: int) -> int:
-    # division by 2 mod odd n
-    x %= n
-    if x & 1:
-        x += n
-    return (x >> 1) % n
-
-
 def _selfridge_d(n: int) -> int | None:
     """First D in 5, -7, 9, -11, ... with (D/n) = -1; None -> composite."""
     d = 5
@@ -62,7 +54,9 @@ def _selfridge_d(n: int) -> int | None:
 
 
 def _is_strong_lucas_prp(n: int) -> bool:
-    """Strong Lucas test with Selfridge parameters (P=1, Q=(1-D)/4)."""
+    """Strong Lucas test with Selfridge parameters (P=1, Q=(1-D)/4), on V
+    alone: D U_d = 2 V_{d+1} - V_d, and (D/n) = -1 makes D a unit mod n, so
+    U_d = 0 (mod n) exactly when 2 V_{d+1} = V_d (mod n)."""
     s = isqrt(n)
     if s * s == n:
         return False
@@ -72,16 +66,17 @@ def _is_strong_lucas_prp(n: int) -> bool:
     Q = (1 - D) // 4
     s2 = ((n + 1) & -(n + 1)).bit_length() - 1  # n + 1 = d 2^s2, d odd
     d = (n + 1) >> s2
-    # binary ladder for (U_d, V_d, Q^d) mod n
-    U, V, qk = 1, 1, Q % n
+    # binary ladder for (V_k, W = V_{k+1}, Q^k) mod n from k = 1, by
+    # V_{2k} = V_k^2 - 2Q^k and V_{2k+1} = V_k V_{k+1} - Q^k
+    V, W, qk = 1, (1 - 2 * Q) % n, Q % n
     for bit in bin(d)[3:]:
-        U = U * V % n
-        V = (V * V - 2 * qk) % n
-        qk = qk * qk % n
         if bit == "1":
-            U, V = _half(U + V, n), _half(V + D * U, n)
-            qk = qk * Q % n
-    if U == 0 or V == 0:
+            V, W = (V * W - qk) % n, (W * W - 2 * qk * Q) % n
+            qk = qk * qk * Q % n
+        else:
+            V, W = (V * V - 2 * qk) % n, (V * W - qk) % n
+            qk = qk * qk % n
+    if V == 0 or (2 * W - V) % n == 0:
         return True
     for _ in range(s2 - 1):
         V = (V * V - 2 * qk) % n

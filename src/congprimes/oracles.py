@@ -34,9 +34,7 @@ def class_number(p: OddPrime, bound: int = DEFAULT_BOUND) -> int:
     fourp = 4 * pv
     h = 0
     for a in range(1, isqrt(fourp // 3) + 1):
-        for b in range(-a + 2 if a % 2 == 0 else -a + 1, a + 1):
-            if b % 2:
-                continue
+        for b in range(-a + 2 if a % 2 == 0 else -a + 1, a + 1, 2):  # the even b in (-a, a]
             num = b * b + fourp
             if num % (4 * a):
                 continue

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 import sympy
+from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from congprimes import modmath
 from congprimes.errors import PreconditionViolation
@@ -112,6 +113,23 @@ def test_selfridge_strong_lucas_pseudoprimes_pass_the_lucas_half(n):
     assert not sympy.isprime(n)
     assert modmath._is_strong_lucas_prp(n)
     assert not is_probable_prime(n)
+
+
+def test_strong_lucas_matches_sympy_at_small_n():
+    for n in range(3, 50_001, 2):
+        assert modmath._is_strong_lucas_prp(n) == is_strong_lucas_prp(n), n
+
+
+def test_strong_lucas_matches_sympy_at_seeded_large_n():
+    # 13 to 201 digits: 30 odd n, and 30 primes, which every strong Lucas test passes
+    rng = random.Random(32)
+    for i in range(60):
+        k = rng.randrange(13, 202)
+        n = rng.randrange(10 ** (k - 1), 10**k) | 1
+        if i % 2:
+            n = sympy.nextprime(n)
+            assert modmath._is_strong_lucas_prp(n), n
+        assert modmath._is_strong_lucas_prp(n) == is_strong_lucas_prp(n), n
 
 
 def test_primality_large_known_primes():
