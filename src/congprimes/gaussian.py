@@ -15,15 +15,6 @@ def _mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
     return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
-def _div(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int] | None:
-    """The exact quotient x / y in Z[i], or None if y does not divide x:
-    x * conj(y) / N(y), coordinate by coordinate."""
-    n = y[0] * y[0] + y[1] * y[1]
-    qr, rr = divmod(x[0] * y[0] + x[1] * y[1], n)
-    qi, ri = divmod(x[1] * y[0] - x[0] * y[1], n)
-    return None if rr or ri else (qr, qi)
-
-
 def _cornacchia(p: int, d: int, root: int) -> tuple[int, int] | None:
     """(x, y) with p = x^2 + d y^2, both >= 0, or None if p has no such
     form, by Cornacchia's algorithm (Cohen, GTM 138, Alg. 1.5.2): x is the

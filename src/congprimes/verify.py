@@ -12,19 +12,19 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from functools import reduce
 from itertools import chain
-from math import isqrt, prod
+from math import isqrt
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .criteria import V_CEILING, Classification, CongruentStatus, ShaReport, classify
 from .els import cover, lemma_symbol_prediction, locally_solvable_at_p
 from .errors import ComputeFailed, PreconditionViolation
-from .gaussian import _div, _i_image, _mul, gi_symbol, primary_associate, two_squares
+from .gaussian import _i_image, _mul, gi_symbol, primary_associate, two_squares
 from .modmath import (
     OddPrime,
     _certified,
     eighth_root_of_unity,
+    is_probable_prime,
     legendre,
     primes_in_range,
     split_roots,
@@ -276,61 +276,14 @@ def _check_status(c: Classification) -> str | None:
 
 # ------------------------------------------------- random lemma instances
 
-def _hensel_sqrt(root: int, target: int, q: int) -> int:
-    """Lift root^2 ≡ target (mod q) to a root mod q^2."""
-    m = q * q
-    return (root - (root * root - target) * pow(2 * root, -1, m)) % m
-
-
-def _crt(pairs: list[tuple[int, int]]) -> tuple[int, int]:
-    x, m = pairs[0]
-    for r, n in pairs[1:]:
-        t = ((r - x) * pow(m, -1, n)) % n
-        x += m * t
-        m *= n
-    return x % m, m
-
-
-def _aux_split_pool(limit: int = 2000) -> list[int]:
-    return [q for q in primes_in_range(5, limit) if q % 4 == 1]
-
-
-def _rational_instance(rng: random.Random, pool: list[int], aux: list[int]):
-    """Random (p, x, y, D) with x^2 - D y^2 = p, p ∤ D, y built from
-    auxiliary primes q with (p|q) = 1 so that x exists mod y^2."""
+def _rational_instance(rng: random.Random):
+    """Random (p, x, y, D) with x^2 - D y^2 = p a prime ≡ 1 mod 8 and p ∤ D:
+    x, y and D are drawn, and kept once x^2 - D y^2 is such a prime."""
     while True:
-        p = rng.choice(pool)
-        nfactors = rng.choice((0, 1, 1, 2))
-        if nfactors == 0:
-            x = rng.randrange(1, 10**6) * rng.choice((1, -1))
-            if x % p == 0:
-                continue
-            y = rng.choice((1, -1))
-            D = x * x - p
-        else:
-            qs = []
-            for q in rng.sample(aux, 20):
-                if q != p and legendre(p, OddPrime(q)) == 1:
-                    qs.append(q)
-                if len(qs) == nfactors:
-                    break
-            if len(qs) < nfactors:
-                continue
-            residues = []
-            for q in qs:
-                r = _hensel_sqrt(sqrt_mod(p, OddPrime(q)), p, q)
-                if rng.getrandbits(1):
-                    r = q * q - r
-                residues.append((r, q * q))
-            x0, m = _crt(residues)
-            x = (x0 + rng.randrange(0, 4) * m) * rng.choice((1, -1))
-            y = prod(qs) * rng.choice((1, -1))
-            D = (x * x - p) // (y * y)
-            if (x * x - p) % (y * y):
-                raise AssertionError("square-root lift failed")
-        if D == 0 or D % p == 0:
-            continue
-        return p, x, y, D
+        x, y, D = rng.randrange(-999, 1000), rng.randrange(-31, 32), rng.randrange(-999, 1000)
+        p = x * x - D * y * y
+        if p > 1 and p % 8 == 1 and D % p and is_probable_prime(p):
+            return p, x, y, D
 
 
 def _gaussian_prime(q: int, rng: random.Random) -> tuple[int, int]:
@@ -338,59 +291,21 @@ def _gaussian_prime(q: int, rng: random.Random) -> tuple[int, int]:
     return primary_associate((u, -v) if rng.getrandbits(1) else (u, v))
 
 
-def _gaussian_instance(rng: random.Random, pool: list[int], aux: list[int]):
+def _gaussian_instance(rng: random.Random):
     """Random (pi, x, y, D) over Z[i], as (re, im) pairs, with
-    x^2 - D y^2 = pi, pi ∤ D, pi ≡ 1 mod 2Z[i] of norm ≡ 1 mod 8 with
-    (1+i | pi) = 1."""
+    x^2 - D y^2 = pi, pi ∤ D, pi ≡ 1 mod 2Z[i] of prime norm ≡ 1 mod 8 with
+    (1+i | pi) = 1: x, y and D are drawn, and kept once pi is such a prime."""
+    def draw(bound: int) -> tuple[int, int]:
+        return rng.randrange(-bound, bound + 1), rng.randrange(-bound, bound + 1)
+
     while True:
-        p = rng.choice(pool)
-        pi = _gaussian_prime(p, rng)
-        if rng.getrandbits(1):
-            pi = -pi[0], -pi[1]  # still ≡ 1 mod 2Z[i]
-        nfactors = rng.choice((0, 1, 1, 2))
-        unit = (1, 0) if rng.getrandbits(1) else (0, 1)
-        if nfactors == 0:
-            y = unit
-            x = rng.randrange(-10**4, 10**4), rng.randrange(-10**4, 10**4)
-            yy = _mul(y, y)
-        else:
-            residues = []
-            lams = []
-            qs = []
-            for q in rng.sample(aux, 20):
-                if q == p or q in qs:
-                    continue
-                lam = _gaussian_prime(q, rng)
-                s = _hensel_sqrt(_i_image(lam, q), -1, q)
-                w = (pi[0] + pi[1] * s) % (q * q)
-                if legendre(w, OddPrime(q)) != 1:
-                    lam = lam[0], -lam[1]
-                    s = _hensel_sqrt(_i_image(lam, q), -1, q)
-                    w = (pi[0] + pi[1] * s) % (q * q)
-                    if legendre(w, OddPrime(q)) != 1:
-                        continue
-                r = _hensel_sqrt(sqrt_mod(w, OddPrime(q)), w, q)
-                if rng.getrandbits(1):
-                    r = q * q - r
-                residues.append((r, q * q))
-                lams.append(lam)
-                qs.append(q)
-                if len(qs) == nfactors:
-                    break
-            if len(qs) < nfactors:
-                continue
-            x0, m = _crt(residues)
-            y = reduce(_mul, lams, unit)
-            yy = _mul(y, y)
-            tr, ti = _mul((rng.randrange(-3, 4), rng.randrange(-3, 4)), yy)
-            x = x0 + tr, ti
-        xx = _mul(x, x)
-        D = _div((xx[0] - pi[0], xx[1] - pi[1]), yy)
-        if D is None:
-            raise AssertionError("gaussian square-root lift failed")
-        if D == (0, 0) or _div(D, pi) is not None:
-            continue
-        return pi, x, y, D
+        x, y, D = draw(30), draw(10), draw(10)
+        xx, dyy = _mul(x, x), _mul(D, _mul(y, y))
+        pi = xx[0] - dyy[0], xx[1] - dyy[1]
+        p = pi[0] * pi[0] + pi[1] * pi[1]
+        if (pi[1] % 2 == 0 and p % 8 == 1 and is_probable_prime(p) and gi_symbol((1, 1), pi) == 1
+                and (D[0] + D[1] * _i_image(pi, p)) % p):
+            return pi, x, y, D
 
 
 def run_lemmas(limit: int, seed: int = 1) -> SuiteResult:
@@ -403,16 +318,10 @@ def run_lemmas(limit: int, seed: int = 1) -> SuiteResult:
     of norm ≡ 1 mod 8 with (1+i | pi) = +1.
     """
     rng = random.Random(seed)
-    rational_pool = [p for p in primes_in_range(17, 20000) if p % 8 == 1]
-    gaussian_pool = [p for p in rational_pool
-                     if legendre(1 + sqrt_mod(-1, OddPrime(p)), OddPrime(p)) == 1]
-    aux = _aux_split_pool()
-    aux_odd = primes_in_range(3, 2000)
-
     checked = 0
     for _ in range(limit):
-        p, x, y, D = _rational_instance(rng, rational_pool, aux_odd)
-        P = OddPrime(p)
+        p, x, y, D = _rational_instance(rng)
+        P = _certified(p)
         a0 = sqrt_mod(D, P)
         if a0 is None:
             return _fail(checked, f"rational p={p}: D={D} not a square")
@@ -423,13 +332,9 @@ def run_lemmas(limit: int, seed: int = 1) -> SuiteResult:
         checked += 1
 
     for _ in range(limit):
-        pi, x, y, D = _gaussian_instance(rng, gaussian_pool, aux)
+        pi, x, y, D = _gaussian_instance(rng)
         p = pi[0] * pi[0] + pi[1] * pi[1]
-        P = OddPrime(p)
-        if gi_symbol((1, 1), pi) != 1:
-            return _fail(checked, f"pi={pi}: (1+i | pi) != 1 in pool")
-        if not pi[1] % p:
-            return _fail(checked, f"pi={pi}: degenerate embedding")
+        P = _certified(p)
         i_img = _i_image(pi, p)
         d_res = (D[0] + D[1] * i_img) % p
         a0 = sqrt_mod(d_res, P)
@@ -443,7 +348,7 @@ def run_lemmas(limit: int, seed: int = 1) -> SuiteResult:
                 return _fail(checked, f"pi={pi} x={x} y={y} D={D} a={a}")
         checked += 1
 
-    reciprocity_pool = _aux_split_pool(20000)
+    reciprocity_pool = [q for q in primes_in_range(5, 20000) if q % 4 == 1]
     for _ in range(limit):
         q1, q2 = rng.sample(reciprocity_pool, 2)
         lam = _gaussian_prime(q1, rng)

@@ -5,7 +5,7 @@ from sympy.polys.domains import ZZ_I
 
 from congprimes import gaussian
 from congprimes.errors import ComputeFailed, PreconditionViolation
-from congprimes.gaussian import _div, _mul, gi_symbol, primary_associate, two_squares
+from congprimes.gaussian import _mul, gi_symbol, primary_associate, two_squares
 from congprimes.modmath import OddPrime, legendre, primes_in_range, sqrt_mod
 
 
@@ -29,28 +29,6 @@ def test_ring_axioms_random():
         assert _mul(ab, c) == _mul(a, _mul(b, c))
         assert _mul((a[0], -a[1]), (b[0], -b[1])) == (ab[0], -ab[1])
         assert ab[0] ** 2 + ab[1] ** 2 == (a[0] ** 2 + a[1] ** 2) * (b[0] ** 2 + b[1] ** 2)
-
-
-def test_exact_quotient_matches_sympy():
-    # _div is sympy's divmod quotient where the remainder is 0, else None;
-    # divisors of norm <= 18 divide a random numerator now and then
-    rng = random.Random(5)
-    hits = 0
-    for _ in range(2000):
-        a, b = _rand(rng, 10**4), _rand(rng, rng.choice((3, 10**3)))
-        if b == (0, 0):
-            continue
-        for x in (a, _mul(a, b)):
-            q, r = divmod(ZZ_I(*x), ZZ_I(*b))
-            assert _div(x, b) == (None if r else _pair(q)), (x, b)
-            hits += not r
-        assert _div(_mul(a, b), b) == a
-    assert 2000 < hits < 3000
-
-
-def test_exact_quotient_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        _div((1, 2), (0, 0))
 
 
 def test_two_squares_certificate():

@@ -4,11 +4,14 @@ The acceptance tests run the same suites at their full limits; here we
 only pin the plumbing (dispatch, result shape, determinism, counting).
 """
 
+import random
 import re
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 import sympy
+from sympy.polys.domains import ZZ_I
 
 import congprimes.walk
 from congprimes import criteria, modmath, quartic, verify
@@ -58,10 +61,41 @@ def test_suites_pass_at_small_limits(suite):
     assert res.counterexample is None
 
 
-def test_lemmas_deterministic_per_seed():
-    a = run_suite("lemmas", limit=25, seed=7)
-    b = run_suite("lemmas", limit=25, seed=7)
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_lemmas_deterministic_per_seed(seed):
+    a = run_suite("lemmas", limit=25, seed=seed)
+    b = run_suite("lemmas", limit=25, seed=seed)
     assert (a.passed, a.checked, a.lines) == (b.passed, b.checked, b.lines)
+
+
+@pytest.mark.parametrize("seed", range(1, 4))
+def test_lemma_samplers_meet_the_lemma_hypotheses(seed):
+    # every kept draw satisfies its lemma's hypothesis, checked with sympy
+    rng = random.Random(seed)
+    for _ in range(200):
+        p, x, y, D = verify._rational_instance(rng)
+        assert x * x - D * y * y == p and sympy.isprime(p) and p % 8 == 1 and D % p
+    for _ in range(200):
+        pi, x, y, D = verify._gaussian_instance(rng)
+        z = ZZ_I(*pi)
+        assert ZZ_I(*x) ** 2 - ZZ_I(*D) * ZZ_I(*y) ** 2 == z
+        assert not (z - 1) % 2  # so pi ≡ ±1 mod 2; ZZ_I(0, 0) is falsy but != 0
+        p = pi[0] ** 2 + pi[1] ** 2
+        assert sympy.isprime(p) and p % 8 == 1
+        i_img = [r for r in sympy.sqrt_mod(-1, p, all_roots=True) if (pi[0] + pi[1] * r) % p == 0]
+        assert len(i_img) == 1 and pow(1 + i_img[0], (p - 1) // 2, p) == 1
+        assert divmod(ZZ_I(*D), z)[1]
+
+
+def test_lemma_samplers_draw_again_when_the_prime_divides_d():
+    # x = 0, y = 1, D = -p gives x^2 - D y^2 = p with p | D, which the
+    # samplers draw past; a seeded draw meets such a D about once in 10^5
+    def scripted(*values):
+        return SimpleNamespace(randrange=lambda *_, it=iter(values): next(it))
+
+    assert verify._rational_instance(scripted(0, 1, -17, 3, 1, -8)) == (17, 3, 1, -8)
+    pi, x, y, D = (-5, 4), (-6, -3), (-2, -2), (4, -4)
+    assert verify._gaussian_instance(scripted(0, 0, 1, 0, 5, -4, *x, *y, *D)) == (pi, x, y, D)
 
 
 def test_level_counts_match_classify():
