@@ -139,7 +139,8 @@ def _classification(pv: int, syms: SymbolSet) -> Classification:
     """The classification of the odd prime pv with symbols syms: the _RULES
     row of its (p mod 8, symbols) class."""
     v, w, status, sha = _RULES[pv % 8, syms]
-    return Classification(pv, pv % 16, v, w, syms, status, sha)
+    # as Classification(...), without its generated __new__'s Python frame
+    return tuple.__new__(Classification, (pv, pv % 16, v, w, syms, status, sha))
 
 
 def classify(p: int | OddPrime) -> Classification:

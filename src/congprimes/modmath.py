@@ -126,8 +126,8 @@ BASE_SPAN = 4
 
 
 class Windows(Sequence):
-    """The windows (a, min(a + width - 1, hi)) for a in starts, each built on
-    access, so length, indexing and slicing cost O(1) whatever the count."""
+    """The windows (a, min(a + width - 1, hi)) for a in starts, each built on access, so
+    indexing and slicing cost O(1) whatever the count (len() overflows past sys.maxsize)."""
 
     __slots__ = ("starts", "width", "hi")
 
@@ -292,7 +292,7 @@ def _sqrt_mod_int(a: int, p: int, sylow: tuple[int, int, int] | None = None) -> 
         c = b * b % p
         t = t * c % p
         m = i
-    return min(x, p - x)
+    return p - x if 2 * x > p else x
 
 
 # (g, m, flags) per prime g below 64: flags[p % m] is 1 iff (g/p) = -1 for a prime
@@ -374,9 +374,10 @@ def split_roots(p: OddPrime) -> SplitRoots:
     if i_img > pv - i_img:  # z^2 = -i'
         z = z * i_img % pv
         i_img = pv - i_img
-    zeta = min(z, pv - z)
+    zeta = pv - z if 2 * z > pv else z
     r = _sqrt_mod_int(1 + i_img, pv, sylow)
+    # tuple.__new__ builds SplitRoots(...) without its generated __new__'s Python frame
     if r is None:
-        return SplitRoots(pv, i_img, zeta, None, None)
+        return tuple.__new__(SplitRoots, (pv, i_img, zeta, None, None))
     s = zeta * i_img % pv * r % pv
-    return SplitRoots(pv, i_img, zeta, r, min(s, pv - s))
+    return tuple.__new__(SplitRoots, (pv, i_img, zeta, r, pv - s if 2 * s > pv else s))

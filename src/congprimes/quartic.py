@@ -39,11 +39,10 @@ def embed(x: tuple[int, int, int, int], p: OddPrime, r: int) -> int:
     return (ar + ai * i + (br + bi * i) * r) % pv
 
 
-def _reduce(p: OddPrime, roots: SplitRoots | None) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Reduced Z[i]-basis (u, v) of the product of the two primes over p
-    with roots r and s of split_roots(p) (roots, if given, must be that: those
-    of another prime raise PreconditionViolation); raises NotSplitError
-    unless p ≡ 1 (mod 8) and (1+i'/p) = +1.  It returns
+def _reduce(p: int, r: int, s: int, i_img: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Reduced Z[i]-basis (u, v) of the product of the two primes over the
+    completely split p with roots r and s and i' = i_img of split_roots(p),
+    taken as given: solve_delta checks them.  It returns
     (c.re, c.im, u1.re, u1.im, v1.re, v1.im), with c below centred mod p,
     and the Gram entries (H'(u), H'(v), Re <v,u>, Im <v,u>) in the form
     99 H' below.  Each a-coordinate is -c b (see the last paragraph), which
@@ -79,21 +78,14 @@ def _reduce(p: OddPrime, roots: SplitRoots | None) -> tuple[tuple[int, ...], tup
     solve_delta), so H'(v) / 2 <= H'(v) - |mu|^2 H'(u) = H'(v - mu u) <=
     sqrt(2) p, and the a of u and of v has |a|^2 <= H'(v) <= 2 sqrt(2) p <
     3p < p^2 / 4 (p > 12)."""
-    if roots is None and p.value % 8 == 1:
-        roots = split_roots(p)
-    elif roots is not None and roots.p != p.value:
-        raise PreconditionViolation(f"roots of {roots.p} given for {p}")
-    if roots is None or roots.r is None:
-        raise NotSplitError(f"{p} does not split completely in the quartic field")
-    pv = p.value
-    r, s, i_img, h = roots.r, roots.s, roots.i_img, pv // 2
-    cr = ((r + s) * (h + 1) + h) % pv - h  # h + 1 = 1/2 mod p
-    ci = ((s - r) * i_img * (h + 1) + h) % pv - h  # 1/(2i') = -i'/2
+    h = p // 2
+    cr = ((r + s) * (h + 1) + h) % p - h  # h + 1 = 1/2 mod p
+    ci = ((s - r) * i_img * (h + 1) + h) % p - h  # 1/(2i') = -i'/2
     wa, wb = _FORM
     u1r, u1i, v1r, v1i = 1, 0, 0, 0
     hu = (cr * cr + ci * ci) * wa + wb
-    hv = pv * pv * wa
-    gr, gi = -cr * pv * wa, ci * pv * wa  # <v,u>
+    hv = p * p * wa
+    gr, gi = -cr * p * wa, ci * p * wa  # <v,u>
     while True:
         h2 = 2 * hu  # v <- v - q u, q = round(<v,u> / H'(u))
         qr, qi = (2 * gr + hu) // h2, (2 * gi + hu) // h2
@@ -132,10 +124,10 @@ def _times_unit(x0r: int, x0i: int, x1r: int, x1i: int) -> tuple[int, int, int, 
 
 def solve_delta(p: OddPrime, roots: SplitRoots | None = None) -> tuple[int, int, int, int]:
     """Certified delta = a + b*alpha with a^2 - (1+i) b^2 = p exactly, as
-    (a.re, a.im, b.re, b.im), for a completely split p (else NotSplitError);
-    roots, if given, must be split_roots(p); another prime's raise PreconditionViolation.
+    (a.re, a.im, b.re, b.im), for a completely split p (else NotSplitError); roots, if
+    given, must be split_roots(p), checked only here: another prime's raise PreconditionViolation.
 
-    Takes the reduced basis (u, v) of _reduce(p, roots) and returns the first
+    Takes the reduced basis (u, v) of _reduce(p, r, s, i') and returns the first
     a*u + b*v, with a, b in the Gaussian box |re|, |im| <= 2, whose absolute
     norm is p^2.  u alone is tried first, before v's a-coordinates are even
     computed: it is the generator at every split p below 10^6.  Its relative norm w*p (w a unit of
@@ -172,8 +164,14 @@ def solve_delta(p: OddPrime, roots: SplitRoots | None = None) -> tuple[int, int,
     Both bounds need only rho <= sqrt(2) and sqrt(2) / rho close to 1 (it
     is below 1 + 5.2e-5); at rho = sqrt(2) itself they read 4.8284 and 2.9680.
     """
-    (cr, ci, x1r, x1i, v1r, v1i), _ = _reduce(p, roots)
     pv = p.value
+    if roots is None and pv % 8 == 1:
+        roots = split_roots(p)
+    elif roots is not None and roots.p != pv:
+        raise PreconditionViolation(f"roots of {roots.p} given for {p}")
+    if roots is None or roots.r is None:
+        raise NotSplitError(f"{p} does not split completely in the quartic field")
+    (cr, ci, x1r, x1i, v1r, v1i), _ = _reduce(pv, roots.r, roots.s, roots.i_img)
     h, target = pv // 2, pv * pv
     # u's a = -c b, each coordinate centred mod p (see _reduce)
     x0r, x0i = (h - cr * x1r + ci * x1i) % pv - h, (h - cr * x1i - ci * x1r) % pv - h

@@ -53,7 +53,7 @@ def walk(job: Callable[[int, int], object], lo: int, hi: int, workers: int = 1) 
     shard that dies raises ComputeFailed; what a shard raises is raised here."""
     processes = _pool_size(workers)
     spans = windows(lo, hi, processes)
-    workers = min(processes, len(spans))
+    workers = len(spans[:processes])  # len(spans) overflows past sys.maxsize windows
     shards = []
     try:
         if workers > 1:  # imported here only: no one-worker walk or command start-up loads it

@@ -408,21 +408,24 @@ def test_windows_cover_the_range_and_are_capped(monkeypatch):
 
 
 def test_a_walk_to_10_12_starts_without_listing_its_windows():
-    """windows holds no list of its 2.5 million windows, so it and the first
-    window of a walk cost neither time nor memory that grows with the range."""
-    tracemalloc.start()
-    try:
-        start = time.perf_counter()
-        cut = windows(3, 10**12)
-        first = walk(lambda a, b: (a, b), 3, 10**12)
-        assert next(first) == cut[0] == (3, 400002)
-        first.close()
-        seconds = time.perf_counter() - start
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(cut) == 2_500_000 and cut[-1] == (10**12 - 399_997, 10**12)
-    assert seconds < 1 and peak < 2**20
+    """windows holds no list of its 2.5 million windows, nor of the
+    2.5 * 10^24 to 10^30, past the sys.maxsize that len() allows, so it and
+    the first window of a walk cost neither time nor memory that grows with
+    the range."""
+    for hi in (10**12, 10**30):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            cut = windows(3, hi)
+            first = walk(lambda a, b: (a, b), 3, hi)
+            assert next(first) == cut[0] == (3, 400002)
+            first.close()
+            seconds = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cut.starts == range(3, hi + 1, 400_000) and cut[-1] == (hi - 399_997, hi)
+        assert seconds < 1 and peak < 2**20, hi
 
 
 def _nothing(lo, hi):

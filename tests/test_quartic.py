@@ -104,10 +104,12 @@ def _at_most_zero(m, n):
 
 
 def _reduced(P, roots=None, reduce=_reduce):
-    """_reduce's basis (or that of reduce, a stand-in for it) as the
-    coordinates (u0, u1, v0, v1), each as re, im, with each a = -c b centred
-    mod p as solve_delta takes it, and its Gram entries."""
-    (cr, ci, u1r, u1i, v1r, v1i), gram = reduce(P, roots)
+    """_reduce's basis (or that of reduce, a stand-in for it) at the roots
+    of P (split_roots(P) unless given) as the coordinates (u0, u1, v0, v1),
+    each as re, im, with each a = -c b centred mod p as solve_delta takes
+    it, and its Gram entries."""
+    roots = roots or split_roots(P)
+    (cr, ci, u1r, u1i, v1r, v1i), gram = reduce(P.value, roots.r, roots.s, roots.i_img)
     p, h = P.value, P.value // 2
 
     def a(br, bi):
@@ -370,6 +372,21 @@ def test_reduced_a_is_centred_and_delta_below_2e5_is_pinned():
     assert hashlib.sha256("".join(text).encode()).hexdigest() == DELTA_2E5_SHA256
 
 
+# the same lines per completely split p below 10^6, as solve_delta returned
+# them when _reduce took the SplitRoots record and checked it itself
+DELTA_1E6_SHA256 = "eda3ff33377f47bf048b2b34ab8d05a6f00486af66e1cc5d9ea2c8a51cd3d835"
+
+
+def test_delta_below_10_6_is_pinned():
+    text = []
+    for p in primes_in_range(3, 10**6):
+        P = _certified(p)  # sieved
+        if p % 8 == 1 and (roots := split_roots(P)).r is not None:
+            text.append(",".join(map(str, solve_delta(P, roots))) + "\n")
+    assert len(text) == 9766
+    assert hashlib.sha256("".join(text).encode()).hexdigest() == DELTA_1E6_SHA256
+
+
 def test_box_search_past_u_certifies_delta(monkeypatch):
     # u alone generates the ideal at every split p below 10^6, so only a
     # basis given in the other order reaches the box search past it: there,
@@ -381,8 +398,8 @@ def test_box_search_past_u_certifies_delta(monkeypatch):
     want = {p: classify(_certified(p)).symbols for p in ps}
     real = quartic._reduce
 
-    def swapped(P, roots):
-        (cr, ci, u1r, u1i, v1r, v1i), (hu, hv, gr, gi) = real(P, roots)
+    def swapped(p, r, s, i_img):
+        (cr, ci, u1r, u1i, v1r, v1i), (hu, hv, gr, gi) = real(p, r, s, i_img)
         return (cr, ci, v1r, v1i, u1r, u1i), (hv, hu, gr, -gi)
 
     monkeypatch.setattr(quartic, "_reduce", swapped)
@@ -412,8 +429,8 @@ def test_box_search_needs_coefficients_of_2_for_the_basis_u_plus_2v_and_v(monkey
     want = {p: classify(_certified(p)).symbols for p in ps}
     real = quartic._reduce
 
-    def shifted(P, roots):
-        (cr, ci, u1r, u1i, v1r, v1i), gram = real(P, roots)
+    def shifted(p, r, s, i_img):
+        (cr, ci, u1r, u1i, v1r, v1i), gram = real(p, r, s, i_img)
         return (cr, ci, u1r + 2 * v1r, u1i + 2 * v1i, v1r, v1i), gram
 
     monkeypatch.setattr(quartic, "_reduce", shifted)
@@ -475,14 +492,24 @@ def test_solve_delta_requires_split():
 
 
 @pytest.mark.parametrize("other", [17, 113, 137, 257, 337])
-def test_roots_of_another_prime_are_refused(other):
+def test_roots_of_another_prime_are_refused(monkeypatch, other):
     # roots of another prime are the caller's error, not a failed lattice
-    # search or a p that does not split
+    # search or a p that does not split; solve_delta is the one check of
+    # the roots, so _reduce, which takes their ints as given, never runs
+    # on refused roots or at a p that does not split
+    calls = []
+    monkeypatch.setattr(quartic, "_reduce", lambda *args: calls.append(args) or _reduce(*args))
     P, roots = OddPrime(41), split_roots(OddPrime(other))
-    for call in (solve_delta, _reduce):
-        with pytest.raises(PreconditionViolation, match=f"^roots of {other} given for 41$"):
-            call(P, roots)
-    assert solve_delta(P, split_roots(P)) == solve_delta(P) == (7, -4, 2, -6)
+    with pytest.raises(PreconditionViolation, match=f"^roots of {other} given for 41$"):
+        solve_delta(P, roots)
+    for Q, given in ((OddPrime(17), None), (OddPrime(17), split_roots(OddPrime(17))),
+                     (OddPrime(43), None)):
+        with pytest.raises(NotSplitError):
+            solve_delta(Q, given)
+    assert calls == []
+    own = split_roots(P)
+    assert solve_delta(P, own) == solve_delta(P) == (7, -4, 2, -6)
+    assert calls == [(41, own.r, own.s, own.i_img)] * 2
 
 
 def test_solve_delta_returns_the_four_coordinates():
