@@ -41,7 +41,7 @@ import enum
 from typing import NamedTuple
 
 from .errors import ComputeFailed, GeneratorNotFound
-from .modmath import OddPrime, _certified, legendre, split_roots
+from .modmath import OddPrime, _certified, _odd_prime, legendre, split_roots
 from .quartic import solve_delta
 
 
@@ -86,17 +86,17 @@ _INERT = SymbolSet(chi_1pi=-1)  # (1+i'/p) = -1
 _SPLIT = {(m, chi): SymbolSet(1, chi, chi if m == 1 else -chi) for m in (1, 9) for chi in (-1, 1)}
 
 
-def _symbols(pv: int, p: OddPrime | None = None) -> SymbolSet:
+def _symbols(pv: int) -> SymbolSet:
     """Every applicable symbol at the certified odd prime pv, from the roots
-    and delta taken once, on plain ints.  p, if given, is pv's OddPrime;
-    else only a split pv builds one, for split_roots and solve_delta.  With
-    A, B the images of delta's a, b under i -> i', delta vanishes at r
-    (A + B*r ≡ 0), so at the admissible root p - r it is 2A; 2 and -1 are
-    squares mod p, so the symbols are (r*A/p) and (zeta*r*A/p) =
-    (r*A/p) (-1)^((p-1)/8): zeta^2 = i' in split_roots, and the checks
-    r^2 ≡ 1 + i', r^4 - 2r^2 + 2 ≡ 0 below force i'^2 ≡ -1, so zeta^4 ≡ -1.
-    (1+i'/p) = 2^((p-1)/4) (-1)^((p-1)/8) comes first: an inert p costs one
-    pow, and a split p must also get its root r from split_roots."""
+    and delta taken once, on plain ints; only a split pv builds an OddPrime,
+    for split_roots and solve_delta.  With A, B the images of delta's a, b
+    under i -> i', delta vanishes at r (A + B*r ≡ 0), so at the admissible
+    root p - r it is 2A; 2 and -1 are squares mod p, so the symbols are
+    (r*A/p) and (zeta*r*A/p) = (r*A/p) (-1)^((p-1)/8): zeta^2 = i' in
+    split_roots, and the checks r^2 ≡ 1 + i', r^4 - 2r^2 + 2 ≡ 0 below force
+    i'^2 ≡ -1, so zeta^4 ≡ -1.  (1+i'/p) = 2^((p-1)/4) (-1)^((p-1)/8) comes
+    first: an inert p costs one pow, and a split p must also get its root r
+    from split_roots."""
     if pv % 8 != 1:
         return _NOT_SPLIT
     t = pow(2, pv >> 2, pv)  # 2^((p-1)/4): ±1, as 2 is a square mod p
@@ -104,7 +104,7 @@ def _symbols(pv: int, p: OddPrime | None = None) -> SymbolSet:
         raise ComputeFailed(f"2^((p-1)/4) is not ±1 mod p, so p = {pv} is not prime")
     if (t == 1) != (pv % 16 == 1):
         return _INERT
-    p = p or _certified(pv)
+    p = _certified(pv)
     roots = split_roots(p)
     r, i_img = roots.r, roots.i_img
     if r is None:
@@ -144,6 +144,7 @@ def _classification(pv: int, syms: SymbolSet) -> Classification:
 
 
 def classify(p: int | OddPrime) -> Classification:
-    """Full classification of one odd prime: its symbols, and its class's rule."""
-    p = p if isinstance(p, OddPrime) else OddPrime(p)
-    return _classification(p.value, _symbols(p.value, p))
+    """Full classification of one odd prime: its symbols, and its class's rule.
+    Any p but an OddPrime gets OddPrime(p)'s checks and errors, but no object."""
+    pv = p.value if isinstance(p, OddPrime) else _odd_prime(p)
+    return _classification(pv, _symbols(pv))

@@ -89,8 +89,9 @@ def _is_strong_lucas_prp(n: int) -> bool:
 def is_probable_prime(n: int) -> bool:
     """Primality test.
 
-    Trial division by every prime below 1000 is one gcd with their
-    product, which settles n below 1001^2 = 1,002,001 outright.  Past
+    Trial division by the primes q below 1000 with q^2 < 2^b, n of b bits,
+    is one gcd with their product _TRIAL[min(b, 20)] (a composite n < 2^b
+    has such a factor), and it settles n below 1001^2 = 1,002,001.  Past
     that, one Baillie-PSW test: a base-2 strong probable prime test and a
     strong Lucas test with Selfridge's parameters (Baillie and Wagstaff,
     Math. Comp. 35, 1980).  It is exact below 2^64: Feitsma and Galway
@@ -102,7 +103,7 @@ def is_probable_prime(n: int) -> bool:
     """
     if n < 2:
         return False
-    if gcd(n, _PRIMORIAL) != 1:  # gcd == n also holds for 30 = 2*3*5
+    if gcd(n, _TRIAL[n.bit_length() if n < 1 << 20 else 20]) != 1:  # a factor below 1000
         return n in _SMALL_PRIMES
     if n < 1_002_001:  # below 1001^2 trial division was complete
         return True
@@ -188,31 +189,41 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
 
 
 # the primes up to 1000, ascending as primes_in_range bisects them: those up to
-# sqrt(1000) sieve the rest, and is_probable_prime trial-divides by all of them
+# sqrt(1000) sieve the rest, and is_probable_prime trial-divides by them
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 _SMALL_PRIMES = tuple(primes_in_range(2, 1000))
-_PRIMORIAL = prod(_SMALL_PRIMES)
+# _TRIAL[b]: the product of the primes q < 1000 with q^2 < 2^b, so _TRIAL[20] is all of them
+_TRIAL = [prod(_SMALL_PRIMES[:bisect_right(_SMALL_PRIMES, isqrt((1 << b) - 1))]) for b in range(21)]
+_PRIMORIAL = _TRIAL[20]
+
+
+def _odd_prime(value: int) -> int:
+    """OddPrime(value)'s checks without the object: value as an int if it is an odd
+    prime, else PreconditionViolation, naming value in decimal up to 2000 bits
+    (603 digits, within any int_max_str_digits) and past that in hex."""
+    value = index(value)
+    if value == 2:
+        raise PreconditionViolation(
+            "p = 2 is excluded: both classification questions are about odd primes"
+        )
+    if value < 3 or value % 2 == 0 or not is_probable_prime(value):
+        shown = hex(value) if value.bit_length() > 2000 else value
+        raise PreconditionViolation(f"{shown} is not an odd prime")
+    return value
 
 
 class OddPrime:
-    """A certified odd prime.  OddPrime(n) runs is_probable_prime on n and
-    raises unless n is an odd prime, so every downstream function may
-    assume its argument really is one.  The one other way in is the
-    package-internal _certified, for primes that primes_in_range has
+    """A certified odd prime.  OddPrime(n) runs is_probable_prime on n, by
+    _odd_prime, and raises unless n is an odd prime, so every downstream
+    function may assume its argument really is one.  The one other way in
+    is the package-internal _certified, for primes that primes_in_range has
     already certified.  An OddPrime is immutable and equal only to an
     OddPrime of the same value; copies and pickles are not tested again."""
 
     __slots__ = ("value",)
 
     def __init__(self, value: int) -> None:
-        value = index(value)  # any integer type is stored as an int
-        if value == 2:
-            raise PreconditionViolation(
-                "p = 2 is excluded: both classification questions are about odd primes"
-            )
-        if value < 3 or value % 2 == 0 or not is_probable_prime(value):
-            raise PreconditionViolation(f"{value} is not an odd prime")
-        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "value", _odd_prime(value))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"OddPrime is immutable: {name!r} cannot change")

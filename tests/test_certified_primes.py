@@ -30,7 +30,8 @@ from congprimes.verify import (
     run_tunnell,
 )
 
-# past 10^12 the survivors' test is the deterministic Miller-Rabin tier
+# past 10^10 = BASE_BOUND^2 the window sieve leaves survivors for
+# is_probable_prime, which below 2^64 certifies them by Baillie-PSW alone
 LO, HI = 10**12, 10**12 + 3000
 
 
@@ -90,6 +91,16 @@ def _public_functions():
                 for attr, fn in vars(obj).items():
                     if inspect.isfunction(fn):
                         yield f"{module.__name__}.{name}.{attr}", fn
+
+
+def test_classify_tests_an_int_once_and_an_odd_prime_never(primality_calls):
+    for p in (3, 7, 13, 17, 41, 43, 10**200 + 16737):  # each p mod 8, inert, split
+        P = _certified(p)
+        classify(p)
+        assert primality_calls == {p: 1}, p
+        primality_calls.clear()
+        classify(P)
+        assert not primality_calls, p
 
 
 def test_no_public_name_returns_an_odd_prime():

@@ -79,6 +79,23 @@ def test_rejects_non_primes():
             classify(bad)
 
 
+def test_classify_raises_as_odd_prime_does():
+    # classify checks a non-OddPrime as OddPrime does; past 2000 bits the message
+    # names n in hex, as decimal fails past int_max_str_digits (4300 by default)
+    for x in (-7, 0, 1, 2, 4, 9, 41.0, "41", 10**200 + 1, 10**5000, 10**5000 + 1):
+        raised = []
+        for make in (OddPrime, classify):
+            with pytest.raises((PreconditionViolation, TypeError)) as info:
+                make(x)
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1], x
+        if x == 2:
+            assert raised[0][0] is PreconditionViolation
+        elif type(x) is int:
+            shown = hex(x) if x > 10**4300 else x
+            assert raised[0] == (PreconditionViolation, f"{shown} is not an odd prime")
+
+
 def test_symbols_not_applicable_off_stratum():
     for p in (3, 5, 7, 11, 13, 19, 23, 29, 31, 37):
         c = classify(p)
@@ -265,11 +282,8 @@ def test_a_split_prime_calls_the_split_path_once_and_no_other_prime_does(monkeyp
     assert shapes == {(1, True), (1, False), (3, False), (5, False), (7, False)}
 
 
-def test_classify_chunk_builds_an_odd_prime_only_for_a_split_prime(monkeypatch):
-    # one _certified per completely split prime, in order, and no OddPrime(n)
-    # with its primality test; the split path runs once per split prime
-    split = [p for p in primes_in_range(3, 30000)
-             if p % 8 == 1 and split_roots(_certified(p)).r is not None]
+def _count_odd_primes(monkeypatch):
+    """The values that criteria._certified and OddPrime.__init__ are given."""
     built, tested = [], []
 
     def certified(n, real=_certified):
@@ -280,13 +294,36 @@ def test_classify_chunk_builds_an_odd_prime_only_for_a_split_prime(monkeypatch):
         tested.append(value)
         real(self, value)
 
-    calls = _count_split_path(monkeypatch)
     monkeypatch.setattr(criteria, "_certified", certified)
     monkeypatch.setattr(OddPrime, "__init__", init)
+    return built, tested
+
+
+def _split(ps):
+    return [p for p in ps if p % 8 == 1 and split_roots(_certified(p)).r is not None]
+
+
+def test_classify_chunk_builds_an_odd_prime_only_for_a_split_prime(monkeypatch):
+    # one _certified per completely split prime, in order, and no OddPrime(n)
+    # with its primality test; the split path runs once per split prime
+    split = _split(primes_in_range(3, 30000))
+    calls = _count_split_path(monkeypatch)
+    built, tested = _count_odd_primes(monkeypatch)
     for lo, hi in windows(3, 30000):
         classify_chunk(None, lo, hi)
     assert built == split and tested == []
     assert calls == dict.fromkeys(SPLIT_PATH, len(split))
+
+
+def test_classify_of_an_int_builds_an_odd_prime_only_for_a_split_prime(monkeypatch):
+    # classify(p) answers as classify(OddPrime(p)) without OddPrime(p): only
+    # a split p gets an OddPrime, the one _certified of the split path
+    ps = primes_in_range(3, 30000) + [10**200 + 16737, 10**200 + 28729]
+    want = [classify(OddPrime(p)) for p in ps]
+    split = _split(ps)
+    built, tested = _count_odd_primes(monkeypatch)
+    assert [classify(p) for p in ps] == want
+    assert built == split and tested == []
 
 
 @pytest.mark.parametrize("n", [33, 65, 3 * 11 * 17 * 41, (2**61 - 1) * (2**89 - 1)])

@@ -41,13 +41,23 @@ def test_primality_agrees_with_sympy_below_20000():
         assert is_probable_prime(n) == sympy.isprime(n), n
 
 
+def test_trial_division_by_bit_length_is_exact():
+    # every n below 2^16, and around each table index 2^b and each least
+    # composite q^2 and q * nextprime(q) that a table entry must divide
+    edges = [1 << b for b in range(22)]
+    for q in sympy.primerange(1024):
+        edges += [q * q, q * sympy.nextprime(q)]
+    cases = {*range(-64, 1 << 16), *(m + d for m in edges for d in range(-64, 65))}
+    assert [n for n in sorted(cases) if is_probable_prime(n) != sympy.isprime(n)] == []
+
+
 def test_primality_agrees_with_sympy_around_the_trial_division_bound():
     for n in range(10**6 - 10**4, 1_002_001 + 10**4 + 1):
         assert is_probable_prime(n) == sympy.isprime(n), n
 
 
-# the gcd with the product of the primes below 1000 equals n for the first
-# five, so only "n is one of those primes" tells them from a prime
+# the gcd with the trial divisors of n's bit length is n itself for 30, 30030,
+# 991 * 997 and _PRIMORIAL, so only "n is one of those primes" tells them from a prime
 @pytest.mark.parametrize("n", [
     6, 30, 30030, 991 * 997, _PRIMORIAL,
     *(q * (10**200 + 16737) for q in (3, 101, 997)),
