@@ -16,7 +16,7 @@ from math import gcd, isqrt, log, prod
 from operator import index
 from typing import NamedTuple
 
-from .errors import PreconditionViolation
+from .errors import ComputeFailed, PreconditionViolation
 
 
 # Extra randomized rounds on top of base-2 + Lucas for n >= 2^64.
@@ -89,24 +89,22 @@ def _is_strong_lucas_prp(n: int) -> bool:
 def is_probable_prime(n: int) -> bool:
     """Primality test.
 
-    Trial division by the primes q below 1000 with q^2 < 2^b, n of b bits,
-    is one gcd with their product _TRIAL[min(b, 20)] (a composite n < 2^b
-    has such a factor), and it settles n below 1001^2 = 1,002,001.  Past
-    that, one Baillie-PSW test: a base-2 strong probable prime test and a
-    strong Lucas test with Selfridge's parameters (Baillie and Wagstaff,
-    Math. Comp. 35, 1980).  It is exact below 2^64: Feitsma and Galway
-    listed every base-2 Fermat pseudoprime below 2^64, and Gilchrist
+    Below 1001^2 = 1,002,001 it is one read of _PRIME_FLAGS, the odd-number
+    sieve by the primes below 1000, filled on first need.  From there on,
+    trial division by those primes is one gcd with their product _PRIMORIAL,
+    and then comes one Baillie-PSW test: a base-2 strong probable prime test
+    and a strong Lucas test with Selfridge's parameters (Baillie and
+    Wagstaff, Math. Comp. 35, 1980).  It is exact below 2^64: Feitsma and
+    Galway listed every base-2 Fermat pseudoprime below 2^64, and Gilchrist
     checked that none of them passes this Lucas test.  From 2^64 on, 64
     seeded-random Miller-Rabin rounds follow, so a composite slips through
     with probability below 2^-128.  No randomness escapes: the extra
     witnesses are derived from n, so the function is a pure function of n.
     """
-    if n < 2:
+    if n < 1_002_001:
+        return (_PRIME_FLAGS or _prime_flags())[n >> 1] == 1 if n > 0 and n & 1 else n == 2
+    if gcd(n, _PRIMORIAL) != 1:  # a factor below 1000
         return False
-    if gcd(n, _TRIAL[n.bit_length() if n < 1 << 20 else 20]) != 1:  # a factor below 1000
-        return n in _SMALL_PRIMES
-    if n < 1_002_001:  # below 1001^2 trial division was complete
-        return True
     if not (_is_sprp(n, 2) and _is_strong_lucas_prp(n)):
         return False
     if n < 2**64:  # no base-2 pseudoprime below 2^64 passes the Lucas test
@@ -118,6 +116,7 @@ def is_probable_prime(n: int) -> bool:
 MAX_WINDOW = 10_000_000  # the widest [lo, hi] that primes_in_range sieves
 BASE_BOUND = 100_000  # primes_in_range marks with the primes up to min(sqrt(hi), BASE_BOUND)
 _BASE_PRIMES: list[int] = []  # the primes below BASE_BOUND, sieved on first need past 1000
+_PRIME_FLAGS = b""  # flag j is 1 iff 2j + 1 is prime, for 2j + 1 < 1001^2; filled on first need
 
 # primes expected per window, the unit a range walk sieves (and a scan classifies and renders)
 SCAN_CHUNK = 1024
@@ -158,12 +157,20 @@ def windows(lo: int, hi: int, processes: int = 1) -> Windows:
     return Windows(range(lo, hi + 1, width), width, hi)
 
 
+def _odd_sieve(odd: int, hi: int, primes: Sequence[int]) -> bytearray:
+    """Flag j for each odd + 2j <= hi, odd being odd: each odd prime q in primes
+    clears its odd multiples m*q >= odd with m >= q, every 2q, so q survives."""
+    flags = bytearray([1]) * ((hi - odd) // 2 + 1)  # empty when hi < odd
+    for q in primes:
+        start = max(q, (odd + q - 1) // q | 1) * q  # the first odd multiple m*q >= odd, m >= q
+        if start <= hi:
+            flags[(start - odd) >> 1 :: q] = bytearray((hi - start) // (2 * q) + 1)
+    return flags
+
+
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """All primes in [lo, hi], from one window sieve of its odd numbers, with
-    2 prepended when lo <= 2.  Flag j stands for odd + 2j, odd = lo | 1.
-    Each odd prime q up to min(sqrt(hi), BASE_BOUND) marks its odd
-    multiples m*q >= lo with m >= q, every 2q, so q itself survives; past
-    that bound each survivor is certified on its own."""
+    """All primes in [lo, hi]: 2 when lo <= 2, then _odd_sieve's survivors by the odd primes
+    up to min(sqrt(hi), BASE_BOUND), each certified on its own past that bound."""
     lo = max(lo, 2)
     if hi < lo:
         return []
@@ -174,27 +181,25 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
         _BASE_PRIMES.extend(primes_in_range(2, BASE_BOUND))  # its own base: _SMALL_PRIMES
     base = _BASE_PRIMES or _SMALL_PRIMES  # _SMALL_PRIMES: the primes up to 1000
     odd = lo | 1
-    flags = bytearray([1]) * ((hi - odd) // 2 + 1)  # empty when hi = lo = 2
-    for q in base[1:bisect_right(base, base_limit)]:
-        m = (lo + q - 1) // q | 1  # m*q is the first odd multiple >= lo
-        if m < q:
-            m = q
-        start = m * q
-        if start <= hi:
-            flags[(start - odd) >> 1 :: q] = bytearray((hi - start) // (2 * q) + 1)
+    flags = _odd_sieve(odd, hi, base[1:bisect_right(base, base_limit)])
     survivors = compress(range(odd, hi + 1, 2), flags)
     if isqrt(hi) <= base_limit:
         return [2, *survivors] if lo == 2 else list(survivors)
     return [n for n in survivors if is_probable_prime(n)]
 
 
+def _prime_flags() -> bytes:
+    """Set _PRIME_FLAGS: 1 unflagged, then the odd 3..1001^2 - 2 sieved by the odd primes < 1000."""
+    global _PRIME_FLAGS
+    _PRIME_FLAGS = b"\0" + _odd_sieve(3, 1_001_999, _SMALL_PRIMES[1:])
+    return _PRIME_FLAGS
+
+
 # the primes up to 1000, ascending as primes_in_range bisects them: those up to
-# sqrt(1000) sieve the rest, and is_probable_prime trial-divides by them
+# sqrt(1000) sieve the rest, and is_probable_prime sieves and trial-divides by them
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 _SMALL_PRIMES = tuple(primes_in_range(2, 1000))
-# _TRIAL[b]: the product of the primes q < 1000 with q^2 < 2^b, so _TRIAL[20] is all of them
-_TRIAL = [prod(_SMALL_PRIMES[:bisect_right(_SMALL_PRIMES, isqrt((1 << b) - 1))]) for b in range(21)]
-_PRIMORIAL = _TRIAL[20]
+_PRIMORIAL = prod(_SMALL_PRIMES)
 
 
 def _odd_prime(value: int) -> int:
@@ -294,6 +299,8 @@ def _sqrt_mod_int(a: int, p: int, sylow: tuple[int, int, int] | None = None) -> 
     while t != 1:
         i, t2 = 0, t
         while t2 != 1:
+            if i == m:  # t^(2^m) = 1 for a prime p, by Fermat
+                raise ComputeFailed(f"Tonelli-Shanks does not end mod p, so p = {p} is not prime")
             t2 = t2 * t2 % p
             i += 1
         if i == m:  # first round only: later rounds have i < m
@@ -329,6 +336,8 @@ def _two_sylow(p: int) -> tuple[int, int, int]:
         g = 67
         while _jacobi(g, p) != -1:
             g += 2
+            if g * (g - 1) >= p:  # the least non-residue n of a prime p has n(n - 1) < p
+                raise ComputeFailed(f"no non-residue below sqrt(p) + 1, so p = {p} is not prime")
     return q, s, pow(g, q, p)
 
 

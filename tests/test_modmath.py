@@ -2,6 +2,7 @@ import copy
 import os
 import pickle
 import random
+import signal
 import subprocess
 import sys
 from math import gcd
@@ -12,7 +13,9 @@ import sympy
 from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from congprimes import modmath
-from congprimes.errors import PreconditionViolation
+from congprimes.cli import main
+from congprimes.criteria import _symbols, classify
+from congprimes.errors import ComputeFailed, PreconditionViolation
 from congprimes.modmath import (
     OddPrime,
     _PRIMORIAL,
@@ -29,26 +32,70 @@ from congprimes.modmath import (
     sqrt_mod,
 )
 
-# where trial division by the primes below 1000 stops or is complete:
-# 997^2 and 991*997 need the last divisors, 1001^2 and the primes next to
-# it sit on either side of the bound below which no Baillie-PSW test runs
-TRIAL_DIVISION_EDGES = (997**2, 991 * 997, 993_997, 1_001_989, 1_001_999,
-                        1_002_001, 1_002_017, 1009**2)
+# the edges of the prime-flag table: 997^2 and 991*997 are sieved only by the
+# last primes below 1000, and 1001^2 and the primes next to it sit on either
+# side of the bound below which one flag answers and past which Baillie-PSW runs
+TABLE_EDGES = (997**2, 991 * 997, 993_997, 1_001_989, 1_001_999,
+               1_002_001, 1_002_017, 1009**2)
 
 
 def test_primality_agrees_with_sympy_below_20000():
-    for n in [*range(2, 20000), *TRIAL_DIVISION_EDGES]:
+    for n in [*range(2, 20000), *TABLE_EDGES]:
         assert is_probable_prime(n) == sympy.isprime(n), n
 
 
-def test_trial_division_by_bit_length_is_exact():
-    # every n below 2^16, and around each table index 2^b and each least
-    # composite q^2 and q * nextprime(q) that a table entry must divide
-    edges = [1 << b for b in range(22)]
-    for q in sympy.primerange(1024):
-        edges += [q * q, q * sympy.nextprime(q)]
+def test_prime_flag_table_is_exact():
+    # every n below 2^16, and around the table's end 1001^2, around 2^20 and
+    # around each q^2, the least multiple of the prime q that the sieve marks
+    edges = [1_002_001, 1 << 20, *(q * q for q in sympy.primerange(1024))]
     cases = {*range(-64, 1 << 16), *(m + d for m in edges for d in range(-64, 65))}
     assert [n for n in sorted(cases) if is_probable_prime(n) != sympy.isprime(n)] == []
+
+
+def test_prime_flags_are_filled_once_and_only_for_a_small_n(monkeypatch, tmp_path, capsys):
+    code = "import congprimes; print(len(congprimes.modmath._PRIME_FLAGS))"
+    env = dict(os.environ, PYTHONPATH=str(Path(modmath.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.strip() == "0"
+    fills = []
+
+    def spy(real=modmath._prime_flags):
+        fills.append(len(modmath._PRIME_FLAGS))
+        return real()
+
+    monkeypatch.setattr(modmath, "_prime_flags", spy)
+    monkeypatch.setattr(modmath, "_PRIME_FLAGS", b"")
+    # a scan's primes are certified by its sieve, and a 200-digit p takes Baillie-PSW
+    assert main(["scan", "--from", "3", "--to", "1000000", "--out", str(tmp_path / "s.csv")]) == 0
+    capsys.readouterr()
+    assert [classify(10**200 + c).v_level for c in (16737, 28729)] == [3, 4]
+    assert fills == []
+    assert [classify(p).v_level for p in (3, 41, 1_001_989, 13)] == [0, 3, 1, 1]
+    assert fills == [0] and len(modmath._PRIME_FLAGS) == 501_000
+
+
+def _still_running(signum, frame):
+    raise TimeoutError("still running after 1 s")
+
+
+# composites that reach the root finders (the odd squares and the n ≡ 1 (mod 8)
+# that criteria._symbols can be handed) with no least non-residue below
+# sqrt(n) + 1, or a Tonelli-Shanks loop that a prime would have ended by i = m
+@pytest.mark.parametrize("call, n", [
+    (_two_sylow, 9), (_two_sylow, 25), (lambda n: split_roots(_certified(n)), 81**2),
+    (lambda n: _sqrt_mod_int(2, n), 21),
+    *((_symbols, n) for n in (1905, 2465, 4033, 8321, 12801, 18705)),
+])
+def test_a_non_prime_makes_the_root_finders_raise_within_1_s(call, n):
+    old = signal.signal(signal.SIGALRM, _still_running)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(ComputeFailed, match=f"p = {n} is not prime"):
+            call(n)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_primality_agrees_with_sympy_around_the_trial_division_bound():
@@ -56,8 +103,8 @@ def test_primality_agrees_with_sympy_around_the_trial_division_bound():
         assert is_probable_prime(n) == sympy.isprime(n), n
 
 
-# the gcd with the trial divisors of n's bit length is n itself for 30, 30030,
-# 991 * 997 and _PRIMORIAL, so only "n is one of those primes" tells them from a prime
+# products of primes below 1000: 6, 30 and 30030 are even, the flag table's sieve
+# marks 991 * 997, and from 1001^2 on a gcd > 1 with _PRIMORIAL is a proper factor
 @pytest.mark.parametrize("n", [
     6, 30, 30030, 991 * 997, _PRIMORIAL,
     *(q * (10**200 + 16737) for q in (3, 101, 997)),
