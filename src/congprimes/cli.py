@@ -231,7 +231,7 @@ def build_parser() -> _Parser:
     span.add_argument("--from", dest="lo", type=int, required=True)
     span.add_argument("--to", dest="hi", type=int, required=True)
     span.add_argument("--workers", type=int, default=1,
-                      help="worker processes (at most one per CPU is started)")
+                      help="worker processes (at most one per CPU is started, each on its own CPU)")
     p_scan = sub.add_parser("scan", parents=[span], help="classify every prime in a range")
     p_scan.add_argument("--out", required=True)
     p_scan.add_argument("--format", choices=("csv", "jsonl"), default="csv")

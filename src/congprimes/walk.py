@@ -29,14 +29,30 @@ DEFAULT_LIMITS = {
 }
 
 
+def _cpus() -> list[int]:
+    """The CPUs this process may run on, in order; the machine's where it keeps no CPU set."""
+    if hasattr(os, "sched_getaffinity"):
+        return sorted(os.sched_getaffinity(0))
+    return list(range(os.cpu_count() or 1))
+
+
 def _pool_size(workers: int) -> int:
     """Processes to start for a requested worker count: at most one per usable CPU."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(workers, cpus or 1)
+    return min(workers, len(_cpus()))
 
 
-def _shard(job: Callable[[int, int], object], spans: Windows, writer) -> None:
-    """A shard process: send job(a, b) for each of its windows, or what stopped it, down its pipe."""
+def _pin(cpus) -> None:
+    """Run this process on cpus only, where the OS lets it; otherwise leave it as it is."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except (AttributeError, OSError):  # no such call here, or none of cpus usable
+        pass
+
+
+def _shard(job: Callable[[int, int], object], spans: Windows, writer, cpu: int) -> None:
+    """A shard process, on CPU cpu where it may: send job(a, b) for each of
+    its windows, or what stopped it, down its pipe."""
+    _pin([cpu])
     try:
         for a, b in spans:
             writer.send(job(a, b))
@@ -50,11 +66,13 @@ def walk(job: Callable[[int, int], object], lo: int, hi: int, workers: int = 1) 
     order.  Given W workers, CPUs and windows, this process runs window i when W
     divides i; otherwise shard i mod W, one of W - 1 shard processes started by
     the walk and ended with it, runs it and sends the result down its pipe.  A
-    shard that dies raises ComputeFailed; what a shard raises is raised here."""
+    shard that dies raises ComputeFailed; what a shard raises is raised here.
+    Past one worker, shard w runs on the w-th of this process's CPUs, and this
+    process on the first until the walk ends; a one-worker walk pins nothing."""
     processes = _pool_size(workers)
     spans = windows(lo, hi, processes)
     workers = len(spans[:processes])  # len(spans) overflows past sys.maxsize windows
-    shards = []
+    shards, cpus = [], None
     try:
         if workers > 1:  # imported here only: no one-worker walk or command start-up loads it
             import multiprocessing
@@ -63,13 +81,15 @@ def walk(job: Callable[[int, int], object], lo: int, hi: int, workers: int = 1) 
                 ctx = multiprocessing.get_context("fork")
             except ValueError:
                 ctx = multiprocessing.get_context()
+            cpus = _cpus()  # fewer than workers only if the set shrank since _pool_size
             for w in range(1, workers):
                 reader, writer = ctx.Pipe(duplex=False)
-                proc = ctx.Process(target=_shard, args=(job, spans[w::workers], writer),
-                                   name=f"worker {w + 1}", daemon=True)
+                proc = ctx.Process(target=_shard, name=f"worker {w + 1}", daemon=True,
+                                   args=(job, spans[w::workers], writer, cpus[w % len(cpus)]))
                 proc.start()
                 writer.close()  # the shard's is then the only write end
                 shards.append((proc, reader))
+            _pin(cpus[:1])  # after the starts: a forked shard would inherit it
         for i, (a, b) in enumerate(spans):
             if i % workers == 0:
                 yield job(a, b)
@@ -87,6 +107,8 @@ def walk(job: Callable[[int, int], object], lo: int, hi: int, workers: int = 1) 
                 raise result  # as window i would raise in this process
             yield result
     finally:
+        if cpus is not None:
+            _pin(cpus)
         for proc, reader in shards:
             proc.terminate()
             proc.join()

@@ -853,6 +853,96 @@ def test_pool_size_counts_only_the_cpus_this_process_may_run_on(monkeypatch):
     assert _pool_size(2) == 1
 
 
+def _cpu_set(lo, hi):
+    """A job whose result is the set of CPUs the process running it may use."""
+    return os.sched_getaffinity(0)
+
+
+def _cpu_set_or_raise(lo, hi):
+    """_cpu_set, but a shard raises."""
+    if multiprocessing.parent_process() is not None:
+        raise ValueError(f"in a shard at {lo}")
+    return _cpu_set(lo, hi)
+
+
+def _cpu_set_or_die(lo, hi):
+    """_cpu_set, but a shard exits with code 9."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(9)
+    return _cpu_set(lo, hi)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs this process may run on")
+def test_a_two_worker_walk_runs_each_process_on_its_own_cpu():
+    """The shard runs on the second of this process's CPUs and this process,
+    while it walks, on the first; after the walk this process has its CPU
+    set back, whether the walk ended, was closed, or raised for a shard."""
+    before = os.sched_getaffinity(0)
+    first, second = sorted(before)[:2]
+    with deadline(20):
+        sets = list(walk(_cpu_set, 3, 10**6, 2))
+        assert len(sets) == len(windows(3, 10**6, 2)) >= 4
+        assert sets[::2] == [{first}] * len(sets[::2])
+        assert sets[1::2] == [{second}] * len(sets[1::2])
+        assert os.sched_getaffinity(0) == before
+        walking = walk(_cpu_set, 3, 10**6, 2)
+        assert next(walking) == {first} == os.sched_getaffinity(0)
+        walking.close()
+        assert os.sched_getaffinity(0) == before
+        with pytest.raises(ValueError, match="in a shard"):
+            list(walk(_cpu_set_or_raise, 3, 10**6, 2))
+        assert os.sched_getaffinity(0) == before
+        with pytest.raises(ComputeFailed, match="worker 2 exited with code 9"):
+            list(walk(_cpu_set_or_die, 3, 10**6, 2))
+        assert os.sched_getaffinity(0) == before
+    assert multiprocessing.active_children() == []
+
+
+def test_only_a_walk_that_starts_shards_pins_this_process(monkeypatch):
+    calls = []
+    monkeypatch.setattr(os, "sched_setaffinity", lambda *args: calls.append(args), raising=False)
+    cpus(monkeypatch, 2)
+    assert list(walk(_nothing, 3, 10**6, 1)) == [None] * len(windows(3, 10**6, 1))
+    cpus(monkeypatch, 1)  # two workers asked for, one CPU: no shard
+    assert list(walk(_nothing, 3, 10**6, 2)) == [None] * len(windows(3, 10**6, 1))
+    assert calls == []
+    cpus(monkeypatch, 2)  # the shard pins itself in its own process, unseen here
+    assert list(walk(_nothing, 3, 10**6, 2)) == [None] * len(windows(3, 10**6, 2))
+    assert calls == [(0, [0]), (0, [0, 1])]  # this process on CPU 0, then its set back
+
+
+# sha256 of the CSV of scan --from 3 --to 100000
+SCAN_100000_CSV_SHA256 = "fe25c3cfc632ee33c17f0ebce1a92b54bb3c6fb948af6c541b779516f1ee143d"
+
+
+@pytest.mark.parametrize("how, workers", [("raises", 2), ("missing", 2), ("no such CPUs", 2),
+                                          ("four CPUs", 4)])
+def test_a_walk_that_cannot_pin_runs_unpinned(capsys, tmp_path, monkeypatch, pools, how,
+                                              workers):
+    """Where os.sched_setaffinity refuses, is missing, or is given CPUs this
+    machine lacks, each process runs where the OS puts it, and the scan
+    prints what a pinned one does, with no word about it."""
+    def refuse(pid, mask):
+        raise OSError(errno.EPERM, os.strerror(errno.EPERM))
+
+    cpus(monkeypatch, workers)  # four: CPUs 2 and 3 are missing on a two-CPU machine
+    if how == "raises":
+        monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+    elif how == "missing":
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    elif how == "no such CPUs":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {4096, 4097}, raising=False)
+    out_path = tmp_path / "scan.csv"
+    with deadline(20):
+        code, out, err = run(capsys, "scan", "--from", "3", "--to", "100000", "--out",
+                             str(out_path), "--workers", str(workers))
+    assert (code, err) == (0, "") and out.startswith(f"wrote 9591 rows to {out_path}\n")
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == SCAN_100000_CSV_SHA256
+    assert pools == [len(windows(3, 100000, workers)[:workers]) - 1] and pools[0] >= 1
+    assert multiprocessing.active_children() == []
+
+
 def test_scan_requires_out(capsys, tmp_path):
     code, _, err = run(capsys, "scan", "--from", "3", "--to", "100")
     assert code == 1

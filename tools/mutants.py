@@ -25,6 +25,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 MODMATH = "src/congprimes/modmath.py"
+WALK = "src/congprimes/walk.py"
 TIMEOUT = 300  # seconds per mutation; the whole suite takes about 55 on 2 CPUs
 
 # (name, file, old text, new text, tests): old must occur exactly once in file
@@ -50,6 +51,10 @@ MUTANTS = [
      "    elif roots is not None and roots.p != pv:\n"
      '        raise PreconditionViolation(f"roots of {roots.p} given for {p}")\n', "",
      ("tests/test_quartic.py",)),
+    # a multi-worker walk's CPUs: each shard on its own, and this process's set back after
+    ("shard-not-pinned", WALK, "    _pin([cpu])\n", "", ("tests/test_cli.py",)),
+    ("parent-cpu-set-not-restored", WALK, "        if cpus is not None:\n            _pin(cpus)\n",
+     "", ("tests/test_cli.py",)),
 ]
 
 
