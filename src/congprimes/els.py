@@ -46,73 +46,42 @@ def _require_d_cover(c: QuarticCover):
         raise PreconditionViolation("D covers are analyzed at p ≡ 1 (mod 8) only")
 
 
-def _poly_mul_mod(a, b, q, p):
-    # product of a, b mod (q, p); q monic of degree 4, a, b of degree < 4
-    e = [0] * 7
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                e[i + j] = (e[i + j] + ai * bj) % p
-    for d in range(6, 3, -1):
-        c = e[d]
-        if c:
-            e[d] = 0
-            for k in range(4):
-                # x^d = -c (q_3 x^(d-1) + ... ) : subtract c * q * x^(d-4)
-                e[d - 4 + k] = (e[d - 4 + k] - c * q[4 - k]) % p
-    return e[:4]
-
-
-def _x_pow_p(q, p):
-    # x^p mod (q, p) by square and multiply; q monic, descending coeffs
-    result = [0, 1, 0, 0]  # x
-    for bit in bin(p)[3:]:
-        result = _poly_mul_mod(result, result, q, p)
-        if bit == "1":
-            r = [0] + result  # multiply by x
-            c = r[4]
-            r = r[:4]
-            if c:
-                for k in range(4):
-                    r[k] = (r[k] - c * q[4 - k]) % p
-            result = r
-    return result
-
-
-def _poly_gcd_deg(a, b, p) -> int:
-    # degree of gcd(a, b) in F_p[x]; inputs as ascending coefficient lists
-    def deg(f):
-        for d in range(len(f) - 1, -1, -1):
-            if f[d] % p:
-                return d
-        return -1
-
-    a, b = [x % p for x in a], [x % p for x in b]
-    while deg(b) >= 0:
-        da, db = deg(a), deg(b)
-        if da < db:
-            a, b = b, a
-            continue
-        inv = pow(b[db], -1, p)
-        coef = a[da] * inv % p
-        shift = da - db
-        for k in range(db + 1):
-            a[k + shift] = (a[k + shift] - coef * b[k]) % p
-        # deg dropped; loop continues
-    return deg(a)
+def _reduce(e, q, p):
+    # e mod (q, p) as 4 ascending coefficients; q ascending, monic of degree 4
+    for d in range(len(e) - 1, 3, -1):
+        c = e[d] % p
+        for k in range(4):
+            e[d - 4 + k] -= c * q[k]
+    return [c % p for c in e[:4]]
 
 
 def locally_solvable_at_p(c: QuarticCover) -> bool:
     """Whether the D cover has a p-adic point, decided by testing whether
     its quartic has a root in F_p via gcd(q, x^p - x)."""
     _require_d_cover(c)
-    pv = c.p.value
-    q_desc = COVERS[c.label]
-    q_asc = tuple(reversed(q_desc))
-    xp = _x_pow_p(q_desc, pv)
-    # gcd(q, x^p - x)
-    diff = [(xp[0]) % pv, (xp[1] - 1) % pv, xp[2] % pv, xp[3] % pv]
-    return _poly_gcd_deg(list(q_asc), diff, pv) >= 1
+    p = c.p.value
+    q = COVERS[c.label][::-1]
+    xp = [0, 1, 0, 0]  # x^p mod (q, p) by square and multiply
+    for bit in bin(p)[3:]:
+        a0, a1, a2, a3 = xp
+        xp = _reduce([a0 * a0, 2 * a0 * a1, 2 * a0 * a2 + a1 * a1, 2 * (a0 * a3 + a1 * a2),
+                      2 * a1 * a3 + a2 * a2, 2 * a2 * a3, a3 * a3], q, p)
+        if bit == "1":
+            xp = _reduce([0] + xp, q, p)  # times x
+    # Euclid on (q, x^p - x) over F_p: a root exists iff the gcd is not constant
+    a, b = list(q), [xp[0], xp[1] - 1, xp[2], xp[3]]
+    while True:
+        b = [c % p for c in b]
+        while b and not b[-1]:
+            b.pop()
+        if not b:
+            return len(a) > 1
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):  # a mod b
+            t = a.pop() * inv % p
+            for k in range(1, len(b)):
+                a[-k] -= t * b[-1 - k]
+        a, b = b, a
 
 
 def lemma_symbol_prediction(c: QuarticCover) -> bool:

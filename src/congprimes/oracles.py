@@ -97,18 +97,13 @@ def tunnell_a(n: int, bound: int = DEFAULT_BOUND) -> int:
 
     def count(zc: int) -> int:
         total = 0
-        x = 0
-        while 2 * x * x <= n:
+        for x in range(isqrt(n // 2) + 1):
             rem_x = n - 2 * x * x
-            mx = 2 if x else 1
-            z = 0
-            while zc * z * z <= rem_x:
+            for z in range(isqrt(rem_x // zc) + 1):
                 y2 = rem_x - zc * z * z
                 y = isqrt(y2)
-                if y * y == y2 and y:  # y is odd since n is odd, never 0
-                    total += mx * 2 * (2 if z else 1)
-                z += 1
-            x += 1
+                if y * y == y2:  # y is odd since n is, so y and -y both count
+                    total += (2 if x else 1) * 2 * (2 if z else 1)
         return total
 
     big = count(32)
@@ -130,29 +125,11 @@ def rep_x2_32y2(p: OddPrime) -> bool:
 
 
 def _gaussian_sqrt(wr: int, wi: int) -> tuple[int, int] | None:
-    """Exact square root (x, y) of w = wr + wi*i in Z[i], if one exists."""
-    if not (wr or wi):
-        return 0, 0
-    nw = wr * wr + wi * wi
-    s = isqrt(nw)
-    if s * s != nw:
-        return None
-    # N(x + y*i) = s, so x^2 = (wr + s)/2 and 2xy = wi
-    half = wr + s
-    if half % 2:
-        return None
-    x2 = half // 2
-    x = isqrt(x2)
-    if x * x != x2:
-        return None
-    if x:
-        if wi % (2 * x):
-            return None
-        cand = x, wi // (2 * x)
-    else:
-        if wi:
-            return None
-        cand = 0, isqrt(-wr)
+    """Exact square root (x, y) of w = wr + wi*i in Z[i] with x >= 0, if one
+    exists: (x + yi)^2 = w gives x^2 + y^2 = |w|, x^2 - y^2 = wr and 2xy = wi."""
+    s = isqrt(wr * wr + wi * wi)
+    y = isqrt((s - wr) // 2)
+    cand = isqrt((s + wr) // 2), (y if wi >= 0 else -y)
     return cand if _mul(cand, cand) == (wr, wi) else None
 
 

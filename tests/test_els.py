@@ -63,11 +63,14 @@ def test_both_routes_agree_with_chi():
 
 
 def test_200_digit_cover():
-    P = OddPrime(10**200 + 16737)
-    for label in ("D1", "D2"):
-        c = cover(label, P)
-        assert locally_solvable_at_p(c)
-        assert lemma_symbol_prediction(c)
+    # the split anchor, and the first p ≡ 1 (mod 8) past 10^200 with chi_{1+i} = -1
+    for p, want in [(10**200 + 16737, True), (10**200 + 1849, False)]:
+        P = OddPrime(p)
+        assert (legendre(1 + sqrt_mod(-1, P), P) == 1) == want
+        for label in ("D1", "D2"):
+            c = cover(label, P)
+            assert locally_solvable_at_p(c) == want, (p, label)
+            assert lemma_symbol_prediction(c) == want, (p, label)
 
 
 def test_preconditions():

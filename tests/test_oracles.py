@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from math import isqrt
 
 import pytest
@@ -71,11 +72,29 @@ def test_r3_preconditions():
         r3(10**7, bound=10**6)
 
 
-@pytest.mark.parametrize("n,want", [(41, 0), (17, 4), (1, 1), (3, 2)])
+@pytest.mark.parametrize("n,want", [(41, 0), (17, -4), (1, 1), (3, 2)])
 def test_tunnell_spot_values(n, want):
-    # signs follow this implementation's enumeration; magnitudes are the
-    # invariant content
-    assert abs(tunnell_a(n)) == want
+    assert tunnell_a(n) == want
+
+
+def test_tunnell_matches_its_definition_below_2000():
+    # #{2x^2 + y^2 + zc z^2 = n} for every n < 2000 from a tally of every
+    # signed triple (x, y, z) that lands below 2000
+    def tally(zc):
+        counts = Counter()
+        for x in range(-isqrt(1000), isqrt(1000) + 1):
+            for y in range(-isqrt(2000), isqrt(2000) + 1):
+                for z in range(-isqrt(2000 // zc), isqrt(2000 // zc) + 1):
+                    counts[2 * x * x + y * y + zc * z * z] += 1
+        return counts
+
+    big, small = tally(32), tally(8)
+    checked = 0
+    for n in range(1, 2000, 2):
+        if all(n % (d * d) for d in range(3, isqrt(n) + 1, 2)):
+            assert 2 * tunnell_a(n) == 2 * big[n] - small[n], n
+            checked += 1
+    assert checked == 811
 
 
 def test_tunnell_zero_exactly_at_known_congruent_primes():
@@ -160,6 +179,16 @@ def test_gaussian_sqrt_inverts_sympy_squaring():
         assert oracles._gaussian_sqrt(w.x, w.y) in {(z.x, z.y), (-z.x, -z.y)}
     assert [oracles._gaussian_sqrt(*w) for w in [(-1, 0), (0, 2), (0, 1), (2, 0), (5, 0)]] \
         == [(0, 1), (1, 1), None, None, None]
+    # every w with |re|, |im| <= 300: a root exactly at the squares of Z[i]
+    squares = {(x * x - y * y, 2 * x * y) for x in range(-21, 22) for y in range(-21, 22)}
+    for wr in range(-300, 301):
+        for wi in range(-300, 301):
+            root = oracles._gaussian_sqrt(wr, wi)
+            if (wr, wi) in squares:
+                x, y = root
+                assert x >= 0 and (x * x - y * y, 2 * x * y) == (wr, wi), (wr, wi)
+            else:
+                assert root is None, (wr, wi)
 
 
 def test_box_search_refuses_a_solution_without_relative_norm_p(monkeypatch):

@@ -26,6 +26,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 MODMATH = "src/congprimes/modmath.py"
 WALK = "src/congprimes/walk.py"
+ELS = "src/congprimes/els.py"
+ORACLES = "src/congprimes/oracles.py"
 TIMEOUT = 300  # seconds per mutation; the whole suite takes about 55 on 2 CPUs
 
 # (name, file, old text, new text, tests): old must occur exactly once in file
@@ -51,6 +53,15 @@ MUTANTS = [
      "    elif roots is not None and roots.p != pv:\n"
      '        raise PreconditionViolation(f"roots of {roots.p} given for {p}")\n', "",
      ("tests/test_quartic.py",)),
+    # the reference routes: the cover root test mod (q, p), the Gaussian square root, a_n
+    ("cover-reduction-sign-flipped", ELS, "e[d - 4 + k] -= c * q[k]",
+     "e[d - 4 + k] += c * q[k]", ("tests/test_els.py",)),
+    ("cover-times-x-dropped", ELS, "_reduce([0] + xp, q, p)", "_reduce(xp, q, p)",
+     ("tests/test_els.py",)),
+    ("gaussian-sqrt-y-sign-flipped", ORACLES, "(y if wi >= 0 else -y)", "(-y if wi >= 0 else y)",
+     ("tests/test_oracles.py",)),
+    ("tunnell-x-weight-one", ORACLES, "(2 if x else 1) * 2", "(1 if x else 1) * 2",
+     ("tests/test_oracles.py",)),
     # a multi-worker walk's CPUs: each shard on its own, and this process's set back after
     ("shard-not-pinned", WALK, "    _pin([cpu])\n", "", ("tests/test_cli.py",)),
     ("parent-cpu-set-not-restored", WALK, "        if cpus is not None:\n            _pin(cpus)\n",
